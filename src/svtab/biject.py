@@ -25,6 +25,7 @@ from .core import (
     path_family,
     validate_svsyt,
 )
+from .enumerate import _cell_masks, _repack
 
 __all__ = [
     "Triple",
@@ -304,46 +305,96 @@ class Triple:
         )
 
 
+def _peel(blocks: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
+    """Cut-and-pick decomposition of per-element entry lists (consumed).
+
+    Each list holds one element's entries in increasing order.  Stage i (from
+    k down to 1) removes the largest non-minimal entry e, which is the maximum
+    of its list; that element is pick i and the cut is e - i.  Remaining
+    entries above e close ranks.  Returns the entry every element keeps, the
+    cuts and the picks (as list indices).
+    """
+    k = sum(len(b) for b in blocks) - len(blocks)
+    cuts = [0] * k
+    picks = [0] * k
+    for i in range(k, 0, -1):
+        best = where = 0
+        for x, b in enumerate(blocks):
+            if len(b) > 1 and b[-1] > best:
+                best, where = b[-1], x
+        cuts[i - 1] = best - i
+        picks[i - 1] = where
+        blocks[where].pop()
+        for b in blocks:
+            for a, e in enumerate(b):
+                if e > best:
+                    b[a] = e - 1
+    assert all(c >= 1 for c in cuts) and cuts == sorted(cuts), cuts
+    return [b[0] for b in blocks], cuts, picks
+
+
+def _insert(
+    base: list[int],
+    succs: list[int],
+    cuts: tuple[int, ...],
+    picks: tuple,
+    index: dict,
+    noun: str,
+) -> list[list[int]]:
+    """Inverse of ``_peel``: grow each pick's list by the entry cut + i.
+
+    ``base`` gives every element's entry in a standard filling (a permutation
+    of 1..n) and ``succs`` the bitmask of its upper covers; ``index`` maps a
+    pick (a ``noun`` such as a cell) to its element.  Pick i must be a maximal
+    element of the ideal of elements whose base entry is at most cuts[i-1].
+    Larger entries shift up to make room.
+    """
+    n = len(base)
+    k = len(cuts)
+    if len(picks) != k:
+        raise InvalidPick("cuts and picks must have equal length")
+    if any(not 1 <= c <= n for c in cuts):
+        raise InvalidPick(f"cuts out of range 1..{n}: {cuts}")
+    if any(cuts[a] > cuts[a + 1] for a in range(k - 1)):
+        raise InvalidPick(f"cuts must weakly increase: {cuts}")
+    ideal = [0] * (n + 1)  # ideal[t]: elements with base entry <= t
+    for y, v in enumerate(base):
+        ideal[v] = 1 << y
+    for t in range(1, n + 1):
+        ideal[t] |= ideal[t - 1]
+    for cut, p in zip(cuts, picks):
+        x = index.get(p)
+        if x is None:
+            raise InvalidPick(f"no {noun} {p}")
+        if base[x] > cut:
+            raise InvalidPick(f"{noun} {p} is outside the ideal of cut {cut}")
+        if succs[x] & ideal[cut]:
+            raise InvalidPick(f"{noun} {p} is not maximal for cut {cut}")
+    blocks = [[v] for v in base]
+    for i, (cut, p) in enumerate(zip(cuts, picks), start=1):
+        e = cut + i
+        for b in blocks:
+            for a, v in enumerate(b):
+                if v >= e:
+                    b[a] = v + 1
+        blocks[index[p]].append(e)
+    return blocks
+
+
 def decompose(t: SetValuedTableau) -> Triple:
     """Strip the k extra entries off a set-valued tableau, largest first.
 
-    Stage i (from k down to 1) removes the largest non-minimal entry e, which
-    is necessarily the maximum of its cell; that cell is pick i and the cut is
-    e - i.  Remaining entries above e close ranks.  The base that remains is a
-    standard tableau of the same shape.
+    A thin adapter over the cut-and-pick codec ``_peel``, which
+    ``posets.decompose_extension`` shares: the cells, in row-major order, are
+    its elements.  The picks are cells and the base is a standard tableau of
+    the same shape.
     """
-    k = validate_svsyt(t)
-    grid = {pos: list(entries) for pos, entries in t.cells()}
-    cuts = [0] * k
-    picks: list[tuple[int, int]] = [(0, 0)] * k
-    for i in range(k, 0, -1):
-        best = 0
-        where = None
-        for pos, entries in grid.items():
-            if len(entries) > 1 and entries[-1] > best:
-                best = entries[-1]
-                where = pos
-        assert where is not None
-        cuts[i - 1] = best - i
-        picks[i - 1] = where
-        grid[where].pop()
-        for entries in grid.values():
-            for a, e in enumerate(entries):
-                if e > best:
-                    entries[a] = e - 1
-    base = _pack(t, grid)
-    assert validate_svsyt(base) == 0
-    assert all(c >= 1 for c in cuts)
-    assert all(cuts[a] <= cuts[a + 1] for a in range(k - 1))
-    return Triple(base, tuple(cuts), tuple(picks))
-
-
-def _pack(template: SetValuedTableau, grid: dict) -> SetValuedTableau:
-    rows = [
-        [grid[(r, c)] for c in template.shape.row_span(r)]
-        for r in range(1, template.shape.outer.nrows + 1)
-    ]
-    return SetValuedTableau.from_rows(rows, inner=tuple(template.shape.inner))
+    validate_svsyt(t)
+    cells = t.shape.cells()
+    base, cuts, picks = _peel([list(entries) for _, entries in t.cells()])
+    out = _repack(t.shape, tuple((v,) for v in base))
+    assert validate_svsyt(out) == 0
+    return Triple(out, tuple(cuts), tuple(cells[x] for x in picks))
 
 
 def compose(tr: Triple) -> SetValuedTableau:
@@ -351,35 +402,17 @@ def compose(tr: Triple) -> SetValuedTableau:
     base = tr.base
     if validate_svsyt(base) != 0:
         raise InvalidPick("base tableau must be standard (no extra entries)")
-    n = base.nentries
-    k = len(tr.cuts)
-    if len(tr.picks) != k:
-        raise InvalidPick("cuts and picks must have equal length")
-    if any(not 1 <= c <= n for c in tr.cuts):
-        raise InvalidPick(f"cuts out of range 1..{n}: {tr.cuts}")
-    if any(tr.cuts[a] > tr.cuts[a + 1] for a in range(k - 1)):
-        raise InvalidPick(f"cuts must weakly increase: {tr.cuts}")
-    shape = base.shape
-    value = {pos: entries[0] for pos, entries in base.cells()}
-    for cut, (r, c) in zip(tr.cuts, tr.picks):
-        if not shape.contains(r, c):
-            raise InvalidPick(f"{(r, c)} is not a cell of the shape")
-        if value[(r, c)] > cut:
-            raise InvalidPick(f"cell {(r, c)} is outside the ideal of cut {cut}")
-        for nb in ((r + 1, c), (r, c + 1)):
-            if shape.contains(*nb) and value[nb] <= cut:
-                raise InvalidPick(f"cell {(r, c)} is not maximal for cut {cut}")
-    grid = {pos: list(entries) for pos, entries in base.cells()}
-    for i, (cut, pos) in enumerate(zip(tr.cuts, tr.picks), start=1):
-        e = cut + i
-        for entries in grid.values():
-            for a, x in enumerate(entries):
-                if x >= e:
-                    entries[a] = x + 1
-        grid[pos].append(e)
-        grid[pos].sort()
-    out = _pack(base, grid)
-    assert validate_svsyt(out) == k
+    cells, _preds, succs = _cell_masks(base.shape)
+    blocks = _insert(
+        [entries[0] for _, entries in base.cells()],
+        succs,
+        tr.cuts,
+        tr.picks,
+        {cell: x for x, cell in enumerate(cells)},
+        "cell",
+    )
+    out = _repack(base.shape, tuple(tuple(b) for b in blocks))
+    assert validate_svsyt(out) == len(tr.cuts)
     return out
 
 

@@ -37,7 +37,7 @@ from .closedform import (
     narayana,
     peaks_count,
 )
-from .core import ColoredPath, Permutation, SetValuedTableau, SvtabError
+from .core import PATH_FAMILIES, ColoredPath, Permutation, SetValuedTableau, SvtabError
 from .enumerate import (
     count_paths,
     count_svsyt,
@@ -60,9 +60,6 @@ from .verify import (
 )
 
 __all__ = ["RunConfig", "main"]
-
-PATH_FAMILY_NAMES = ("motz", "motzE", "motzT", "motzET", "ballotlike")
-
 
 @dataclass
 class RunConfig:
@@ -236,7 +233,7 @@ _FAMILY_COUNTS: dict[str, tuple[tuple[str, ...], Callable, Callable]] = {
             (lambda f: lambda n: count_paths(f, n))(fam),
             (lambda f: lambda n: sum(1 for _ in gen_paths(f, n)))(fam),
         )
-        for fam in PATH_FAMILY_NAMES
+        for fam in PATH_FAMILIES
     },
 }
 
@@ -431,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family",
         required=True,
-        choices=("svsyt", "two-row-union", "avoid321") + PATH_FAMILY_NAMES,
+        choices=("svsyt", "two-row-union", "avoid321") + PATH_FAMILIES,
     )
     p.add_argument("--shape", help="comma-separated partition, e.g. 3,3")
     p.add_argument("--k", type=int, default=0)

@@ -1,12 +1,16 @@
 """Ground-truth enumeration: set-valued tableaux, 321-avoiders, colored paths.
 
-Tableau generation places the entries 1..n+k one at a time.  Each entry either
-opens the next unopened cell whose northwest neighbors are already open, or is
-appended to an open cell that has no open cell weakly southeast of it (such an
-append can never be extended to a violation, so every leaf of the search is a
-valid tableau and the enumeration has polynomial delay).  Trying targets in
-row-major order emits tableaux in lexicographic order of the word that maps
-each entry to its cell index.
+One order-ideal walker serves every set-valued object here and in ``posets``:
+a tableau shape and a poset are both given as cover predecessor/successor
+bitmasks over their cells or elements, and a set-valued filling is a walk up
+the lattice of order ideals that may also stay put (linear extensions are the
+walks with no stays).  The walker places the entries 1..n+k one at a time.
+Each entry either opens the next unopened cell whose lower covers are already
+open, or is appended to an open cell none of whose upper covers is open (such
+an append can never be extended to a violation, so every leaf of the search is
+a valid object and the enumeration has polynomial delay).  Trying targets in
+index order (row-major for shapes, label order for posets) emits objects in
+lexicographic order of the word that maps each entry to its cell index.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .core import (
+    PATH_FAMILIES,
     ColoredPath,
     OutOfRange,
     Partition,
@@ -217,7 +222,7 @@ def _gen_path_words(n: int, r1: bool, r2: bool, end: int | None) -> Iterator[str
 
 def gen_paths(family: str, n: int) -> Iterator[ColoredPath]:
     """All length-n paths of the family, lexicographic in step order U < D < u < d."""
-    if family not in ("motz", "motzE", "motzT", "motzET", "ballotlike"):
+    if family not in PATH_FAMILIES:
         raise OutOfRange(f"unknown family {family!r}")
     if n < 0:
         raise OutOfRange(f"n={n}")

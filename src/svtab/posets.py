@@ -2,9 +2,12 @@
 
 A poset here always carries labels 1..n with every cover increasing the label
 (a natural labeling).  Set-valued linear extensions generalize linear
-extensions by letting each element absorb extra entries; the cut-weight
-machinery expresses their comajor generating polynomial through ordinary
-linear extensions, and the check operations verify those identities exactly.
+extensions by letting each element absorb extra entries.  Both are walks up
+the lattice of order ideals, so both come from the walker in ``enumerate``
+driven by the poset's cover bitmasks, and the cut-and-pick triple codec is the
+one in ``biject``.  The cut-weight machinery expresses the comajor generating
+polynomial through ordinary linear extensions; each quantity is computed one
+way here, and ``verify`` compares the routes.
 """
 
 from __future__ import annotations
@@ -14,19 +17,19 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .closedform import hook_count
+from .biject import _insert, _peel
 from .core import (
     EmptyCell,
+    InvalidPick,
     NotAPartitionOfRange,
     OrderViolation,
     OutOfRange,
     Partition,
     SvtabError,
 )
-from .biject import InvalidPick
-from .enumerate import gen_svsyt
+from .enumerate import _walk, gen_svsyt
 from .rings import QPoly
-from .stats import comaj_plus_k, ddeg, descent_set_plus_k
+from .stats import descent_set_plus_k
 
 __all__ = [
     "NotNaturallyLabeled",
@@ -120,6 +123,17 @@ class Poset:
             )
         return out
 
+    @cached_property
+    def _cover_masks(self) -> tuple[list[int], list[int]]:
+        """Bitmasks of lower and upper covers; bit x-1 stands for element x."""
+        preds = [0] * self.n
+        succs = [0] * self.n
+        for x, ups in self._cover_map.items():
+            for y in ups:
+                succs[x - 1] |= 1 << (y - 1)
+                preds[y - 1] |= 1 << (x - 1)
+        return preds, succs
+
     def cover_successors(self, x: int) -> tuple[int, ...]:
         """Elements covering x (immediate successors in the true cover relation)."""
         return self._cover_map[x]
@@ -169,23 +183,16 @@ def relabel(poset: Poset, ext: tuple[int, ...]) -> Poset:
 
 
 def linear_extensions(poset: Poset):
-    """All linear extensions as label tuples, lexicographically smallest first."""
-    taken = [0] * (poset.n + 1)
-    out: list[int] = []
+    """All linear extensions as label tuples, lexicographically smallest first.
 
-    def walk():
-        if len(out) == poset.n:
-            yield tuple(out)
-            return
-        for x in poset.elements:
-            if not taken[x] and all(taken[y] for y in poset.below[x]):
-                taken[x] = 1
-                out.append(x)
-                yield from walk()
-                out.pop()
-                taken[x] = 0
-
-    yield from walk()
+    These are the order-ideal walks with no extra entries.
+    """
+    preds, succs = poset._cover_masks
+    for blocks in _walk(preds, succs, poset.n):
+        ext = [0] * poset.n
+        for x, (time,) in enumerate(blocks, start=1):
+            ext[time - 1] = x
+        yield tuple(ext)
 
 
 def order_ideals(poset: Poset):
@@ -278,43 +285,6 @@ class Multichain:
                 raise OrderViolation("ideals must weakly increase")
 
 
-def _direct_sv_extensions(poset: Poset, k: int):
-    """Entry-by-entry backtracking straight from the definition."""
-    n, total = poset.n, poset.n + k
-    blocks: list[list[int]] = [[] for _ in range(n)]
-    filled = [False] * (n + 1)
-    nonempty = 0
-
-    def walk(e: int):
-        nonlocal nonempty
-        if total - e + 1 < n - nonempty:
-            return  # not enough entries left to feed every empty element
-        if e > total:
-            yield SetValuedLinearExtension(
-                poset, tuple(tuple(b) for b in blocks)
-            )
-            return
-        for x in poset.elements:
-            if any(not filled[y] for y in poset.below[x]):
-                continue
-            if any(filled[y] for y in poset.above[x]):
-                continue
-            was = filled[x]
-            blocks[x - 1].append(e)
-            filled[x] = True
-            nonempty += 0 if was else 1
-            yield from walk(e + 1)
-            nonempty -= 0 if was else 1
-            filled[x] = was
-            blocks[x - 1].pop()
-
-    if n == 0:
-        if k == 0:
-            yield SetValuedLinearExtension(poset, ())
-        return
-    yield from walk(1)
-
-
 def compose_extension(
     poset: Poset,
     ext: tuple[int, ...],
@@ -325,38 +295,27 @@ def compose_extension(
 
     Stage i grows the block of picks[i-1] by the entry cuts[i-1]+i, shifting
     larger entries up.  The pick must be a maximal element of the ideal formed
-    by the first cuts[i-1] elements of ext.
+    by the first cuts[i-1] elements of ext.  The codec is ``biject._insert``,
+    with element x at index x-1.
     """
-    n = poset.n
     if tuple(sorted(ext)) != tuple(poset.elements):
         raise InvalidPick(f"{ext} is not a linear extension listing")
-    for j in range(1, n):
-        if ext[j] in poset.below[ext[j - 1]]:
-            raise InvalidPick(f"{ext} violates the order at position {j}")
-    k = len(cuts)
-    if len(picks) != k:
-        raise InvalidPick("cuts and picks must have equal length")
-    if any(not 1 <= c <= n for c in cuts):
-        raise InvalidPick(f"cuts out of range 1..{n}: {cuts}")
-    if any(cuts[a] > cuts[a + 1] for a in range(k - 1)):
-        raise InvalidPick(f"cuts must weakly increase: {cuts}")
-    time_of = {x: j for j, x in enumerate(ext, start=1)}
-    for cut, p in zip(cuts, picks):
-        if time_of.get(p, n + 1) > cut:
-            raise InvalidPick(f"element {p} is outside the ideal of cut {cut}")
-        if any(time_of[y] <= cut for y in poset.cover_successors(p)):
-            raise InvalidPick(f"element {p} is not maximal for cut {cut}")
-    blocks = [[time_of[x]] for x in poset.elements]
-    for i, (cut, p) in enumerate(zip(cuts, picks), start=1):
-        e = cut + i
-        for b in blocks:
-            for a, v in enumerate(b):
-                if v >= e:
-                    b[a] = v + 1
-        blocks[p - 1].append(e)
-    out = SetValuedLinearExtension(poset, tuple(tuple(b) for b in blocks))
-    assert out.extras == k
-    return out
+    time_of = [0] * poset.n
+    for j, x in enumerate(ext, start=1):
+        time_of[x - 1] = j
+    for x in poset.elements:
+        for y in poset.cover_successors(x):
+            if time_of[y - 1] < time_of[x - 1]:
+                raise InvalidPick(f"{ext} lists {y} before {x}")
+    blocks = _insert(
+        time_of,
+        poset._cover_masks[1],
+        cuts,
+        picks,
+        {x: x - 1 for x in poset.elements},
+        "element",
+    )
+    return SetValuedLinearExtension(poset, tuple(tuple(b) for b in blocks))
 
 
 def decompose_extension(
@@ -364,31 +323,14 @@ def decompose_extension(
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Peel the extra entries off, largest non-minimal entry first.
 
-    Returns (ext, cuts, picks) with compose_extension as exact inverse.
+    Returns (ext, cuts, picks) with compose_extension as exact inverse; the
+    codec is ``biject._peel``, shared with ``biject.decompose``.
     """
-    poset = s.poset
-    k = s.extras
-    blocks = [list(b) for b in s.blocks]
-    cuts, picks = [0] * k, [0] * k
-    for i in range(k, 0, -1):
-        e, px = max(
-            (b[a], x)
-            for x, b in enumerate(blocks, start=1)
-            for a in range(1, len(b))
-        )
-        cuts[i - 1] = e - i
-        picks[i - 1] = px
-        blocks[px - 1].remove(e)
-        for b in blocks:
-            for a, v in enumerate(b):
-                if v > e:
-                    b[a] = v - 1
-    assert all(len(b) == 1 for b in blocks)
-    assert all(c >= 1 for c in cuts) and sorted(cuts) == cuts
-    ext = [0] * poset.n
-    for x, b in enumerate(blocks, start=1):
-        ext[b[0] - 1] = x
-    return tuple(ext), tuple(cuts), tuple(picks)
+    times, cuts, picks = _peel([list(b) for b in s.blocks])
+    ext = [0] * s.poset.n
+    for x, time in enumerate(times, start=1):
+        ext[time - 1] = x
+    return tuple(ext), tuple(cuts), tuple(p + 1 for p in picks)
 
 
 def _maximal_in_prefix(poset: Poset, ext: tuple[int, ...], t: int) -> list[int]:
@@ -399,25 +341,16 @@ def _maximal_in_prefix(poset: Poset, ext: tuple[int, ...], t: int) -> list[int]:
 def sv_linear_extensions(poset: Poset, k: int):
     """All set-valued linear extensions with k extra entries.
 
-    Generated twice — straight from the definition and through the
-    cut-and-pick composition over ordinary linear extensions — and the two
-    collections are asserted identical before the first route is streamed out
-    in its backtracking order.
+    Walks the lattice of order ideals with the walker of ``enumerate``:
+    entries 1..n+k are placed in turn, each opening an element whose lower
+    covers are open or joining an open element none of whose upper covers is
+    open, elements tried in label order.
     """
     if k < 0:
         raise OutOfRange(f"need k >= 0, got {k}")
-    direct = list(_direct_sv_extensions(poset, k))
-    composed = set()
-    for ext in linear_extensions(poset):
-        for cuts in itertools.combinations_with_replacement(
-            range(1, poset.n + 1), k
-        ):
-            pick_pools = [_maximal_in_prefix(poset, ext, t) for t in cuts]
-            for picks in itertools.product(*pick_pools):
-                composed.add(compose_extension(poset, ext, cuts, picks))
-    assert len(composed) == len(direct), "composition route disagrees in size"
-    assert composed == set(direct), "composition route disagrees in content"
-    yield from direct
+    preds, succs = poset._cover_masks
+    for blocks in _walk(preds, succs, poset.n + k):
+        yield SetValuedLinearExtension(poset, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +417,7 @@ def _comaj_polynomial(poset: Poset) -> QPoly:
 
 
 def sum_identity_check(poset: Poset, k: int) -> tuple[QPoly, QPoly]:
-    """Total cut weight vs its closed form; both returned, equality asserted.
+    """Total cut weight and its closed form, returned for the caller to compare.
 
     Summing vartheta over all linear extensions and all weakly increasing cut
     vectors in {0..n} equals q^(k choose 2) times the Gaussian binomial
@@ -502,23 +435,23 @@ def sum_identity_check(poset: Poset, k: int) -> tuple[QPoly, QPoly]:
         * qbinom(n + k, k)
         * _comaj_polynomial(poset)
     )
-    assert lhs == rhs, "cut-weight sum identity failed"
     return lhs, rhs
 
 
 def expected_ddeg(poset: Poset, k: int) -> tuple[QPoly, QPoly]:
     """Numerator and denominator of the expected ideal-degree product.
 
-    The expectation of prod ddeg(I_j) under the cut-weight distribution is
-    computed two ways — multichain side and direct set-valued enumeration —
-    asserted equal, and returned as (numerator, denominator) of the cleared
-    rational form.
+    The expectation of prod ddeg(I_j) under the cut-weight distribution,
+    summed on the multichain side: over every linear extension and weakly
+    increasing cut vector in {0..n}, the denominator adds the cut weight and
+    the numerator adds it times the product of the cut ideals' degrees.  The
+    numerator is the comajor tally of the set-valued extensions with k extras.
     """
     if k < 0:
         raise OutOfRange(f"need k >= 0, got {k}")
     n = poset.n
-    lhs_num = QPoly.zero()
-    lhs_den = QPoly.zero()
+    num = QPoly.zero()
+    den = QPoly.zero()
     for ext in linear_extensions(poset):
         prefix_ddeg = [
             len(_maximal_in_prefix(poset, ext, t)) for t in range(n + 1)
@@ -528,22 +461,10 @@ def expected_ddeg(poset: Poset, k: int) -> tuple[QPoly, QPoly]:
             for t in cuts:
                 w *= prefix_ddeg[t]
             weight = vartheta(ext, cuts)
-            lhs_den = lhs_den + weight
+            den = den + weight
             if w:
-                lhs_num = lhs_num + weight * w
-    rhs_num = QPoly.zero()
-    for s in sv_linear_extensions(poset, k):
-        rhs_num = rhs_num + QPoly.monomial(comaj_plus_k(s))
-    rhs_den = (
-        QPoly.monomial(k * (k - 1) // 2)
-        * qbinom(n + k, n)
-        * _comaj_polynomial(poset)
-    )
-    assert lhs_num == rhs_num, "expected ideal-degree numerators differ"
-    assert lhs_num * rhs_den == rhs_num * lhs_den, (
-        "expected ideal-degree rational forms differ"
-    )
-    return rhs_num, rhs_den
+                num = num + weight * w
+    return num, den
 
 
 def equidistribution_check(shape, k: int):
@@ -608,11 +529,3 @@ def catalog() -> list[tuple[str, Poset]]:
     out.append(("vee", Poset(3, ((1, 2), (1, 3)))))
     out.append(("wedge", Poset(3, ((1, 3), (2, 3)))))
     return out
-
-
-def _two_row_specialization(b: int, k: int) -> int:
-    """Cross-tie: sv extension count of the 2×b diagram poset vs hook count route."""
-    poset = young_diagram((b, b))
-    got = sum(1 for _ in sv_linear_extensions(poset, k))
-    assert hook_count((b, b)) == sum(1 for _ in linear_extensions(poset))
-    return got

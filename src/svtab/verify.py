@@ -64,6 +64,7 @@ from .posets import (
     sv_linear_extensions,
     vartheta,
     _maximal_in_prefix,
+    _partitions,
 )
 from .rings import MultiPoly, QPoly
 from .series import expected_steps, peaks_genfun_check, _shared_context
@@ -424,40 +425,75 @@ def check_kreweras_types(n: int) -> list[Row]:
     return rows
 
 
-def check_poset_identities(name: str, poset: Poset, kmax: int) -> list[Row]:
-    """Both cut-weight identities plus roundtrips on one catalog entry."""
-    rows: list[Row] = []
+ROUNDTRIP_CAP = 20000  # roundtrips per (poset, k); other rows see every object
+
+
+def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
+    """Cut-weight identities, route agreement and roundtrips for one (poset, k).
+
+    The walker's set-valued extensions are streamed once and checked three
+    ways: as a set against the cut-and-pick composition over every
+    (extension, cuts, picks), by their comajor tally against the
+    ``expected_ddeg`` numerator, and by decompose/compose roundtrips.  For
+    n <= 4 the composed objects' comajor weights are also compared with
+    ``vartheta`` of their (extension, cuts).
+    """
+    tag = f"{name},k={k}"
+    lhs, rhs = sum_identity_check(poset, k)
+    rows: list[Row] = [(f"{tag} weight sum", str(rhs), str(lhs))]
+
     small = poset.n <= 4
-    for k in range(kmax + 1):
-        lhs, rhs = sum_identity_check(poset, k)
-        rows.append((f"{name},k={k} weight sum", str(rhs), str(lhs)))
-        num, den = expected_ddeg(poset, k)
-        rows.append(_ok(f"{name},k={k} expectation", f"{num} / {den}"))
-        objs = 0
-        for s in sv_linear_extensions(poset, k):
-            objs += 1
-            if objs <= 20000:
-                ext, cuts, picks = decompose_extension(s)
-                if compose_extension(poset, ext, cuts, picks) != s:
-                    rows.append((f"{name},k={k}", f"roundtrip of {s}", "differs"))
-        rows.append(_ok(f"{name},k={k} objects", str(objs)))
-        if small:
-            for ext in linear_extensions(poset):
-                for cuts in itertools.combinations_with_replacement(
-                    range(1, poset.n + 1), k
-                ):
-                    pools = [_maximal_in_prefix(poset, ext, t) for t in cuts]
-                    for picks in itertools.product(*pools):
-                        s = compose_extension(poset, ext, cuts, picks)
-                        got = QPoly.monomial(comaj_plus_k(s))
-                        if got != vartheta(ext, cuts):
-                            rows.append(
-                                (
-                                    f"{name},k={k} weight of {ext},{cuts}",
-                                    str(vartheta(ext, cuts)),
-                                    str(got),
-                                )
-                            )
+    composed = set()
+    weight_sum = comaj_sum = QPoly.zero()
+    mismatch = ""
+    for ext in linear_extensions(poset):
+        for cuts in itertools.combinations_with_replacement(
+            range(1, poset.n + 1), k
+        ):
+            weight = vartheta(ext, cuts) if small else None
+            pools = [_maximal_in_prefix(poset, ext, t) for t in cuts]
+            for picks in itertools.product(*pools):
+                s = compose_extension(poset, ext, cuts, picks)
+                composed.add(s)
+                if small:
+                    got = QPoly.monomial(comaj_plus_k(s))
+                    weight_sum = weight_sum + weight
+                    comaj_sum = comaj_sum + got
+                    if got != weight and not mismatch:
+                        mismatch = f"; {got} at {ext},{cuts},{picks}"
+    if small:
+        rows.append((f"{tag} weights", str(weight_sum), f"{comaj_sum}{mismatch}"))
+
+    # one pass over the walker; matched objects leave ``composed``, which keeps
+    # the peak to about one copy of the objects
+    wanted = len(composed)
+    walked = extra = 0
+    tally: Counter = Counter()
+    bad = []
+    for s in sv_linear_extensions(poset, k):
+        if walked < ROUNDTRIP_CAP:
+            if compose_extension(poset, *decompose_extension(s)) != s:
+                bad.append(s)
+        walked += 1
+        tally[comaj_plus_k(s)] += 1
+        if s in composed:
+            composed.remove(s)
+        else:
+            extra += 1
+    routes = f"{walked} objects"
+    if extra or composed:
+        routes += f", {extra} not composed, {len(composed)} not walked"
+    rows.append((f"{tag} routes", f"{wanted} objects", routes))
+
+    num, _den = expected_ddeg(poset, k)
+    top = max(tally, default=0)
+    rows.append(
+        (f"{tag} expectation", str(num), str(QPoly([tally[e] for e in range(top + 1)])))
+    )
+
+    tried = min(walked, ROUNDTRIP_CAP)
+    done = f"{tried - len(bad)} roundtrips" + (f"; {bad[0]} differs" if bad else "")
+    rows.append((f"{tag} roundtrips", f"{tried} roundtrips", done))
     return rows
 
 
@@ -613,18 +649,15 @@ def build_tasks(
     if "posets" in chosen:
         cap_n = max_elements if max_elements is not None else (4 if quick else 6)
         cap_k = max_k if max_k is not None else (2 if quick else 3)
-        for name, poset in catalog():
-            if poset.n <= cap_n:
-                tasks.append(
-                    (
-                        "posets",
-                        "check_poset_identities",
-                        {"name": name, "poset": poset, "kmax": cap_k},
-                    )
-                )
+        tasks += [
+            ("posets", "check_poset_identities", {"name": name, "poset": poset, "k": k})
+            for name, poset in catalog()
+            if poset.n <= cap_n
+            for k in range(cap_k + 1)
+        ]
         tasks.append(("posets", "check_pi_permutation", {"nmax": 6 if quick else 8}))
         for total in range(1, (4 if quick else 5) + 1):
-            for shape in _all_partitions(total):
+            for shape in _partitions(total):
                 tasks.append(
                     (
                         "posets",
@@ -633,17 +666,6 @@ def build_tasks(
                     )
                 )
     return tasks
-
-
-def _all_partitions(total: int):
-    def rec(rest: int, cap: int, acc: tuple[int, ...]):
-        if rest == 0:
-            yield acc
-            return
-        for part in range(min(rest, cap), 0, -1):
-            yield from rec(rest - part, part, acc + (part,))
-
-    yield from rec(total, total, ())
 
 
 def _run_task(task: Task) -> list[CheckResult]:

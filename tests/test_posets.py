@@ -378,3 +378,15 @@ class TestCatalog:
         names = {name for name, _p in catalog()}
         assert {"chain1", "chain6", "antichain5", "vee", "wedge"} <= names
         assert {"young-3-2-1", "young-2-2-colmajor", "young-1-1-1-1-1-1"} <= names
+
+
+class TestOrderIdealWalker:
+    def test_cover_masks(self):
+        preds, succs = young_diagram((2, 2))._cover_masks
+        assert preds == [0b0000, 0b0001, 0b0001, 0b0110]
+        assert succs == [0b0110, 0b1000, 0b1000, 0b0000]
+
+    def test_compose_rejects_any_order_violation(self):
+        # 3 before 1 breaks 1 < 3 although no two adjacent entries compare
+        with pytest.raises(InvalidPick):
+            compose_extension(Poset(3, ((1, 3),)), (3, 2, 1), (), ())

@@ -1,13 +1,25 @@
 """Self-check harness plumbing: task building, execution, reporting."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import svtab
+import svtab.posets
+import svtab.verify
 from svtab.core import SvtabError
+from svtab.posets import catalog
+from svtab.rings import QPoly
 from svtab.verify import (
     SUITES,
     CheckResult,
     available_threads,
     build_tasks,
+    check_poset_identities,
     report_dict,
     report_text,
     run_tasks,
@@ -77,3 +89,138 @@ def test_failure_reporting_shape():
     assert not bad.ok
     text = report_text([bad])
     assert "FAIL" in text and "expected" in text and "1 failed" in text
+
+
+# ---------------------------------------------------------------------------
+# check_poset_identities: every row compares two independent computations,
+# so planting a bug on one side fails exactly the rows that read that side
+
+VEE_K2 = ("vee", dict(catalog())["vee"], 2)
+ROW_NAMES = ("weight sum", "weights", "routes", "expectation", "roundtrips")
+
+
+def _failing(rows):
+    return {inst.split(" ", 1)[1] for inst, want, got in rows if want != got}
+
+
+def _drop_first(real):
+    def gen(poset, k):
+        it = real(poset, k)
+        next(it)
+        yield from it
+
+    return gen
+
+
+def _previous_triple(real):
+    seen = []
+
+    def decompose(s):
+        seen.append(real(s))
+        return seen[-2] if len(seen) > 1 else seen[-1]
+
+    return decompose
+
+
+def _plant_weight_sum(monkeypatch):
+    real = svtab.posets.qbinom
+    monkeypatch.setattr(
+        svtab.posets, "qbinom", lambda a, b: real(a, b) * QPoly([0, 1])
+    )
+
+
+def _plant_weights(monkeypatch):
+    real = svtab.verify.vartheta
+    monkeypatch.setattr(
+        svtab.verify, "vartheta", lambda e, c: real(e, c) * QPoly([0, 1])
+    )
+
+
+def _plant_walker(monkeypatch):
+    real = svtab.verify.sv_linear_extensions
+    monkeypatch.setattr(svtab.verify, "sv_linear_extensions", _drop_first(real))
+
+
+def _plant_multichain(monkeypatch):
+    real = svtab.posets._maximal_in_prefix
+    monkeypatch.setattr(
+        svtab.posets, "_maximal_in_prefix", lambda p, e, t: real(p, e, t) + [0]
+    )
+
+
+def _plant_codec(monkeypatch):
+    real = svtab.verify.decompose_extension
+    monkeypatch.setattr(svtab.verify, "decompose_extension", _previous_triple(real))
+
+
+PLANTS = [
+    (_plant_weight_sum, {"weight sum"}),
+    (_plant_weights, {"weights"}),
+    (_plant_walker, {"routes", "expectation"}),
+    (_plant_multichain, {"expectation"}),
+    (_plant_codec, {"roundtrips"}),
+]
+
+
+def test_poset_rows_pass_on_small_poset():
+    rows = check_poset_identities(*VEE_K2)
+    assert tuple(inst.split(" ", 1)[1] for inst, _w, _g in rows) == ROW_NAMES
+    assert _failing(rows) == set()
+
+
+@pytest.mark.parametrize("plant,fails", PLANTS, ids=[p.__name__ for p, _ in PLANTS])
+def test_poset_row_fails_when_one_side_is_planted(monkeypatch, plant, fails):
+    plant(monkeypatch)
+    assert _failing(check_poset_identities(*VEE_K2)) == fails
+
+
+def test_every_poset_row_can_fail():
+    assert set().union(*(fails for _p, fails in PLANTS)) == set(ROW_NAMES)
+
+
+_DROP_SCRIPT = """
+import json
+import svtab.verify as v
+from svtab.posets import catalog
+
+real = v.sv_linear_extensions
+
+def dropped(poset, k):
+    it = real(poset, k)
+    next(it)
+    yield from it
+
+v.sv_linear_extensions = dropped
+kwargs = {"name": "vee", "poset": dict(catalog())["vee"], "k": 1}
+results = v.run_tasks([("posets", "check_poset_identities", kwargs)], threads=1)
+print(json.dumps([(r.instance, r.status, r.expected) for r in results]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_dropped_object_gives_fail_row_not_exception(flags):
+    src = str(Path(svtab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _DROP_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    rows = json.loads(proc.stdout)
+    status = {inst: st for inst, st, _want in rows}
+    assert "no exception" not in {want for _i, _s, want in rows}
+    assert status["vee,k=1 routes"] == "fail"
+    assert status["vee,k=1 expectation"] == "fail"
+    assert status["vee,k=1 weight sum"] == "pass"
+
+
+def test_poset_identities_sharded_per_k():
+    tasks = build_tasks(("posets",), budget="quick", max_elements=2, max_k=1)
+    shards = [
+        (kw["name"], kw["k"])
+        for _s, check, kw in tasks
+        if check == "check_poset_identities"
+    ]
+    names = [name for name, p in catalog() if p.n <= 2]
+    assert shards == [(name, k) for name in names for k in (0, 1)]
