@@ -53,6 +53,7 @@ from .closedform import (
     kreweras,
     more_shapes_counts,
     narayana,
+    path_family_count,
     peaks_count,
     row_sums,
 )

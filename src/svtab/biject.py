@@ -1,8 +1,8 @@
 """Structure-preserving maps between tableaux, permutations, and paths.
 
-Every map here comes with its inverse; roundtrips are asserted in the test
-suite over exhaustive small ranges.  All functions take and return immutable
-values and never mutate their arguments.
+Every map comes with its inverse and validates only its input; images and
+roundtrips are checked by ``svtab verify`` over exhaustive small ranges.  All
+functions take and return immutable values and never mutate their arguments.
 """
 
 from __future__ import annotations
@@ -80,9 +80,7 @@ def perm_from_tableau(t: SetValuedTableau) -> Permutation:
         word.extend(top[j][:-1])
         word.extend(bot[j])
         word.append(top[j][-1])
-    out = Permutation(tuple(word))
-    assert out.is_321_avoiding()
-    return out
+    return Permutation(tuple(word))
 
 
 def _suffix_minima_mask(vals: tuple[int, ...]) -> list[bool]:
@@ -145,9 +143,7 @@ def tableau_from_perm(w: Permutation) -> SetValuedTableau:
         bot.append([m + 1])
     else:
         bot[-1].append(m + 1)
-    out = SetValuedTableau.from_rows([top, bot])
-    validate_svsyt(out)
-    return out
+    return SetValuedTableau.from_rows([top, bot])
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +167,7 @@ def path_from_tableau(t: SetValuedTableau) -> ColoredPath:
     """
     validate_svsyt(t)
     _require_two_row_rectangular(t)
-    out = ColoredPath(_word_from_two_row(t))
-    assert "motzET" in path_family(out)
-    return out
+    return ColoredPath(_word_from_two_row(t))
 
 
 def ballot_path_from_tableau(t: SetValuedTableau) -> ColoredPath:
@@ -182,10 +176,7 @@ def ballot_path_from_tableau(t: SetValuedTableau) -> ColoredPath:
     shape = t.shape
     if not shape.is_straight or shape.outer.nrows > 2:
         raise ShapeMismatch(f"shape {tuple(shape.outer)} has more than two rows")
-    out = ColoredPath(_word_from_two_row(t))
-    assert "ballotlike" in path_family(out)
-    assert out.final_height == shape.outer.part(1) - shape.outer.part(2)
-    return out
+    return ColoredPath(_word_from_two_row(t))
 
 
 def _tableau_from_word(word: str) -> SetValuedTableau:
@@ -200,10 +191,7 @@ def _tableau_from_word(word: str) -> SetValuedTableau:
             top[-1].append(j)
         else:
             bot[-1].append(j)
-    rows = [top] if not bot else [top, bot]
-    out = SetValuedTableau.from_rows(rows)
-    validate_svsyt(out)
-    return out
+    return SetValuedTableau.from_rows([top] if not bot else [top, bot])
 
 
 def tableau_from_path(p: ColoredPath) -> SetValuedTableau:
@@ -248,9 +236,7 @@ def contract_path(p: ColoredPath) -> ColoredPath:
     prev = word[j - 1]
     assert prev in "Uu", "the step before the first D must be U or u"
     merged = "D" if prev == "u" else "d"
-    out = ColoredPath(word[: j - 1] + merged + word[j + 1 :])
-    assert "motz" in path_family(out)
-    return out
+    return ColoredPath(word[: j - 1] + merged + word[j + 1 :])
 
 
 def expand_path(p: ColoredPath) -> ColoredPath:
@@ -265,12 +251,9 @@ def expand_path(p: ColoredPath) -> ColoredPath:
             break
     if first is None:
         assert set(word) <= {"u"}
-        out = ColoredPath("u" * (len(word) + 1))
-    else:
-        pair = "uD" if word[first] == "D" else "UD"
-        out = ColoredPath(word[:first] + pair + word[first + 1 :])
-    assert "motzT" in path_family(out)
-    return out
+        return ColoredPath("u" * (len(word) + 1))
+    pair = "uD" if word[first] == "D" else "UD"
+    return ColoredPath(word[:first] + pair + word[first + 1 :])
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +376,6 @@ def decompose(t: SetValuedTableau) -> Triple:
     cells = t.shape.cells()
     base, cuts, picks = _peel([list(entries) for _, entries in t.cells()])
     out = _repack(t.shape, tuple((v,) for v in base))
-    assert validate_svsyt(out) == 0
     return Triple(out, tuple(cuts), tuple(cells[x] for x in picks))
 
 
@@ -411,9 +393,7 @@ def compose(tr: Triple) -> SetValuedTableau:
         {cell: x for x, cell in enumerate(cells)},
         "cell",
     )
-    out = _repack(base.shape, tuple(tuple(b) for b in blocks))
-    assert validate_svsyt(out) == len(tr.cuts)
-    return out
+    return _repack(base.shape, tuple(tuple(b) for b in blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +436,4 @@ def rotate_complement(t: SetValuedTableau) -> SetValuedTableau:
         new_rows.append(row)
     while new_inner and new_inner[-1] == 0:
         new_inner.pop()
-    out = SetValuedTableau.from_rows(new_rows, inner=tuple(new_inner))
-    validate_svsyt(out)
-    return out
+    return SetValuedTableau.from_rows(new_rows, inner=tuple(new_inner))

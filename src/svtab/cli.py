@@ -35,6 +35,7 @@ from .closedform import (
     e_count,
     f_count,
     narayana,
+    path_family_count,
     peaks_count,
 )
 from .core import PATH_FAMILIES, ColoredPath, Permutation, SetValuedTableau, SvtabError
@@ -230,8 +231,8 @@ _FAMILY_COUNTS: dict[str, tuple[tuple[str, ...], Callable, Callable]] = {
     **{
         fam: (
             ("n",),
+            (lambda f: lambda n: path_family_count(f, n))(fam),
             (lambda f: lambda n: count_paths(f, n))(fam),
-            (lambda f: lambda n: sum(1 for _ in gen_paths(f, n)))(fam),
         )
         for fam in PATH_FAMILIES
     },

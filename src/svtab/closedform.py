@@ -1,7 +1,9 @@
 """Closed-form counts: Catalan/Narayana/Kreweras, hook lengths, ballot-like
 path counts, and the two-row set-valued tableau counting formulas.
 
-All arithmetic is exact; division-bearing formulas are computed in exact
+Each count is computed one way and only its arguments are checked; ``svtab
+verify`` checks every formula against an independent computation.  All
+arithmetic is exact; division-bearing formulas are computed in exact
 rationals with integrality asserted before returning an int.
 """
 
@@ -9,8 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 
-from .core import InconsistentType, OutOfRange, Partition, _as_partition
+from .core import PATH_FAMILIES, InconsistentType, OutOfRange, Partition, _as_partition
 
 __all__ = [
     "binom",
@@ -26,6 +29,7 @@ __all__ = [
     "act_count",
     "peaks_count",
     "more_shapes_counts",
+    "path_family_count",
 ]
 
 
@@ -86,11 +90,7 @@ def kreweras(n: int, m: int, mu) -> int:
     assert all(j >= 1 and c >= 1 for j, c in mu.items())
     if sum(mu.values()) != m or sum(j * c for j, c in mu.items()) != n:
         raise InconsistentType(f"type {mu} is not an m={m} multiset of total {n}")
-    den = 1
-    for c in mu.values():
-        for a in range(2, c + 1):
-            den *= a
-    val = Fraction(falling(n, m - 1), den)
+    val = Fraction(falling(n, m - 1), prod(factorial(c) for c in mu.values()))
     assert val.denominator == 1
     return int(val)
 
@@ -106,9 +106,7 @@ def hook_count(shape) -> int:
     for r in range(1, lam.nrows + 1):
         for c in range(1, lam.part(r) + 1):
             hooks *= (lam.part(r) - c) + (conj.part(c) - r) + 1
-    num = 1
-    for a in range(2, n + 1):
-        num *= a
+    num = factorial(n)
     assert num % hooks == 0
     return num // hooks
 
@@ -126,36 +124,16 @@ def e_count(n: int, i: int) -> int:
     return binom(n - 1, i - 1)
 
 
-@lru_cache(maxsize=None)
-def _f_rec(n: int, i: int) -> int:
-    # recursion: reach (n, i) by U / u / d / D, the D possibly being the first
-    if i < 0 or i > n or n == 0 or i == n:
-        return 0
-    if i == 0:
-        if n == 1:
-            return 0
-        return _f_rec(n - 1, 0) + _f_rec(n - 1, 1) + e_count(n - 1, 1)
-    return (
-        _f_rec(n - 1, i - 1)
-        + 2 * _f_rec(n - 1, i)
-        + _f_rec(n - 1, i + 1)
-        + e_count(n - 1, i + 1)
-    )
-
-
 def f_count(n: int, i: int) -> int:
     """Ballot-like paths of length n ending at height i with at least one D.
 
-    Evaluated by closed form and by the step recursion; the two must agree.
+    ``svtab verify`` checks this closed form against the step recursion.
     """
     if n < 0 or i < 0:
         raise OutOfRange(f"need n, i >= 0, got {(n, i)}")
     if i > n:
         return 0
-    closed = binom(2 * n - 2, n - i - 1) - binom(2 * n - 2, n - i - 2) - binom(n - 2, n - i - 1)
-    rec = _f_rec(n, i)
-    assert closed == rec, f"f({n},{i}): closed form {closed} != recursion {rec}"
-    return closed
+    return binom(2 * n - 2, n - i - 1) - binom(2 * n - 2, n - i - 2) - binom(n - 2, n - i - 1)
 
 
 def ballot_count(n: int, i: int) -> int:
@@ -164,9 +142,7 @@ def ballot_count(n: int, i: int) -> int:
         raise OutOfRange(f"need n, i >= 0, got {(n, i)}")
     if i > n:
         return 0
-    total = binom(2 * n - 2, n - i - 1) - binom(2 * n - 2, n - i - 2) + binom(n - 2, n - i)
-    assert total == e_count(n, i) + f_count(n, i)
-    return total
+    return binom(2 * n - 2, n - i - 1) - binom(2 * n - 2, n - i - 2) + binom(n - 2, n - i)
 
 
 def row_sums(n: int) -> tuple[int, int]:
@@ -175,9 +151,6 @@ def row_sums(n: int) -> tuple[int, int]:
         raise OutOfRange(f"n={n}")
     se = sum(e_count(n, i) for i in range(n + 1))
     sf = sum(f_count(n, i) for i in range(n + 1))
-    if n >= 2:
-        assert se == 2 ** (n - 1)
-        assert sf == binom(2 * n - 2, n - 1) - 2 ** (n - 2)
     return se, sf
 
 
@@ -196,9 +169,7 @@ def act_count(b: int, k: int) -> int:
             * falling(b + k - c - 1, k - c)
             * falling(b + c - 2, c)
         )
-    kfact = 1
-    for a in range(2, k + 1):
-        kfact *= a
+    kfact = factorial(k)
     assert total % kfact == 0, f"k! division inexact for {(b, k)}"
     return total // kfact
 
@@ -229,7 +200,25 @@ def more_shapes_counts(n: int) -> tuple[int, int]:
     if n < 3:
         raise OutOfRange(f"need n >= 3, got {n}")
     first = catalan(n) - catalan(n - 1)
-    alt = Fraction(3 * binom(2 * n - 2, n), n + 1)
-    assert alt == first
     second = catalan(n) - 2 * catalan(n - 1) + catalan(n - 2)
     return first, second
+
+
+def path_family_count(family: str, n: int) -> int:
+    """Number of length-n paths in one of the five path families.
+
+    The four bicolored Motzkin families are counted by Catalan numbers; motzET
+    follows the empty-path convention (one path of length 0, none of length
+    1).  Ballot-like paths are summed over their final height.
+    """
+    if family not in PATH_FAMILIES:
+        raise OutOfRange(f"unknown family {family!r}")
+    if n < 0:
+        raise OutOfRange(f"n={n}")
+    if family == "motz":
+        return catalan(n + 1)
+    if family in ("motzE", "motzT"):
+        return catalan(n)
+    if family == "motzET":
+        return catalan(n - 1) if n >= 2 else 1 - n
+    return sum(ballot_count(n, i) for i in range(n + 1))

@@ -417,9 +417,7 @@ class TSeries:
                 if s[j]:
                     acc = acc - s[j] * s[m - j]
             s[m] = acc.divexact_int(2)
-        out = TSeries(self.ring, n, s)
-        assert out * out == self, "sqrt verification failed"
-        return out
+        return TSeries(self.ring, n, s)
 
     def divexact_int(self, d: int) -> "TSeries":
         return TSeries(self.ring, self.order, [c.divexact_int(d) for c in self.coeffs])

@@ -15,15 +15,12 @@ multiset.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 import threading
 
 from .core import OutOfRange, SvtabError
-from .enumerate import gen_avoid321
 from .rings import MARKERS, InexactDivision, MultiPoly, QPoly, TSeries
-from .stats import inner_valleys
 
 __all__ = [
     "NonConvergence",
@@ -136,10 +133,7 @@ class SeriesContext:
     @classmethod
     def build(cls, order: int) -> "SeriesContext":
         e = solve_E(order)
-        e1, e2, e12 = derived_series(e)
-        ctx = cls(order, e, e1, e2, e12)
-        assert not any(ctx.residuals().values()), "functional equations violated"
-        return ctx
+        return cls(order, e, *derived_series(e))
 
     def residuals(self) -> dict[str, TSeries]:
         """Defect of each series in its defining equation (all must be 0)."""
@@ -181,14 +175,13 @@ def expected_steps(n: int, step: str) -> Fraction:
     return Fraction(poly.weighted_exponent_sum(step), total)
 
 
-def peaks_genfun_check(order: int, brute_limit: int = 8) -> dict[int, QPoly]:
+def peaks_genfun_check(order: int) -> dict[int, QPoly]:
     """Length-by-length valley polynomials of 321-avoiding permutations.
 
     Expands 1 + (1-s)² / (4z·(1+(q-1)z)²) with s = sqrt(1-4z+4z²-4qz²) as a
     series in z over integer q-polynomials; the coefficient of q^k·z^n counts
-    the 321-avoiders of n with k inner valleys.  Coefficients up to
-    min(order, brute_limit) are checked against exhaustive tallies before the
-    table is returned.
+    the 321-avoiders of n with k inner valleys.  Returns the table for
+    n <= order; ``svtab verify`` compares it with exhaustive valley tallies.
     """
     if order < 2:
         raise OutOfRange(f"need order >= 2, got {order}")
@@ -199,12 +192,4 @@ def peaks_genfun_check(order: int, brute_limit: int = 8) -> dict[int, QPoly]:
     numer = (1 - root) * (1 - root)
     den = TSeries(QPoly, big, [1, (q - 1) * 2, (q - 1) * (q - 1)])
     g_big = 1 + numer.divexact_int(4).shift_down(1) * _inverse_of(den)
-    table = {n: g_big.coeff(n) for n in range(order + 1)}
-    assert table[0] == QPoly.one()
-    for n in range(1, min(order, brute_limit) + 1):
-        tally: Counter = Counter()
-        for w in gen_avoid321(n):
-            tally[len(inner_valleys(w))] += 1
-        want = QPoly([tally.get(e, 0) for e in range(max(tally) + 1)])
-        assert table[n] == want, f"valley tally mismatch at n={n}"
-    return table
+    return {n: g_big.coeff(n) for n in range(order + 1)}

@@ -54,7 +54,6 @@ def descent_set_plus_k(s) -> frozenset[int]:
             label_of[e] = label
         extras.update(entries[1:])
     total = len(label_of)
-    assert sorted(label_of) == list(range(1, total + 1))
     des = set(extras)
     for j in range(1, total):
         if j + 1 not in extras and label_of[j + 1] < label_of[j]:
@@ -64,9 +63,9 @@ def descent_set_plus_k(s) -> frozenset[int]:
 
 def comaj_plus_k(s) -> int:
     """Sum of (n+k - j) over the set-valued descent set."""
-    blocks = _labeled_blocks(s)
-    total = sum(len(entries) for _label, entries in blocks)
-    return sum(total - j for j in descent_set_plus_k(s))
+    des = descent_set_plus_k(s)
+    total = s.nentries
+    return sum(total - j for j in des)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Re-derivation harness behind the ``verify`` command.
 
-Every closed form and identity in the package is checked here against an
-independent brute-force computation.  Checks are grouped into suites, sharded
-into self-contained tasks, and run across processes; each task reports one
-result row per instance so a failure carries its own counterexample.
+Every closed form and identity in the package is checked here, and only here,
+against an independent computation (enumeration, a recursion, a second form).
+Checks are grouped into suites, sharded into self-contained tasks, and run
+across processes; each task reports one result row per instance so a failure
+carries its own counterexample.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
 from time import perf_counter
 
 from .biject import (
@@ -38,10 +40,11 @@ from .closedform import (
     f_count,
     kreweras,
     more_shapes_counts,
+    path_family_count,
     peaks_count,
     row_sums,
 )
-from .core import SvtabError, path_family
+from .core import PATH_FAMILIES, SvtabError, path_family
 from .enumerate import (
     count_paths,
     count_svsyt,
@@ -67,7 +70,13 @@ from .posets import (
     _partitions,
 )
 from .rings import MultiPoly, QPoly
-from .series import expected_steps, peaks_genfun_check, _shared_context
+from .series import (
+    closed_form_E,
+    expected_steps,
+    peaks_genfun_check,
+    solve_E,
+    _shared_context,
+)
 from .stats import (
     comaj_plus_k,
     dyck_type,
@@ -89,17 +98,6 @@ __all__ = [
 ]
 
 SUITES = ("counts", "bijections", "series", "qstats", "posets")
-
-PATH_FAMILY_COUNTS = {
-    "motz": lambda n: catalan(n + 1),
-    "motzE": lambda n: catalan(n),
-    "motzT": lambda n: catalan(n),
-    "motzET": lambda n: catalan(n - 1) if n >= 2 else (1 - n),
-}
-
-# paths of each family with n steps; the last family's low orders follow the
-# empty-path convention pinned in the enumeration tests
-assert PATH_FAMILY_COUNTS["motzET"](0) == 1 and PATH_FAMILY_COUNTS["motzET"](1) == 0
 
 
 @dataclass(frozen=True)
@@ -137,8 +135,16 @@ def available_threads() -> int:
 Row = tuple[str, str, str]
 
 
-def _ok(instance: str, note: str) -> Row:
-    return instance, note, note
+def _count_row(instance: str, want: int, noun: str, outcomes) -> Row:
+    """``want`` vs the number of ok (ok, witness) pairs; the first bad witness is shown."""
+    done = 0
+    bad = ""
+    for ok, witness in outcomes:
+        if ok:
+            done += 1
+        elif not bad:
+            bad = f"; fails at {witness}"
+    return instance, f"{want} {noun}", f"{done} {noun}{bad}"
 
 
 def check_union_count(n: int) -> list[Row]:
@@ -148,18 +154,47 @@ def check_union_count(n: int) -> list[Row]:
 
 
 def check_two_row_counts(n: int) -> list[Row]:
-    """Height-indexed table row n: closed forms vs the path enumeration."""
+    """Height-indexed table row n: closed forms vs the paths without / with a D."""
     rows: list[Row] = []
-    esum = fsum = 0
     for i in range(n + 1):
         e, f = e_count(n, i), f_count(n, i)
-        esum += e
-        fsum += f
-        got = sum(1 for _ in gen_ballotlike(n, i))
-        rows.append((f"n={n},i={i}", f"{ballot_count(n, i)},{e + f}", f"{got},{got}"))
+        words = [p.word for p in gen_ballotlike(n, i)]
+        got, got_f = len(words), sum("D" in w for w in words)
+        want = f"{ballot_count(n, i)},{e + f},{e},{f}"
+        rows.append((f"n={n},i={i}", want, f"{got},{got},{got - got_f},{got_f}"))
     if n >= 2:
-        rows.append((f"n={n} sums", str(row_sums(n)), str((esum, fsum))))
+        sums = (2 ** (n - 1), binom(2 * n - 2, n - 1) - 2 ** (n - 2))
+        rows.append((f"n={n} sums", str(sums), str(row_sums(n))))
     return rows
+
+
+@lru_cache(maxsize=None)
+def _f_rec(n: int, i: int) -> int:
+    # recursion: reach (n, i) by U / u / d / D, the D possibly being the first
+    if i < 0 or i > n or n == 0 or i == n:
+        return 0
+    if i == 0:
+        if n == 1:
+            return 0
+        return _f_rec(n - 1, 0) + _f_rec(n - 1, 1) + e_count(n - 1, 1)
+    return (
+        _f_rec(n - 1, i - 1)
+        + 2 * _f_rec(n - 1, i)
+        + _f_rec(n - 1, i + 1)
+        + e_count(n - 1, i + 1)
+    )
+
+
+def check_f_recursion(nmax: int) -> list[Row]:
+    """Closed-form f against the step recursion, past the enumeration ceiling."""
+    return [
+        (
+            f"n={n:02d}",
+            str([_f_rec(n, i) for i in range(n + 1)]),
+            str([f_count(n, i) for i in range(n + 1)]),
+        )
+        for n in range(nmax + 1)
+    ]
 
 
 def check_shape_count(b: int, k: int) -> list[Row]:
@@ -173,7 +208,7 @@ def check_path_count(family: str, n: int) -> list[Row]:
     return [
         (
             f"{family},n={n:02d}",
-            str(PATH_FAMILY_COUNTS[family](n)),
+            str(path_family_count(family, n)),
             str(count_paths(family, n)),
         )
     ]
@@ -182,9 +217,8 @@ def check_path_count(family: str, n: int) -> list[Row]:
 def check_more_shapes(n: int) -> list[Row]:
     first, second = more_shapes_counts(n)
     rows: list[Row] = []
-    alt = 3 * binom(2 * n - 2, n) // (n + 1)
-    assert 3 * binom(2 * n - 2, n) % (n + 1) == 0
-    rows.append((f"n={n} first two ways", str(first), str(alt)))
+    alt = Fraction(3 * binom(2 * n - 2, n), n + 1)
+    rows.append((f"n={n} first two ways", str(Fraction(first)), str(alt)))
     if n <= 8:
         got = 0
         for b in range((n + 1) // 2 + 1):
@@ -289,30 +323,23 @@ def check_contract_images(n: int) -> list[Row]:
 
 
 def check_triple_roundtrip(n: int) -> list[Row]:
-    count = 0
-    for t in gen_two_row_union(n):
-        tr = decompose(t)
-        if compose(tr) != t:
-            return [(f"n={n}", f"compose(decompose({t}))", str(compose(tr)))]
-        count += 1
-    return [_ok(f"n={n:02d}", f"{count} roundtrips")]
+    outcomes = ((compose(decompose(t)) == t, t) for t in gen_two_row_union(n))
+    return [_count_row(f"n={n:02d}", catalan(n - 1), "roundtrips", outcomes)]
+
+
+def _rotates_back(t) -> bool:
+    r = rotate_complement(t)
+    return tuple(r.shape.inner) == (1,) and rotate_complement(r) == t
 
 
 def check_rotation(n: int) -> list[Row]:
     """Half-turn complement swaps the two near-rectangular shape families."""
-    count = 0
-    for b in range((n + 1) // 2 + 1):
-        k = n - 1 - 2 * b
-        if b < 1 or k < 0:
-            continue
-        for t in gen_svsyt((b + 1, b), k):
-            r = rotate_complement(t)
-            if tuple(r.shape.inner) != (1,):
-                return [(f"n={n}", "skew image", str(r.shape.inner))]
-            if rotate_complement(r) != t:
-                return [(f"n={n}", f"involution at {t}", "fails")]
-            count += 1
-    return [_ok(f"n={n}", f"{count} involutions")]
+    shapes = [((b + 1, b), n - 1 - 2 * b) for b in range(1, (n - 1) // 2 + 1)]
+    want = sum(count_svsyt(shape, k) for shape, k in shapes)
+    outcomes = (
+        (_rotates_back(t), t) for shape, k in shapes for t in gen_svsyt(shape, k)
+    )
+    return [_count_row(f"n={n}", want, "involutions", outcomes)]
 
 
 def check_series_residuals(order: int) -> list[Row]:
@@ -320,6 +347,15 @@ def check_series_residuals(order: int) -> list[Row]:
     return [
         (f"{name} residual, order {order}", "0", "0" if not poly else str(poly))
         for name, poly in sorted(ctx.residuals().items())
+    ]
+
+
+def check_closed_form_E(order: int) -> list[Row]:
+    """E from its square-root closed form vs E from the fixed-point iteration."""
+    closed, solved = closed_form_E(order), solve_E(order)
+    return [
+        (f"E closed form t^{m:02d}", str(solved.coeff(m)), str(closed.coeff(m)))
+        for m in range(order + 1)
     ]
 
 
@@ -362,10 +398,15 @@ def check_expected_steps(n: int) -> list[Row]:
 
 
 def check_peaks_series(order: int) -> list[Row]:
+    """Valley series coefficients vs Catalan row sums and exhaustive tallies."""
     table = peaks_genfun_check(order)
     rows = [("z^3 coefficient", str(QPoly([3, 2])), str(table[3]))]
     for n in range(1, order + 1):
         rows.append((f"n={n} row sum", str(catalan(n)), str(table[n](1))))
+    for n in range(min(order, 8) + 1):
+        tally: Counter = Counter(len(inner_valleys(w)) for w in gen_avoid321(n))
+        want = QPoly([tally[e] for e in range(max(tally) + 1)])
+        rows.append((f"n={n} valley tally", str(want), str(table[n])))
     return rows
 
 
@@ -498,14 +539,17 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
 
 
 def check_pi_permutation(nmax: int) -> list[Row]:
+    """For each n, every subset X of {0..n} makes pi(n, X, -) a permutation."""
+    rows: list[Row] = []
     for n in range(nmax + 1):
         universe = tuple(range(n + 1))
-        for r in range(n + 2):
-            for xs in itertools.combinations(universe, r):
-                image = {pi_perm(n, xs, t) for t in universe}
-                if image != set(universe):
-                    return [(f"n={n},X={xs}", "a permutation", str(sorted(image)))]
-    return [_ok(f"n<= {nmax}", "all subsets give permutations")]
+        outcomes = (
+            ({pi_perm(n, xs, t) for t in universe} == set(universe), xs)
+            for r in range(n + 2)
+            for xs in itertools.combinations(universe, r)
+        )
+        rows.append(_count_row(f"n={n}", 2 ** (n + 1), "subsets", outcomes))
+    return rows
 
 
 def check_equidistribution(shape: tuple[int, ...], kmax: int) -> list[Row]:
@@ -527,6 +571,7 @@ _CHECKS = {
     for fn in (
         check_union_count,
         check_two_row_counts,
+        check_f_recursion,
         check_shape_count,
         check_path_count,
         check_more_shapes,
@@ -538,6 +583,7 @@ _CHECKS = {
         check_triple_roundtrip,
         check_rotation,
         check_series_residuals,
+        check_closed_form_E,
         check_series_taylor,
         check_marker_tally,
         check_expected_steps,
@@ -583,6 +629,7 @@ def build_tasks(
             ("counts", "check_two_row_counts", {"n": n})
             for n in range(0, (6 if quick else 8) + 1)
         ]
+        tasks.append(("counts", "check_f_recursion", {"nmax": 12 if quick else 30}))
         tasks += [
             ("counts", "check_shape_count", {"b": b, "k": k})
             for b in range(1, top // 2 + 1)
@@ -590,7 +637,7 @@ def build_tasks(
         ]
         tasks += [
             ("counts", "check_path_count", {"family": fam, "n": n})
-            for fam in sorted(PATH_FAMILY_COUNTS)
+            for fam in sorted(PATH_FAMILIES)
             for n in range(0 if fam != "motzET" else 2, (8 if quick else 10) + 1)
         ]
         tasks += [
@@ -626,8 +673,9 @@ def build_tasks(
     if "series" in chosen:
         order = series_order if series_order is not None else (6 if quick else 10)
         tasks.append(("series", "check_series_residuals", {"order": order}))
+        tasks.append(("series", "check_closed_form_E", {"order": order}))
         tasks.append(("series", "check_series_taylor", {}))
-        for fam in sorted(PATH_FAMILY_COUNTS):
+        for fam in ("motz", "motzE", "motzET", "motzT"):
             lo = 0 if fam != "motzET" else 1
             for n in range(lo, (6 if quick else 8) + 1):
                 tasks.append(("series", "check_marker_tally", {"family": fam, "n": n}))

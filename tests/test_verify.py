@@ -224,3 +224,88 @@ def test_poset_identities_sharded_per_k():
     ]
     names = [name for name, p in catalog() if p.n <= 2]
     assert shards == [(name, k) for name in names for k in (0, 1)]
+
+
+# ---------------------------------------------------------------------------
+# planted bugs in the library: each one fails the verify rows named for it,
+# under python and python -O alike, and never collapses into an exception row
+
+_PLANT_HEAD = """
+import json
+import sys
+import svtab.verify as v
+from svtab.core import Permutation
+from svtab.rings import TSeries
+"""
+
+_PLANT_RUN = """
+tasks = [tuple(t) for t in json.loads(sys.argv[1])]
+results = v.run_tasks(tasks, threads=1)
+print(json.dumps([(r.check, r.instance, r.status, r.expected) for r in results]))
+"""
+
+PLANTED_BUGS = {
+    "f_off_by_one": (
+        """
+real = v.f_count
+v.f_count = lambda n, i: real(n, i) + (1 if (n, i) == (6, 2) else 0)
+""",
+        [
+            ("counts", "check_f_recursion", {"nmax": 12}),
+            ("counts", "check_two_row_counts", {"n": 6}),
+        ],
+        {("check_f_recursion", "n=06"), ("check_two_row_counts", "n=6,i=2")},
+    ),
+    "sqrt_coefficient": (
+        """
+real = TSeries.sqrt
+
+def planted(self):
+    coeffs = real(self).coeffs
+    coeffs[2] = coeffs[2] + coeffs[2]
+    return TSeries(self.ring, self.order, coeffs)
+
+TSeries.sqrt = planted
+""",
+        [
+            ("series", "check_closed_form_E", {"order": 4}),
+            ("series", "check_series_residuals", {"order": 4}),
+            ("series", "check_peaks_series", {"order": 4}),
+        ],
+        {
+            ("check_closed_form_E", "E closed form t^00"),
+            ("check_peaks_series", "z^3 coefficient"),
+            *(
+                ("check_peaks_series", f"n={n} {row}")
+                for n in (2, 3, 4)
+                for row in ("row sum", "valley tally")
+            ),
+        },
+    ),
+    "perm_to_other_tableau": (
+        """
+real = v.tableau_from_perm
+swap = {Permutation((2, 1, 3)): Permutation((1, 2, 3))}
+v.tableau_from_perm = lambda w: real(swap.get(w, w))
+""",
+        [("bijections", "check_perm_bijection", {"n": n}) for n in (3, 4, 5)],
+        {("check_perm_bijection", "n=4")},
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+@pytest.mark.parametrize("bug", sorted(PLANTED_BUGS))
+def test_planted_library_bug_gives_fail_rows(bug, flags):
+    setup, tasks, fails = PLANTED_BUGS[bug]
+    src = str(Path(svtab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _PLANT_HEAD + setup + _PLANT_RUN, json.dumps(tasks)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    rows = json.loads(proc.stdout)
+    assert "no exception" not in {want for *_rest, want in rows}
+    assert {(check, inst) for check, inst, status, _w in rows if status == "fail"} == fails
