@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``enumerate`` streams objects, ``count`` evaluates closed forms
-against optional enumeration oracles, ``table``/``qtable`` emit golden-file
+against optional independent oracles (enumeration, or the counting dynamic
+programs of ``enumerate``), ``table``/``qtable`` emit golden-file
 CSV tables, ``biject`` maps stdin objects through the named bijections,
 ``series``/``expect`` expose the generating-function layer, and ``verify``
 runs the re-derivation suites.  Exit codes: 0 success, 1 identity violation,
@@ -198,7 +199,7 @@ def cmd_enumerate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 _FORMULAS: dict[str, tuple[tuple[str, ...], Callable, Callable | None]] = {
-    # name -> (parameter names, closed form, enumeration oracle or None)
+    # name -> (parameter names, closed form, independent oracle or None)
     "ballot": (
         ("n", "i"),
         ballot_count,
@@ -253,7 +254,7 @@ def cmd_count(cfg: RunConfig, args: argparse.Namespace) -> int:
         _write(cfg, str(value))
         return 0
     if oracle_fn is None:
-        raise UsageError(f"no enumeration oracle for --formula {key}")
+        raise UsageError(f"no independent oracle for --formula {key}")
     oracle = oracle_fn(**params)
     agree = value == oracle
     _write(cfg, f"{value},{oracle},{'ok' if agree else 'MISMATCH'}")

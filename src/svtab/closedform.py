@@ -55,7 +55,8 @@ def binom(m: int, j: int) -> int:
 
 def falling(x: int, a: int) -> int:
     """Falling factorial x(x-1)...(x-a+1); empty product for a = 0."""
-    assert a >= 0
+    if a < 0:
+        raise OutOfRange(f"need a >= 0, got {a}")
     out = 1
     for i in range(a):
         out *= x - i

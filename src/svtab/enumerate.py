@@ -11,6 +11,10 @@ an append can never be extended to a violation, so every leaf of the search is
 a valid object and the enumeration has polynomial delay).  Trying targets in
 index order (row-major for shapes, label order for posets) emits objects in
 lexicographic order of the word that maps each entry to its cell index.
+
+The counts visit no object: ``count_svsyt`` is a dynamic program over the
+walker's states (the open ideal after each entry), and ``count_paths`` one
+over the path walker's states (height and whether a D was seen).
 """
 
 from __future__ import annotations
@@ -89,23 +93,38 @@ def _walk(preds: list[int], succs: list[int], total: int) -> Iterator[tuple[tupl
 
 
 def _count_walk(preds: list[int], succs: list[int], total: int) -> int:
+    """The number of leaves of ``_walk``, without visiting them.
+
+    The subtree below a node of the walk depends only on the next entry and
+    the ideal of open cells (whose popcount is the open-cell count), so the
+    leaves are counted one entry at a time over the reachable ideals.  Every
+    legal append keeps the ideal, so the appends from a node count as one
+    transition weighted by the number of cells that may take the entry.
+    """
     ncells = len(preds)
-
-    def rec(e: int, ideal: int, nopen: int) -> int:
-        if e > total:
-            return 1
-        acc = 0
+    moves: dict[int, tuple[list[int], int]] = {}
+    layer = {0: 1}
+    for e in range(1, total + 1):
         left = total - e
-        for i in range(ncells):
-            bit = 1 << i
-            if ideal & bit:
-                if not succs[i] & ideal and left >= ncells - nopen:
-                    acc += rec(e + 1, ideal, nopen)
-            elif preds[i] & ideal == preds[i]:
-                acc += rec(e + 1, ideal | bit, nopen + 1)
-        return acc
-
-    return rec(1, 0, 0)
+        nxt: dict[int, int] = {}
+        for ideal, ways in layer.items():
+            if ideal not in moves:
+                opens = [
+                    ideal | 1 << i
+                    for i in range(ncells)
+                    if not ideal >> i & 1 and preds[i] & ideal == preds[i]
+                ]
+                stays = sum(
+                    1 for i in range(ncells) if ideal >> i & 1 and not succs[i] & ideal
+                )
+                moves[ideal] = opens, stays
+            opens, stays = moves[ideal]
+            for up in opens:
+                nxt[up] = nxt.get(up, 0) + ways
+            if stays and left >= ncells - ideal.bit_count():
+                nxt[ideal] = nxt.get(ideal, 0) + ways * stays
+        layer = nxt
+    return sum(layer.values())
 
 
 def _repack(shape: SkewShape, flat: tuple[tuple[int, ...], ...]) -> SetValuedTableau:
@@ -220,19 +239,44 @@ def _gen_path_words(n: int, r1: bool, r2: bool, end: int | None) -> Iterator[str
     return rec(0, n, False)
 
 
-def gen_paths(family: str, n: int) -> Iterator[ColoredPath]:
-    """All length-n paths of the family, lexicographic in step order U < D < u < d."""
+def _family_rules(family: str, n: int) -> tuple[bool, bool, int | None]:
+    """(r1, r2, end) of ``_gen_path_words`` for the length-n paths of the family."""
     if family not in PATH_FAMILIES:
         raise OutOfRange(f"unknown family {family!r}")
     if n < 0:
         raise OutOfRange(f"n={n}")
     end = None if family == "ballotlike" else 0
-    for w in _gen_path_words(n, family in _NEED_R1, family in _NEED_R2, end):
+    return family in _NEED_R1, family in _NEED_R2, end
+
+
+def gen_paths(family: str, n: int) -> Iterator[ColoredPath]:
+    """All length-n paths of the family, lexicographic in step order U < D < u < d."""
+    for w in _gen_path_words(n, *_family_rules(family, n)):
         yield ColoredPath(w)
 
 
 def count_paths(family: str, n: int) -> int:
-    return sum(1 for _ in gen_paths(family, n))
+    """The number of length-n paths of the family, by a DP over (height, seen D).
+
+    The step rules are those of ``_gen_path_words``; ballotlike paths may end
+    at any height, the other families end at height 0.
+    """
+    r1, r2, end = _family_rules(family, n)
+    layer = {(0, False): 1}
+    for _ in range(n):
+        nxt: dict[tuple[int, bool], int] = {}
+        for (h, seen_D), ways in layer.items():
+            steps = [(h + 1, seen_D)]  # U
+            if h > 0:
+                steps.append((h - 1, True))  # D
+            if not (r1 and h == 0):
+                steps.append((h, seen_D))  # u
+            if seen_D or not r2:
+                steps.append((h, seen_D))  # d
+            for state in steps:
+                nxt[state] = nxt.get(state, 0) + ways
+        layer = nxt
+    return sum(ways for (h, _), ways in layer.items() if end is None or h == end)
 
 
 def gen_ballotlike(n: int, i: int) -> Iterator[ColoredPath]:

@@ -173,7 +173,8 @@ def young_diagram(shape) -> Poset:
 
 def relabel(poset: Poset, ext: tuple[int, ...]) -> Poset:
     """The order-isomorphic poset in which ext's j-th element gets label j."""
-    assert tuple(sorted(ext)) == tuple(poset.elements), "not a relabeling"
+    if tuple(sorted(ext)) != tuple(poset.elements):
+        raise InvalidPick(f"{ext} does not list each of 1..{poset.n} once")
     pos = {e: j for j, e in enumerate(ext, start=1)}
     return Poset(poset.n, tuple(sorted((pos[a], pos[b]) for a, b in poset.covers)))
 
@@ -362,7 +363,8 @@ def pi_perm(n: int, x_set, t: int) -> int:
     if not 0 <= t <= n:
         raise OutOfRange(f"need 0 <= t <= {n}, got {t}")
     xs = frozenset(x_set)
-    assert all(0 <= j <= n for j in xs)
+    if any(not 0 <= j <= n for j in xs):
+        raise OutOfRange(f"need X within 0..{n}, got {sorted(xs)}")
     return sum(1 for j in xs if j < t) + (0 if t in xs else n - t)
 
 

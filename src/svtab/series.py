@@ -23,7 +23,6 @@ from .core import OutOfRange, SvtabError
 from .rings import MARKERS, InexactDivision, MultiPoly, QPoly, TSeries
 
 __all__ = [
-    "NonConvergence",
     "NonInvertibleDenominator",
     "DivisionNotExact",
     "SeriesContext",
@@ -33,10 +32,6 @@ __all__ = [
     "expected_steps",
     "peaks_genfun_check",
 ]
-
-
-class NonConvergence(SvtabError):
-    """Fixed-point iteration failed to stabilize within its structural bound."""
 
 
 class NonInvertibleDenominator(SvtabError):
@@ -57,21 +52,21 @@ def _excursion_block(e: TSeries) -> TSeries:
 
 
 def solve_E(order: int) -> TSeries:
-    """Solve E = 1 + (u+d)·t·E + U·D·t²·E² by fixed-point iteration.
+    """Solve E = 1 + (u+d)·t·E + U·D·t²·E² one coefficient at a time.
 
-    Each pass determines at least one further t-degree, so the iteration must
-    stabilize within order+2 passes.
+    Reading off t^n gives [t^n]E = (u+d)·[t^(n-1)]E + U·D·Σ_{i+j=n-2} [t^i]E·[t^j]E,
+    whose right side needs only lower coefficients.
     """
     if order < 0:
         raise OutOfRange(f"need order >= 0, got {order}")
-    level = TSeries(MultiPoly, order, [0, _u + _d])
-    e = TSeries.const(MultiPoly, order, 1)
-    for _ in range(order + 2):
-        nxt = 1 + level * e + _excursion_block(e) * e
-        if nxt == e:
-            return e
-        e = nxt
-    raise NonConvergence(f"series not stable after {order + 2} passes")
+    level, block = _u + _d, _U * _D
+    e = [MultiPoly.one()]
+    for n in range(1, order + 1):
+        pairs = MultiPoly.zero()
+        for i in range(n - 1):
+            pairs = pairs + e[i] * e[n - 2 - i]
+        e.append(level * e[n - 1] + block * pairs)
+    return TSeries(MultiPoly, order, e)
 
 
 def _inverse_of(den: TSeries) -> TSeries:

@@ -161,3 +161,13 @@ class TestShapeCounts:
             assert second == catalan(n) - 2 * catalan(n - 1) + catalan(n - 2)
         with pytest.raises(OutOfRange):
             more_shapes_counts(2)
+
+
+# ---------------------------------------------------------------------------
+# input checks hold in an interpreter that strips asserts
+
+
+def test_falling_rejects_a_negative_count_under_O(raised_under_O):
+    with pytest.raises(OutOfRange):
+        falling(5, -1)
+    assert raised_under_O("svtab.closedform.falling(5, -1)") == "OutOfRange"

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from svtab.closedform import ballot_count, catalan
+from svtab.closedform import act_count
 from svtab.core import (
     ColoredPath,
     OutOfRange,
@@ -205,3 +206,44 @@ class TestBallotlike:
         for n in range(7):
             stacked = [p.word for i in range(n + 1) for p in gen_ballotlike(n, i)]
             assert sorted(stacked) == sorted(p.word for p in gen_paths("ballotlike", n))
+
+
+# ---------------------------------------------------------------------------
+# the counting DPs agree with enumeration, and reach past the ceiling
+
+DP_SHAPES = [
+    (1,),
+    (4,),
+    (2, 1),
+    (3, 2),
+    (3, 3),
+    (4, 2),
+    (2, 2, 1),
+    (3, 2, 1),
+    (2, 2, 2),
+    (3, 1, 1),
+    SkewShape(Partition((3, 3)), Partition((1,))),
+    SkewShape(Partition((3, 2, 2)), Partition((2, 1))),
+    SkewShape(Partition((3, 3, 2)), Partition((2,))),
+]
+
+
+@pytest.mark.parametrize("shape", DP_SHAPES, ids=str)
+def test_count_svsyt_dp_matches_generation(shape):
+    ncells = as_skew(shape).ncells
+    for k in range(10 - ncells + 1):
+        assert count_svsyt(shape, k) == sum(1 for _ in gen_svsyt(shape, k))
+
+
+@pytest.mark.parametrize("family", ["motz", "motzE", "motzT", "motzET", "ballotlike"])
+def test_count_paths_dp_matches_generation(family):
+    for n in range(11):
+        assert count_paths(family, n) == sum(1 for _ in gen_paths(family, n))
+
+
+def test_count_svsyt_past_the_ceiling():
+    assert count_svsyt((30, 30), 30) == act_count(30, 30)
+
+
+def test_two_row_union_dp_is_catalan_at_60_entries():
+    assert sum(count_svsyt((b, b), 60 - 2 * b) for b in range(1, 31)) == catalan(59)

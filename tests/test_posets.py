@@ -390,3 +390,20 @@ class TestOrderIdealWalker:
         # 3 before 1 breaks 1 < 3 although no two adjacent entries compare
         with pytest.raises(InvalidPick):
             compose_extension(Poset(3, ((1, 3),)), (3, 2, 1), (), ())
+
+
+# ---------------------------------------------------------------------------
+# input checks hold in an interpreter that strips asserts
+
+
+def test_pi_perm_rejects_x_outside_the_range_under_O(raised_under_O):
+    with pytest.raises(OutOfRange):
+        pi_perm(3, {7, -2}, 1)
+    assert raised_under_O("svtab.posets.pi_perm(3, {7, -2}, 1)") == "OutOfRange"
+
+
+def test_relabel_rejects_a_non_permutation_under_O(raised_under_O):
+    with pytest.raises(InvalidPick):
+        relabel(chain(3), (1, 1, 2))
+    call = "svtab.posets.relabel(svtab.posets.chain(3), (1, 1, 2))"
+    assert raised_under_O(call) == "InvalidPick"

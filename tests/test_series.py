@@ -159,3 +159,8 @@ class TestPeaksGenfun:
         rows = peaks_genfun_check(8)
         for n, poly in rows.items():
             assert poly(1) == catalan(n)
+
+
+def test_recurrence_matches_closed_form_through_order_20():
+    for order in range(21):
+        assert solve_E(order) == closed_form_E(order)

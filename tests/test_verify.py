@@ -291,6 +291,32 @@ v.tableau_from_perm = lambda w: real(swap.get(w, w))
         [("bijections", "check_perm_bijection", {"n": n}) for n in (3, 4, 5)],
         {("check_perm_bijection", "n=4")},
     ),
+    "path_count_off_by_one": (
+        """
+real = v.count_paths
+v.count_paths = lambda family, n: real(family, n) + (1 if (family, n) == ("motzE", 7) else 0)
+""",
+        [
+            ("counts", "check_path_count", {"family": "motzE", "nmax": 8}),
+            ("counts", "check_path_count", {"family": "motz", "nmax": 8}),
+        ],
+        {("check_path_count", "motzE,n=07")},
+    ),
+    "solve_E_coefficient": (
+        """
+real = v.solve_E
+
+def planted(order):
+    e = real(order)
+    coeffs = list(e.coeffs)
+    coeffs[5] = coeffs[5] + 1
+    return TSeries(e.ring, order, coeffs)
+
+v.solve_E = planted
+""",
+        [("series", "check_closed_form_E", {"order": 6})],
+        {("check_closed_form_E", "E closed form t^05")},
+    ),
 }
 
 
