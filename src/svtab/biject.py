@@ -7,6 +7,7 @@ functions take and return immutable values and never mutate their arguments.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import (
@@ -330,7 +331,8 @@ def _insert(
     of 1..n) and ``succs`` the bitmask of its upper covers; ``index`` maps a
     pick (a ``noun`` such as a cell) to its element.  Pick i must be a maximal
     element of the ideal of elements whose base entry is at most cuts[i-1].
-    Larger entries shift up to make room.
+    Larger entries shift up to make room, so base entry v ends at
+    v + #{i : cuts[i-1] < v} and the i-th extra entry is cuts[i-1] + i.
     """
     n = len(base)
     k = len(cuts)
@@ -353,14 +355,9 @@ def _insert(
             raise InvalidPick(f"{noun} {p} is outside the ideal of cut {cut}")
         if succs[x] & ideal[cut]:
             raise InvalidPick(f"{noun} {p} is not maximal for cut {cut}")
-    blocks = [[v] for v in base]
+    blocks = [[v + bisect_left(cuts, v)] for v in base]
     for i, (cut, p) in enumerate(zip(cuts, picks), start=1):
-        e = cut + i
-        for b in blocks:
-            for a, v in enumerate(b):
-                if v >= e:
-                    b[a] = v + 1
-        blocks[index[p]].append(e)
+        blocks[index[p]].append(cut + i)
     return blocks
 
 

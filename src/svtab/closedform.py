@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, factorial, perm, prod
 
 from .core import PATH_FAMILIES, InconsistentType, OutOfRange, Partition, _as_partition
 
@@ -57,10 +57,9 @@ def falling(x: int, a: int) -> int:
     """Falling factorial x(x-1)...(x-a+1); empty product for a = 0."""
     if a < 0:
         raise OutOfRange(f"need a >= 0, got {a}")
-    out = 1
-    for i in range(a):
-        out *= x - i
-    return out
+    if x >= 0:
+        return perm(x, a)
+    return (-1) ** a * perm(a - x - 1, a)  # (-1)^a times the rising |x|...(|x|+a-1)
 
 
 @lru_cache(maxsize=None)
@@ -155,6 +154,11 @@ def row_sums(n: int) -> tuple[int, int]:
     return se, sf
 
 
+def _two_row_hook_count(a: int, b: int) -> int:
+    """hook_count((a, b)) for a >= b >= 0: C(a+b, b)(a-b+1)/(a+1)."""
+    return comb(a + b, b) * (a - b + 1) // (a + 1)
+
+
 def act_count(b: int, k: int) -> int:
     """Number of set-valued standard tableaux of the 2-by-b rectangle with k extras.
 
@@ -165,8 +169,8 @@ def act_count(b: int, k: int) -> int:
     total = 0
     for c in range(k // 2 + 1):
         total += (
-            hook_count((k - c, c) if c else ((k - c,) if k - c else ()))
-            * hook_count((b + k - c, b + c))
+            _two_row_hook_count(k - c, c)
+            * _two_row_hook_count(b + k - c, b + c)
             * falling(b + k - c - 1, k - c)
             * falling(b + c - 2, c)
         )

@@ -134,6 +134,16 @@ class Poset:
                 preds[y - 1] |= 1 << (x - 1)
         return preds, succs
 
+    @cached_property
+    def _cover_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Every true cover (x, y), x < y, in label order."""
+        return tuple((x, y) for x, ups in self._cover_map.items() for y in ups)
+
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        """Element x -> its index x-1 in block lists and bitmasks."""
+        return {x: x - 1 for x in self.elements}
+
     def cover_successors(self, x: int) -> tuple[int, ...]:
         """Elements covering x (immediate successors in the true cover relation)."""
         return self._cover_map[x]
@@ -243,12 +253,12 @@ class SetValuedLinearExtension:
             raise NotAPartitionOfRange(
                 f"entries do not partition 1..{len(seen)}"
             )
-        for a in self.poset.elements:
-            for b in self.poset.above[a]:
-                if self.blocks[a - 1][-1] > self.blocks[b - 1][0]:
-                    raise OrderViolation(
-                        f"block of {a} must finish before block of {b} starts"
-                    )
+        # the covers suffice: the order is their transitive closure
+        for a, b in self.poset._cover_pairs:
+            if self.blocks[a - 1][-1] > self.blocks[b - 1][0]:
+                raise OrderViolation(
+                    f"block of {a} must finish before block of {b} starts"
+                )
 
     @property
     def nentries(self) -> int:
@@ -304,17 +314,11 @@ def compose_extension(
     time_of = [0] * poset.n
     for j, x in enumerate(ext, start=1):
         time_of[x - 1] = j
-    for x in poset.elements:
-        for y in poset.cover_successors(x):
-            if time_of[y - 1] < time_of[x - 1]:
-                raise InvalidPick(f"{ext} lists {y} before {x}")
+    for x, y in poset._cover_pairs:
+        if time_of[y - 1] < time_of[x - 1]:
+            raise InvalidPick(f"{ext} lists {y} before {x}")
     blocks = _insert(
-        time_of,
-        poset._cover_masks[1],
-        cuts,
-        picks,
-        {x: x - 1 for x in poset.elements},
-        "element",
+        time_of, poset._cover_masks[1], cuts, picks, poset._index, "element"
     )
     return SetValuedLinearExtension(poset, tuple(tuple(b) for b in blocks))
 

@@ -10,9 +10,15 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .core import OutOfRange, SvtabError
+
 
 class InexactDivision(ArithmeticError):
     pass
+
+
+class TruncationMismatch(SvtabError):
+    """Two power series truncated at different orders were combined."""
 
 
 class QPoly:
@@ -323,8 +329,13 @@ class TSeries:
         return cls(ring, order, [c])
 
     def coeff(self, n: int):
-        assert 0 <= n <= self.order, f"coefficient t^{n} beyond truncation {self.order}"
+        if not 0 <= n <= self.order:
+            raise OutOfRange(f"coefficient t^{n} beyond truncation {self.order}")
         return self.coeffs[n]
+
+    def _same_order(self, other: "TSeries") -> None:
+        if self.order != other.order:
+            raise TruncationMismatch(f"orders differ: {self.order} != {other.order}")
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
@@ -332,13 +343,13 @@ class TSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TSeries):
             return NotImplemented
-        assert self.order == other.order
+        self._same_order(other)
         return self.coeffs == other.coeffs
 
     def __add__(self, other: "TSeries | int"):
         if isinstance(other, int):
             other = TSeries.const(self.ring, self.order, other)
-        assert self.order == other.order
+        self._same_order(other)
         return TSeries(
             self.ring, self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
         )
@@ -358,7 +369,7 @@ class TSeries:
 
     def __mul__(self, other):
         if isinstance(other, TSeries):
-            assert self.order == other.order
+            self._same_order(other)
             n = self.order
             out = [self.ring.zero() for _ in range(n + 1)]
             for i, a in enumerate(self.coeffs):

@@ -33,11 +33,11 @@ __all__ = [
 
 
 def _labeled_blocks(s) -> list[tuple[int, tuple[int, ...]]]:
-    """(label, entries) pairs; labels are row-major cell indices or poset labels."""
+    """(label, entries) pairs by label: row-major cell indices or poset labels."""
     if isinstance(s, SetValuedTableau):
         validate_svsyt(s)
         return [(i, entries) for i, (_pos, entries) in enumerate(s.cells(), start=1)]
-    return sorted(s.labeled_blocks())
+    return s.labeled_blocks()
 
 
 def descent_set_plus_k(s) -> frozenset[int]:
@@ -47,18 +47,20 @@ def descent_set_plus_k(s) -> frozenset[int]:
     non-minimal is a descent when j+1 sits at a strictly smaller label than j.
     """
     blocks = _labeled_blocks(s)
-    label_of = {}
-    extras = set()
+    total = sum(len(entries) for _label, entries in blocks)
+    label_of = [0] * (total + 1)  # index 0 unused; entries are 1..total
+    extra = [False] * (total + 1)
     for label, entries in blocks:
         for e in entries:
             label_of[e] = label
-        extras.update(entries[1:])
-    total = len(label_of)
-    des = set(extras)
-    for j in range(1, total):
-        if j + 1 not in extras and label_of[j + 1] < label_of[j]:
-            des.add(j)
-    return frozenset(des)
+        for e in entries[1:]:
+            extra[e] = True
+    return frozenset(
+        j
+        for j in range(1, total + 1)
+        if extra[j]
+        or (j < total and not extra[j + 1] and label_of[j + 1] < label_of[j])
+    )
 
 
 def comaj_plus_k(s) -> int:

@@ -56,6 +56,7 @@ from .enumerate import (
 )
 from .posets import (
     Poset,
+    SetValuedLinearExtension,
     catalog,
     compose_extension,
     decompose_extension,
@@ -475,6 +476,19 @@ def check_kreweras_types(n: int) -> list[Row]:
 ROUNDTRIP_CAP = 20000  # roundtrips per (poset, k); other rows see every object
 
 
+def _entry_word(s: SetValuedLinearExtension) -> bytes:
+    """Byte j-1 is the label of the element holding entry j (labels <= 255).
+
+    The blocks are the preimages of the word, so it is a key that tells apart
+    every set-valued extension of one poset.
+    """
+    word = bytearray(s.nentries)
+    for x, block in enumerate(s.blocks, start=1):
+        for e in block:
+            word[e - 1] = x
+    return bytes(word)
+
+
 def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
     """Cut-weight identities, route agreement and roundtrips for one (poset, k).
 
@@ -483,14 +497,16 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
     (extension, cuts, picks), by their comajor tally against the
     ``expected_ddeg`` numerator, and by decompose/compose roundtrips.  For
     n <= 4 the composed objects' comajor weights are also compared with
-    ``vartheta`` of their (extension, cuts).
+    ``vartheta`` of their (extension, cuts).  Both routes build and validate
+    every object, but the route check holds one key per composed object (its
+    ``_entry_word``), not the objects: each is dropped once its key is taken.
     """
     tag = f"{name},k={k}"
     lhs, rhs = sum_identity_check(poset, k)
     rows: list[Row] = [(f"{tag} weight sum", str(rhs), str(lhs))]
 
     small = poset.n <= 4
-    composed = set()
+    composed: set[bytes] = set()
     weight_sum = comaj_sum = QPoly.zero()
     mismatch = ""
     for ext in linear_extensions(poset):
@@ -501,7 +517,7 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
             pools = [_maximal_in_prefix(poset, ext, t) for t in cuts]
             for picks in itertools.product(*pools):
                 s = compose_extension(poset, ext, cuts, picks)
-                composed.add(s)
+                composed.add(_entry_word(s))
                 if small:
                     got = QPoly.monomial(comaj_plus_k(s))
                     weight_sum = weight_sum + weight
@@ -511,8 +527,7 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
     if small:
         rows.append((f"{tag} weights", str(weight_sum), f"{comaj_sum}{mismatch}"))
 
-    # one pass over the walker; matched objects leave ``composed``, which keeps
-    # the peak to about one copy of the objects
+    # one pass over the walker; matched keys leave ``composed``
     wanted = len(composed)
     walked = extra = 0
     tally: Counter = Counter()
@@ -523,8 +538,9 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
                 bad.append(s)
         walked += 1
         tally[comaj_plus_k(s)] += 1
-        if s in composed:
-            composed.remove(s)
+        key = _entry_word(s)
+        if key in composed:
+            composed.remove(key)
         else:
             extra += 1
     routes = f"{walked} objects"
@@ -621,6 +637,10 @@ def build_tasks(
     """Expand suite names into sharded (suite, check, kwargs) tasks."""
     if budget not in ("desk", "quick"):
         raise SvtabError(f"unknown budget {budget!r}")
+    limits = {"series_order": series_order, "max_elements": max_elements, "max_k": max_k}
+    for key, value in limits.items():
+        if value is not None and value < 0:
+            raise SvtabError(f"need {key} >= 0, got {value}")
     quick = budget == "quick"
     chosen = tuple(suites)
     for s in chosen:

@@ -285,6 +285,16 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         assert run(capsys, "verify", "--suite", "nosuch")[0] == 2
 
+    @pytest.mark.parametrize(
+        "flag,suite",
+        [("--max-k", "posets"), ("--max-elements", "posets"), ("--order", "series")],
+    )
+    def test_negative_cap_exits_2(self, capsys, flag, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, flag, "-1")
+        assert code == 2
+        assert "passed" not in out
+        assert ">= 0, got -1" in err
+
 
 class TestOutputAndProcess:
     def test_output_file(self, capsys, tmp_path):

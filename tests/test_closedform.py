@@ -1,5 +1,6 @@
 """Closed formulas: binomial identities, path-count tables, hook counts."""
 
+import itertools
 import math
 
 import pytest
@@ -20,6 +21,7 @@ from svtab.closedform import (
     narayana,
     peaks_count,
     row_sums,
+    _two_row_hook_count,
 )
 from svtab.core import InconsistentType, OutOfRange, Partition
 
@@ -54,6 +56,16 @@ class TestElementary:
         assert falling(7, 0) == 1
         assert falling(4, 4) == 24
         assert falling(3, 5) == 0
+
+    def test_falling_matches_the_product(self):
+        for x, a in itertools.product(range(-6, 9), range(9)):
+            assert falling(x, a) == math.prod(x - i for i in range(a)), (x, a)
+
+    def test_two_row_hook_count_matches_hook_lengths(self):
+        for a in range(16):
+            for b in range(a + 1):
+                shape = Partition(tuple(p for p in (a, b) if p))
+                assert _two_row_hook_count(a, b) == hook_count(shape), (a, b)
 
     def test_catalan(self):
         assert [catalan(n) for n in range(9)] == [

@@ -245,5 +245,9 @@ def test_count_svsyt_past_the_ceiling():
     assert count_svsyt((30, 30), 30) == act_count(30, 30)
 
 
+def test_act_count_far_past_the_ceiling():
+    assert act_count(2, 2000) == count_svsyt((2, 2), 2000)
+
+
 def test_two_row_union_dp_is_catalan_at_60_entries():
     assert sum(count_svsyt((b, b), 60 - 2 * b) for b in range(1, 31)) == catalan(59)

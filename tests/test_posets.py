@@ -35,6 +35,7 @@ from svtab.posets import (
     sv_linear_extensions,
     vartheta,
     young_diagram,
+    _maximal_in_prefix,
 )
 from svtab.rings import QPoly
 from svtab.stats import comaj_plus_k, ddeg
@@ -159,6 +160,35 @@ class TestSvLinearExtensions:
                         total += ways
                 assert total == sum(1 for _ in sv_linear_extensions(poset, k))
 
+    def test_cover_pairs_validate_like_transitive_pairs(self):
+        # every surjection of entries onto elements, for n <= 4 and k <= 1
+        rejected = 0
+        for _name, poset in catalog():
+            if poset.n > 4:
+                continue
+            for k in (0, 1):
+                size = poset.n + k
+                for word in itertools.product(poset.elements, repeat=size):
+                    blocks = tuple(
+                        tuple(e for e, y in enumerate(word, start=1) if y == x)
+                        for x in poset.elements
+                    )
+                    if not all(blocks):
+                        continue
+                    separated = all(
+                        blocks[a - 1][-1] < blocks[b - 1][0]
+                        for a in poset.elements
+                        for b in poset.above[a]
+                    )
+                    try:
+                        SetValuedLinearExtension(poset, blocks)
+                        accepted = True
+                    except OrderViolation:
+                        accepted = False
+                    assert accepted == separated, (poset, blocks)
+                    rejected += not accepted
+        assert rejected > 0
+
 
 class TestTripleCodec:
     def test_worked_example(self):
@@ -176,6 +206,24 @@ class TestTripleCodec:
                     assert compose_extension(poset, ext, cuts, picks) == s
                     assert len(cuts) == k == len(picks)
                     assert all(0 < t <= poset.n for t in cuts)
+
+    def test_insertion_matches_the_shift_loop(self):
+        # reference: insert cut+i and shift every entry >= cut+i up, stage by stage
+        for _name, poset in catalog():
+            if poset.n > 4:
+                continue
+            for ext, k in itertools.product(linear_extensions(poset), (1, 2)):
+                for cuts in itertools.combinations_with_replacement(
+                    range(1, poset.n + 1), k
+                ):
+                    pools = [_maximal_in_prefix(poset, ext, t) for t in cuts]
+                    for picks in itertools.product(*pools):
+                        blocks = [[ext.index(x) + 1] for x in poset.elements]
+                        for i, (cut, p) in enumerate(zip(cuts, picks), start=1):
+                            blocks = [[v + (v >= cut + i) for v in b] for b in blocks]
+                            blocks[p - 1].append(cut + i)
+                        got = compose_extension(poset, ext, cuts, picks)
+                        assert got.blocks == tuple(map(tuple, blocks))
 
     def test_invalid_picks(self):
         with pytest.raises(InvalidPick):

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svtab.rings import MARKERS, InexactDivision, MultiPoly, QPoly, TSeries
+from svtab.core import OutOfRange
+from svtab.rings import (
+    MARKERS,
+    InexactDivision,
+    MultiPoly,
+    QPoly,
+    TruncationMismatch,
+    TSeries,
+)
 
 qpolys = st.builds(QPoly, st.lists(st.integers(-9, 9), max_size=6))
 monomials = st.tuples(
@@ -107,13 +115,13 @@ class TestTSeries:
         assert s.coeff(0) == QPoly.one()
         assert s.coeff(1) == QPoly([2])
         assert s.coeff(3) == QPoly.zero()
-        with pytest.raises(AssertionError):
+        with pytest.raises(OutOfRange):
             s.coeff(4)
 
     def test_multiplication_truncates(self):
         s = TSeries(QPoly, 2, [1, 1, 1])
         assert (s * s).coeff(2) == QPoly([3])
-        with pytest.raises(AssertionError):
+        with pytest.raises(TruncationMismatch):
             s + TSeries(QPoly, 3, [1])
 
     def test_shifts(self):
@@ -156,3 +164,24 @@ class TestTSeries:
         assert inv.coeff(3) == u3
         expect = TSeries(MultiPoly, 5, [1, u * 2, u2 * 2, u3 * 2, u4 * 2, u4 * u * 2])
         assert s * inv == expect
+
+
+# ---------------------------------------------------------------------------
+# input checks hold in an interpreter that strips asserts
+
+_ORDERS_2_AND_4 = (
+    "svtab.rings.TSeries(svtab.rings.QPoly, 2, [1])"
+    " {} svtab.rings.TSeries(svtab.rings.QPoly, 4, [1])"
+)
+
+
+@pytest.mark.parametrize(
+    "call,raised",
+    [
+        ("svtab.series.solve_E(4).coeff(-1)", "OutOfRange"),
+        ("svtab.series.solve_E(4).coeff(5)", "OutOfRange"),
+        *((_ORDERS_2_AND_4.format(op), "TruncationMismatch") for op in ("+", "*", "==")),
+    ],
+)
+def test_series_checks_hold_under_O(raised_under_O, call, raised):
+    assert raised_under_O(call) == raised

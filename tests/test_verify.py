@@ -178,6 +178,12 @@ def test_every_poset_row_can_fail():
     assert set().union(*(fails for _p, fails in PLANTS)) == set(ROW_NAMES)
 
 
+_VEE_K1_RUN = """
+kwargs = {"name": "vee", "poset": dict(catalog())["vee"], "k": 1}
+results = v.run_tasks([("posets", "check_poset_identities", kwargs)], threads=1)
+print(json.dumps([(r.instance, r.status, r.expected) for r in results]))
+"""
+
 _DROP_SCRIPT = """
 import json
 import svtab.verify as v
@@ -191,28 +197,54 @@ def dropped(poset, k):
     yield from it
 
 v.sv_linear_extensions = dropped
-kwargs = {"name": "vee", "poset": dict(catalog())["vee"], "k": 1}
-results = v.run_tasks([("posets", "check_poset_identities", kwargs)], threads=1)
-print(json.dumps([(r.instance, r.status, r.expected) for r in results]))
-"""
+""" + _VEE_K1_RUN
+
+# the composed route gives 1:{1} 2:{2,4} 3:{3} for the triple of 1:{1} 2:{3,4}
+# 3:{2}, so one object is composed twice and another never
+_MISCOMPOSE_SCRIPT = """
+import json
+import svtab.verify as v
+from svtab.posets import catalog
+
+real = v.compose_extension
+
+def planted(poset, ext, cuts, picks):
+    if (ext, cuts, picks) == ((1, 3, 2), (3,), (2,)):
+        ext = (1, 2, 3)
+    return real(poset, ext, cuts, picks)
+
+v.compose_extension = planted
+""" + _VEE_K1_RUN
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
-def test_dropped_object_gives_fail_row_not_exception(flags):
+def _run_vee_k1(script, flags):
     src = str(Path(svtab.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, *flags, "-c", _DROP_SCRIPT],
+        [sys.executable, *flags, "-c", script],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
         check=True,
     )
     rows = json.loads(proc.stdout)
-    status = {inst: st for inst, st, _want in rows}
     assert "no exception" not in {want for _i, _s, want in rows}
+    return {inst: st for inst, st, _want in rows}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_dropped_object_gives_fail_row_not_exception(flags):
+    status = _run_vee_k1(_DROP_SCRIPT, flags)
     assert status["vee,k=1 routes"] == "fail"
     assert status["vee,k=1 expectation"] == "fail"
     assert status["vee,k=1 weight sum"] == "pass"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_miscomposed_object_fails_routes_row(flags):
+    status = _run_vee_k1(_MISCOMPOSE_SCRIPT, flags)
+    assert status["vee,k=1 routes"] == "fail"
+    assert status["vee,k=1 weight sum"] == "pass"
+    assert status["vee,k=1 expectation"] == "pass"
 
 
 def test_poset_identities_sharded_per_k():
