@@ -16,6 +16,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from time import perf_counter
 from typing import Callable
 
 from .biject import (
@@ -404,9 +405,12 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         max_k=args.max_k,
     )
     threads = cfg.threads if cfg.threads is not None else available_threads()
+    started = perf_counter()
     results = run_tasks(tasks, threads=threads)
+    wall = perf_counter() - started
     if args.report == "json":
-        _write(cfg, json.dumps(report_dict(results, threads), indent=2))
+        report = report_dict(results, threads, wall, args.budget)
+        _write(cfg, json.dumps(report, indent=2))
     else:
         _write(cfg, report_text(results))
     return 0 if all(r.ok for r in results) else 1

@@ -87,7 +87,8 @@ def kreweras(n: int, m: int, mu) -> int:
     Count = n(n-1)...(n-m+2) / prod_j mu[j]!  (m-1 falling factors).
     """
     mu = dict(mu)
-    assert all(j >= 1 and c >= 1 for j, c in mu.items())
+    if any(j < 1 or c < 1 for j, c in mu.items()):
+        raise InconsistentType(f"type {mu} needs part sizes and multiplicities >= 1")
     if sum(mu.values()) != m or sum(j * c for j, c in mu.items()) != n:
         raise InconsistentType(f"type {mu} is not an m={m} multiset of total {n}")
     val = Fraction(falling(n, m - 1), prod(factorial(c) for c in mu.values()))

@@ -14,7 +14,10 @@ lexicographic order of the word that maps each entry to its cell index.
 
 The counts visit no object: ``count_svsyt`` is a dynamic program over the
 walker's states (the open ideal after each entry), and ``count_paths`` one
-over the path walker's states (height and whether a D was seen).
+over the path walker's states (height and whether a D was seen).  The same
+per-ideal move table drives ``_comaj_walk``, which tallies the walker's
+objects by their set-valued comajor index over states that also record the
+cell the last entry opened.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .core import (
     SkewShape,
     _as_partition,
 )
+from .rings import QPoly
 
 __all__ = [
     "as_skew",
@@ -92,6 +96,33 @@ def _walk(preds: list[int], succs: list[int], total: int) -> Iterator[tuple[tupl
     return rec(1, 0, 0)
 
 
+class _Moves(dict):
+    """Open ideal -> the walker's moves from it, computed on first lookup.
+
+    A value is (opens, stays): opens lists (i, ideal | 1 << i) for every
+    unopened cell i whose lower covers are open, and stays counts the open
+    cells none of whose upper covers is open (the cells that may take an
+    appended entry).
+    """
+
+    def __init__(self, preds: list[int], succs: list[int]):
+        super().__init__()
+        self.preds, self.succs = preds, succs
+
+    def __missing__(self, ideal: int) -> tuple[list[tuple[int, int]], int]:
+        preds, succs = self.preds, self.succs
+        opens = [
+            (i, ideal | 1 << i)
+            for i in range(len(preds))
+            if not ideal >> i & 1 and preds[i] & ideal == preds[i]
+        ]
+        stays = sum(
+            1 for i in range(len(preds)) if ideal >> i & 1 and not succs[i] & ideal
+        )
+        self[ideal] = opens, stays
+        return opens, stays
+
+
 def _count_walk(preds: list[int], succs: list[int], total: int) -> int:
     """The number of leaves of ``_walk``, without visiting them.
 
@@ -102,29 +133,57 @@ def _count_walk(preds: list[int], succs: list[int], total: int) -> int:
     transition weighted by the number of cells that may take the entry.
     """
     ncells = len(preds)
-    moves: dict[int, tuple[list[int], int]] = {}
+    moves = _Moves(preds, succs)
     layer = {0: 1}
     for e in range(1, total + 1):
         left = total - e
         nxt: dict[int, int] = {}
         for ideal, ways in layer.items():
-            if ideal not in moves:
-                opens = [
-                    ideal | 1 << i
-                    for i in range(ncells)
-                    if not ideal >> i & 1 and preds[i] & ideal == preds[i]
-                ]
-                stays = sum(
-                    1 for i in range(ncells) if ideal >> i & 1 and not succs[i] & ideal
-                )
-                moves[ideal] = opens, stays
             opens, stays = moves[ideal]
-            for up in opens:
+            for _i, up in opens:
                 nxt[up] = nxt.get(up, 0) + ways
             if stays and left >= ncells - ideal.bit_count():
                 nxt[ideal] = nxt.get(ideal, 0) + ways * stays
         layer = nxt
     return sum(layer.values())
+
+
+def _add_shifted(into: dict[int, int], tally: dict[int, int], shift: int, ways: int):
+    """Add ways times the tally, every exponent raised by shift, into ``into``."""
+    for c, n in tally.items():
+        into[c + shift] = into.get(c + shift, 0) + n * ways
+
+
+def _comaj_walk(preds: list[int], succs: list[int], total: int) -> QPoly:
+    """The comajor tally of ``_walk``'s leaves, without visiting them.
+
+    The coefficient of q^c is the number of leaves whose ``comaj_plus_k`` is
+    c, with cells labeled by index.  A descent j contributes total - j, and
+    each is settled by the move that places entry j or j + 1: an appended
+    entry e is a descent (total - e), and an entry e that opens cell i makes
+    e - 1 a descent (total - e + 1) when e - 1 opened a cell of larger index.
+    So ``_count_walk``'s state gains the index of the cell the last entry
+    opened, or -1 after an append (and before entry 1), and each state holds
+    a tally {comaj so far: leaves}.
+    """
+    ncells = len(preds)
+    moves = _Moves(preds, succs)
+    layer: dict[tuple[int, int], dict[int, int]] = {(0, -1): {0: 1}}
+    for e in range(1, total + 1):
+        left = total - e
+        nxt: dict[tuple[int, int], dict[int, int]] = {}
+        for (ideal, last), tally in layer.items():
+            opens, stays = moves[ideal]
+            for i, up in opens:
+                shift = total - e + 1 if i < last else 0
+                _add_shifted(nxt.setdefault((up, i), {}), tally, shift, 1)
+            if stays and left >= ncells - ideal.bit_count():
+                _add_shifted(nxt.setdefault((ideal, -1), {}), tally, total - e, stays)
+        layer = nxt
+    out: dict[int, int] = {}
+    for tally in layer.values():
+        _add_shifted(out, tally, 0, 1)
+    return QPoly([out.get(c, 0) for c in range(max(out, default=0) + 1)])
 
 
 def _repack(shape: SkewShape, flat: tuple[tuple[int, ...], ...]) -> SetValuedTableau:

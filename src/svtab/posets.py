@@ -208,7 +208,8 @@ def linear_extensions(poset: Poset):
 
 def order_ideals(poset: Poset):
     """All order ideals as frozensets (small posets only)."""
-    assert poset.n <= 16, "order_ideals is meant for small posets"
+    if poset.n > 16:
+        raise OutOfRange(f"order_ideals scans 2^n subsets; need n <= 16, got {poset.n}")
     for bits in range(1 << poset.n):
         members = frozenset(x for x in poset.elements if bits >> (x - 1) & 1)
         if poset.is_ideal(members):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -53,6 +54,8 @@ from .enumerate import (
     gen_paths,
     gen_svsyt,
     gen_two_row_union,
+    _comaj_walk,
+    _count_walk,
 )
 from .posets import (
     Poset,
@@ -492,14 +495,18 @@ def _entry_word(s: SetValuedLinearExtension) -> bytes:
 def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
     """Cut-weight identities, route agreement and roundtrips for one (poset, k).
 
-    The walker's set-valued extensions are streamed once and checked three
-    ways: as a set against the cut-and-pick composition over every
-    (extension, cuts, picks), by their comajor tally against the
-    ``expected_ddeg`` numerator, and by decompose/compose roundtrips.  For
-    n <= 4 the composed objects' comajor weights are also compared with
-    ``vartheta`` of their (extension, cuts).  Both routes build and validate
-    every object, but the route check holds one key per composed object (its
-    ``_entry_word``), not the objects: each is dropped once its key is taken.
+    Every (extension, cuts, picks) is composed once; its object gives a key
+    (its ``_entry_word``) for the route check and, for the first
+    ``ROUNDTRIP_CAP`` triples, a decompose roundtrip back to the triple.  The
+    walker's set-valued extensions are streamed once and must give the same
+    set of keys; together with the roundtrips this makes decompose and compose
+    inverse on the walker's objects.  The ``expected_ddeg`` numerator is
+    compared with the comajor tally of the set-valued extensions from the
+    weighted ideal DP (``enumerate._comaj_walk``).  For n <= 4 the composed
+    objects' comajor weights are also compared with ``vartheta`` of their
+    (extension, cuts), and the DP with the streamed walker's comajor tally.
+    Both routes build and validate every object, but each is dropped once its
+    key is taken, so the route check holds keys, not objects.
     """
     tag = f"{name},k={k}"
     lhs, rhs = sum_identity_check(poset, k)
@@ -509,6 +516,8 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
     composed: set[bytes] = set()
     weight_sum = comaj_sum = QPoly.zero()
     mismatch = ""
+    tried = 0
+    bad = []
     for ext in linear_extensions(poset):
         for cuts in itertools.combinations_with_replacement(
             range(1, poset.n + 1), k
@@ -517,6 +526,10 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
             pools = [_maximal_in_prefix(poset, ext, t) for t in cuts]
             for picks in itertools.product(*pools):
                 s = compose_extension(poset, ext, cuts, picks)
+                if tried < ROUNDTRIP_CAP:
+                    tried += 1
+                    if decompose_extension(s) != (ext, cuts, picks):
+                        bad.append(s)
                 composed.add(_entry_word(s))
                 if small:
                     got = QPoly.monomial(comaj_plus_k(s))
@@ -531,13 +544,10 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
     wanted = len(composed)
     walked = extra = 0
     tally: Counter = Counter()
-    bad = []
     for s in sv_linear_extensions(poset, k):
-        if walked < ROUNDTRIP_CAP:
-            if compose_extension(poset, *decompose_extension(s)) != s:
-                bad.append(s)
         walked += 1
-        tally[comaj_plus_k(s)] += 1
+        if small:
+            tally[comaj_plus_k(s)] += 1
         key = _entry_word(s)
         if key in composed:
             composed.remove(key)
@@ -548,13 +558,13 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
         routes += f", {extra} not composed, {len(composed)} not walked"
     rows.append((f"{tag} routes", f"{wanted} objects", routes))
 
+    dp = _comaj_walk(*poset._cover_masks, poset.n + k)
+    if small:
+        streamed = QPoly([tally[e] for e in range(max(tally, default=0) + 1)])
+        rows.append((f"{tag} comaj tally", str(dp), str(streamed)))
     num, _den = expected_ddeg(poset, k)
-    top = max(tally, default=0)
-    rows.append(
-        (f"{tag} expectation", str(num), str(QPoly([tally[e] for e in range(top + 1)])))
-    )
+    rows.append((f"{tag} expectation", str(num), str(dp)))
 
-    tried = min(walked, ROUNDTRIP_CAP)
     done = f"{tried - len(bad)} roundtrips" + (f"; {bad[0]} differs" if bad else "")
     rows.append((f"{tag} roundtrips", f"{tried} roundtrips", done))
     return rows
@@ -771,8 +781,31 @@ def _run_task(task: Task) -> list[CheckResult]:
     ]
 
 
+def _longest_first(tasks) -> list[Task]:
+    """Hand-out order for the workers: longest processing time first (Graham).
+
+    A poset identity task's time grows with its number of set-valued
+    extensions, which ``_count_walk`` gives without building them, so these
+    tasks go first, most objects first; every other task follows them in
+    build order.
+    """
+
+    def key(task: Task) -> tuple[int, int]:
+        _suite, check, kwargs = task
+        if check != "check_poset_identities":
+            return 1, 0
+        preds, succs = kwargs["poset"]._cover_masks
+        return 0, -_count_walk(preds, succs, kwargs["poset"].n + kwargs["k"])
+
+    return sorted(tasks, key=key)
+
+
 def run_tasks(tasks, threads: int | None = None) -> list[CheckResult]:
-    """Run tasks, in worker processes when more than one thread is allowed."""
+    """Run tasks, in worker processes when more than one thread is allowed.
+
+    Workers take the tasks longest first; the results are sorted, so the
+    order of hand-out does not show in them.
+    """
     n = threads if threads is not None else available_threads()
     results: list[CheckResult] = []
     if n <= 1 or len(tasks) <= 1:
@@ -780,7 +813,7 @@ def run_tasks(tasks, threads: int | None = None) -> list[CheckResult]:
             results.extend(_run_task(t))
     else:
         with ProcessPoolExecutor(max_workers=min(n, len(tasks))) as pool:
-            for out in pool.map(_run_task, tasks, chunksize=1):
+            for out in pool.map(_run_task, _longest_first(tasks), chunksize=1):
                 results.extend(out)
     results.sort(key=lambda r: (r.suite, r.check, r.instance))
     return results
@@ -790,10 +823,18 @@ def run_suites(suites, threads: int | None = None, **limits) -> list[CheckResult
     return run_tasks(build_tasks(suites, **limits), threads=threads)
 
 
-def report_dict(results, threads: int) -> dict:
+def report_dict(results, threads: int, wall_seconds: float, budget: str) -> dict:
+    """The JSON report: totals, the run's setting, and every row.
+
+    ``wall_seconds`` is the caller's wall time around the run and ``seconds``
+    the sum of the rows' task times.
+    """
     failures = [r for r in results if not r.ok]
     return {
         "threads": threads,
+        "budget": budget,
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "wall_seconds": round(wall_seconds, 3),
         "checks": len(results),
         "passed": len(results) - len(failures),
         "failed": len(failures),

@@ -2,8 +2,10 @@
 
 import io
 import json
+import platform
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -281,6 +283,21 @@ class TestVerifyCommand:
         data = json.loads(out)
         assert data["failed"] == 0
         assert data["checks"] == data["passed"] > 0
+
+    def test_json_report_wall_time_is_measured(self):
+        argv = ["verify", "--suite", "qstats", "--budget", "quick", "--report", "json"]
+        started = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "svtab", *argv, "--parallel", "2"],
+            capture_output=True,
+            text=True,
+        )
+        outside = time.perf_counter() - started
+        assert proc.returncode == 0
+        data = json.loads(proc.stdout)
+        assert 0 < data["wall_seconds"] <= outside
+        assert (data["threads"], data["budget"]) == (2, "quick")
+        assert data["python"] == platform.python_version()
 
     def test_unknown_suite(self, capsys):
         assert run(capsys, "verify", "--suite", "nosuch")[0] == 2

@@ -183,3 +183,12 @@ def test_falling_rejects_a_negative_count_under_O(raised_under_O):
     with pytest.raises(OutOfRange):
         falling(5, -1)
     assert raised_under_O("svtab.closedform.falling(5, -1)") == "OutOfRange"
+
+
+def test_kreweras_rejects_a_part_of_size_zero_under_O(raised_under_O):
+    with pytest.raises(InconsistentType):
+        kreweras(3, 2, {0: 1, 3: 1})
+    with pytest.raises(InconsistentType):
+        kreweras(3, 1, {3: 1, 1: 0})
+    call = "svtab.closedform.kreweras(3, 2, {0: 1, 3: 1})"
+    assert raised_under_O(call) == "InconsistentType"

@@ -1,11 +1,15 @@
 """Exhaustive generators and their streaming counts."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
 from svtab.closedform import ballot_count, catalan
 from svtab.closedform import act_count
+from svtab.posets import catalog, sv_linear_extensions
+from svtab.rings import QPoly
+from svtab.stats import comaj_plus_k, set_valued_q_catalan
 from svtab.core import (
     ColoredPath,
     OutOfRange,
@@ -15,6 +19,8 @@ from svtab.core import (
     validate_svsyt,
 )
 from svtab.enumerate import (
+    _cell_masks,
+    _comaj_walk,
     as_skew,
     count_paths,
     count_svsyt,
@@ -251,3 +257,28 @@ def test_act_count_far_past_the_ceiling():
 
 def test_two_row_union_dp_is_catalan_at_60_entries():
     assert sum(count_svsyt((b, b), 60 - 2 * b) for b in range(1, 31)) == catalan(59)
+
+
+def _streamed_tally(objects) -> QPoly:
+    tally = Counter(comaj_plus_k(s) for s in objects)
+    return QPoly([tally[c] for c in range(max(tally) + 1)])
+
+
+SMALL_POSETS = {name: p for name, p in catalog() if p.n <= 5}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_POSETS))
+def test_comaj_dp_matches_streamed_tally_on_posets(name):
+    poset = SMALL_POSETS[name]
+    for k in range(4 if poset.n <= 4 else 3):
+        want = _streamed_tally(sv_linear_extensions(poset, k))
+        assert _comaj_walk(*poset._cover_masks, poset.n + k) == want, (name, k)
+
+
+def test_comaj_dp_over_two_row_shapes_is_the_q_catalan():
+    for n in range(1, 9):
+        total = QPoly.zero()
+        for b in range(1, (n + 1) // 2 + 1):
+            _cells, preds, succs = _cell_masks(as_skew((b, b)))
+            total = total + _comaj_walk(preds, succs, n + 1)
+        assert total == set_valued_q_catalan(n), n

@@ -455,3 +455,10 @@ def test_relabel_rejects_a_non_permutation_under_O(raised_under_O):
         relabel(chain(3), (1, 1, 2))
     call = "svtab.posets.relabel(svtab.posets.chain(3), (1, 1, 2))"
     assert raised_under_O(call) == "InvalidPick"
+
+
+def test_order_ideals_rejects_a_large_poset_under_O(raised_under_O):
+    with pytest.raises(OutOfRange):
+        next(order_ideals(antichain(40)))
+    call = "next(svtab.posets.order_ideals(svtab.posets.antichain(40)))"
+    assert raised_under_O(call) == "OutOfRange"

@@ -12,7 +12,7 @@ import svtab
 import svtab.posets
 import svtab.verify
 from svtab.core import SvtabError
-from svtab.posets import catalog
+from svtab.posets import catalog, sv_linear_extensions
 from svtab.rings import QPoly
 from svtab.verify import (
     SUITES,
@@ -66,12 +66,35 @@ def test_run_tasks_serial_and_parallel_agree():
     assert all(r.ok for r in serial)
 
 
+def test_posets_rows_agree_at_two_workers():
+    tasks = build_tasks(("posets",), budget="quick")
+    serial = run_tasks(tasks, threads=1)
+    parallel = run_tasks(tasks, threads=2)
+    assert [(r.check, r.instance, r.status, r.expected, r.actual) for r in serial] == [
+        (r.check, r.instance, r.status, r.expected, r.actual) for r in parallel
+    ]
+    assert all(r.ok for r in serial)
+
+
+def test_longest_first_hands_out_big_poset_tasks_first():
+    tasks = build_tasks(("counts", "posets"), budget="quick", max_elements=3)
+    order = svtab.verify._longest_first(tasks)
+    assert sorted(map(repr, order)) == sorted(map(repr, tasks))
+    npos = sum(check == "check_poset_identities" for _s, check, _kw in tasks)
+    head, tail = order[:npos], order[npos:]
+    assert all(check == "check_poset_identities" for _s, check, _kw in head)
+    sizes = [sum(1 for _ in sv_linear_extensions(kw["poset"], kw["k"])) for *_r, kw in head]
+    assert sizes == sorted(sizes, reverse=True)
+    assert tail == [t for t in tasks if t[1] != "check_poset_identities"]
+
+
 def test_reports():
     tasks = [("counts", "check_union_count", {"n": 4})]
     results = run_tasks(tasks, threads=1)
     assert results and all(isinstance(r, CheckResult) for r in results)
-    d = report_dict(results, threads=1)
+    d = report_dict(results, threads=1, wall_seconds=0.25, budget="desk")
     assert d["failed"] == 0 and d["passed"] == d["checks"] == len(results)
+    assert (d["threads"], d["wall_seconds"], d["budget"]) == (1, 0.25, "desk")
     text = report_text(results)
     assert "PASS" in text and text.strip().endswith("0 failed")
 
@@ -96,7 +119,14 @@ def test_failure_reporting_shape():
 # so planting a bug on one side fails exactly the rows that read that side
 
 VEE_K2 = ("vee", dict(catalog())["vee"], 2)
-ROW_NAMES = ("weight sum", "weights", "routes", "expectation", "roundtrips")
+ROW_NAMES = (
+    "weight sum",
+    "weights",
+    "routes",
+    "comaj tally",
+    "expectation",
+    "roundtrips",
+)
 
 
 def _failing(rows):
@@ -148,6 +178,13 @@ def _plant_multichain(monkeypatch):
     )
 
 
+def _plant_comaj_dp(monkeypatch):
+    real = svtab.verify._comaj_walk
+    monkeypatch.setattr(
+        svtab.verify, "_comaj_walk", lambda p, s, t: real(p, s, t) + QPoly([1])
+    )
+
+
 def _plant_codec(monkeypatch):
     real = svtab.verify.decompose_extension
     monkeypatch.setattr(svtab.verify, "decompose_extension", _previous_triple(real))
@@ -156,8 +193,9 @@ def _plant_codec(monkeypatch):
 PLANTS = [
     (_plant_weight_sum, {"weight sum"}),
     (_plant_weights, {"weights"}),
-    (_plant_walker, {"routes", "expectation"}),
+    (_plant_walker, {"routes", "comaj tally"}),
     (_plant_multichain, {"expectation"}),
+    (_plant_comaj_dp, {"expectation", "comaj tally"}),
     (_plant_codec, {"roundtrips"}),
 ]
 
@@ -187,7 +225,7 @@ print(json.dumps([(r.instance, r.status, r.expected) for r in results]))
 _DROP_SCRIPT = """
 import json
 import svtab.verify as v
-from svtab.posets import catalog
+from svtab.posets import catalog, sv_linear_extensions
 
 real = v.sv_linear_extensions
 
@@ -204,7 +242,7 @@ v.sv_linear_extensions = dropped
 _MISCOMPOSE_SCRIPT = """
 import json
 import svtab.verify as v
-from svtab.posets import catalog
+from svtab.posets import catalog, sv_linear_extensions
 
 real = v.compose_extension
 
@@ -235,8 +273,28 @@ def _run_vee_k1(script, flags):
 def test_dropped_object_gives_fail_row_not_exception(flags):
     status = _run_vee_k1(_DROP_SCRIPT, flags)
     assert status["vee,k=1 routes"] == "fail"
-    assert status["vee,k=1 expectation"] == "fail"
+    assert status["vee,k=1 comaj tally"] == "fail"
+    assert status["vee,k=1 expectation"] == "pass"
     assert status["vee,k=1 weight sum"] == "pass"
+
+
+# a wrong constant coefficient in the comajor DP
+_COMAJ_DP_SCRIPT = """
+import json
+import svtab.verify as v
+from svtab.posets import catalog, sv_linear_extensions
+from svtab.rings import QPoly
+
+real = v._comaj_walk
+v._comaj_walk = lambda preds, succs, total: real(preds, succs, total) + QPoly([1])
+""" + _VEE_K1_RUN
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_wrong_comaj_dp_fails_its_two_rows(flags):
+    status = _run_vee_k1(_COMAJ_DP_SCRIPT, flags)
+    failed = {inst for inst, st in status.items() if st == "fail"}
+    assert failed == {"vee,k=1 comaj tally", "vee,k=1 expectation"}
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
