@@ -8,7 +8,9 @@ functions take and return immutable values and never mutate their arguments.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import (
     ColoredPath,
@@ -69,18 +71,17 @@ def perm_from_tableau(t: SetValuedTableau) -> Permutation:
     the top-row entries.
     """
     validate_svsyt(t)
-    b = _require_two_row_rectangular(t)
+    _require_two_row_rectangular(t)
     n = t.nentries
     assert n >= 2
-    top = [list(t.cell(1, j)) for j in range(1, b + 1)]
-    bot = [list(t.cell(2, j)) for j in range(1, b + 1)]
+    top, bot = t.rows
     assert bot[-1][-1] == n, "largest entry must be in the bottom-right cell"
-    bot[-1].pop()
-    word = []
-    for j in range(b):
-        word.extend(top[j][:-1])
-        word.extend(bot[j])
-        word.append(top[j][-1])
+    word: list[int] = []
+    for above, below in zip(top, bot):
+        word.extend(above[:-1])
+        word.extend(below)
+        word.append(above[-1])
+    del word[-2]  # n, which the last column read just before its top maximum
     return Permutation(tuple(word))
 
 
@@ -289,32 +290,22 @@ class Triple:
         )
 
 
-def _peel(blocks: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
-    """Cut-and-pick decomposition of per-element entry lists (consumed).
+def _peel(blocks: Sequence[Sequence[int]]) -> tuple[list[int], list[int], list[int]]:
+    """Cut-and-pick decomposition of per-element entry lists; inverse of ``_insert``.
 
-    Each list holds one element's entries in increasing order.  Stage i (from
-    k down to 1) removes the largest non-minimal entry e, which is the maximum
-    of its list; that element is pick i and the cut is e - i.  Remaining
-    entries above e close ranks.  Returns the entry every element keeps, the
-    cuts and the picks (as list indices).
+    Each block holds one element's entries in increasing order, and the
+    blocks partition 1..n+k.  In closed form: let x_1 < ... < x_k be the
+    non-minimal entries.  Then cut i is x_i - i and pick i is the block of
+    x_i, and every element keeps its minimal entry v shifted down to
+    v - #{j : x_j < v}.  As x_1 > 1 and the x_i are distinct, the cuts weakly
+    increase and are >= 1.  Returns the kept entries, the cuts and the picks
+    (as block indices).
     """
-    k = sum(len(b) for b in blocks) - len(blocks)
-    cuts = [0] * k
-    picks = [0] * k
-    for i in range(k, 0, -1):
-        best = where = 0
-        for x, b in enumerate(blocks):
-            if len(b) > 1 and b[-1] > best:
-                best, where = b[-1], x
-        cuts[i - 1] = best - i
-        picks[i - 1] = where
-        blocks[where].pop()
-        for b in blocks:
-            for a, e in enumerate(b):
-                if e > best:
-                    b[a] = e - 1
-    assert all(c >= 1 for c in cuts) and cuts == sorted(cuts), cuts
-    return [b[0] for b in blocks], cuts, picks
+    extras = sorted((e, x) for x, b in enumerate(blocks) for e in b[1:])
+    xs = [e for e, _ in extras]
+    cuts = [e - i for i, e in enumerate(xs, start=1)]
+    picks = [x for _, x in extras]
+    return [b[0] - bisect_left(xs, b[0]) for b in blocks], cuts, picks
 
 
 def _insert(
@@ -371,7 +362,7 @@ def decompose(t: SetValuedTableau) -> Triple:
     """
     validate_svsyt(t)
     cells = t.shape.cells()
-    base, cuts, picks = _peel([list(entries) for _, entries in t.cells()])
+    base, cuts, picks = _peel(list(chain.from_iterable(t.rows)))
     out = _repack(t.shape, tuple((v,) for v in base))
     return Triple(out, tuple(cuts), tuple(cells[x] for x in picks))
 

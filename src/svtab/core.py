@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Rational  # exact rationals, gcd-reduced by stdlib
+from itertools import chain
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -117,9 +118,9 @@ class Partition:
     def __post_init__(self):
         ps = tuple(self.parts)
         object.__setattr__(self, "parts", ps)
-        if any(p <= 0 for p in ps):
+        if ps and min(ps) <= 0:
             raise InvalidShape(f"parts must be positive: {ps}")
-        if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):
+        if list(ps) != sorted(ps, reverse=True):
             raise InvalidShape(f"parts must weakly decrease: {ps}")
 
     @property
@@ -160,9 +161,8 @@ class SkewShape:
     def __post_init__(self):
         if len(self.inner) > len(self.outer):
             raise InvalidShape("inner partition has more rows than outer")
-        for r in range(1, len(self.inner) + 1):
-            if self.inner.part(r) > self.outer.part(r):
-                raise InvalidShape("inner partition not contained in outer")
+        if any(i > o for i, o in zip(self.inner.parts, self.outer.parts)):
+            raise InvalidShape("inner partition not contained in outer")
 
     @property
     def is_straight(self) -> bool:
@@ -203,9 +203,8 @@ class SetValuedTableau:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Sequence[int]]], inner=()) -> "SetValuedTableau":
         inner_p = _as_partition(inner)
-        outer = Partition(
-            tuple(inner_p.part(r + 1) + len(row) for r, row in enumerate(rows))
-        )
+        offs = inner_p.parts + (0,) * len(rows)
+        outer = Partition(tuple(off + len(row) for off, row in zip(offs, rows)))
         shape = SkewShape(outer, inner_p)
         packed = tuple(
             tuple(tuple(sorted(cell)) for cell in row) for row in rows
@@ -219,10 +218,11 @@ class SetValuedTableau:
 
     def cells(self) -> Iterator[tuple[tuple[int, int], tuple[int, ...]]]:
         """Yield ((r, c), entries) in row-major order."""
+        inner = self.shape.inner.parts
         for r, row in enumerate(self.rows, start=1):
-            off = self.shape.inner.part(r)
-            for j, entries in enumerate(row):
-                yield (r, off + j + 1), entries
+            off = inner[r - 1] if r <= len(inner) else 0
+            for c, entries in enumerate(row, start=off + 1):
+                yield (r, c), entries
 
     @property
     def ncells(self) -> int:
@@ -230,7 +230,7 @@ class SetValuedTableau:
 
     @property
     def nentries(self) -> int:
-        return sum(len(cell) for row in self.rows for cell in row)
+        return sum(map(len, chain.from_iterable(self.rows)))
 
     @property
     def extras(self) -> int:
@@ -261,36 +261,61 @@ class SetValuedTableau:
 
 
 def validate_svsyt(t: SetValuedTableau) -> int:
-    """Full validation; returns k (number of extra entries).
+    """Full validation in one pass over the rows; returns k (number of extra entries).
 
-    Checks: nonempty cells, entries partition {1..n+k}, and the weak-northwest
-    order condition.  Right- and down-neighbor checks suffice: any weakly
-    northwest pair is connected by a staircase of such neighbor steps inside
-    the diagram, and max(cell) < min(next cell) chains transitively.
+    Checks: the rows match the shape (their number and each one's length),
+    nonempty cells, entries partition {1..n+k}, and the weak-northwest order
+    condition.  Right- and down-neighbor checks suffice: any weakly northwest
+    pair is connected by a staircase of such neighbor steps inside the
+    diagram, and max(cell) < min(next cell) chains transitively.  The cell
+    checks come first in row-major order, then the partition check, then the
+    order checks in row-major order (right neighbor before down neighbor).
     """
-    if t.shape.ncells == 0:
+    shape = t.shape
+    ncells = shape.ncells
+    if ncells == 0:
         raise InvalidShape("empty shape")
+    rows = t.rows
+    outer = shape.outer.parts
+    if len(rows) != len(outer):
+        raise InvalidShape(f"{len(rows)} rows for a shape of {len(outer)} rows")
+    offs = shape.inner.parts + (0,) * (len(outer) - len(shape.inner))
     seen: list[int] = []
-    for pos, entries in t.cells():
-        if not entries:
-            raise EmptyCell(f"cell {pos} is empty")
-        if list(entries) != sorted(set(entries)):
-            raise NotAPartitionOfRange(f"cell {pos} entries not strictly sorted: {entries}")
-        seen.extend(entries)
+    for r, (row, off, end) in enumerate(zip(rows, offs, outer), start=1):
+        if len(row) != end - off:
+            raise InvalidShape(
+                f"row {r} has {len(row)} cells where the shape has {end - off}"
+            )
+        for c, entries in enumerate(row, start=off + 1):
+            if len(entries) != 1:
+                if not entries:
+                    raise EmptyCell(f"cell {(r, c)} is empty")
+                if list(entries) != sorted(set(entries)):
+                    raise NotAPartitionOfRange(
+                        f"cell {(r, c)} entries not strictly sorted: {entries}"
+                    )
+        seen.extend(chain.from_iterable(row))
     m = len(seen)
     if sorted(seen) != list(range(1, m + 1)):
         raise NotAPartitionOfRange(
             f"entries do not partition 1..{m}: {sorted(seen)}"
         )
-    for (r, c), entries in t.cells():
-        for nr, nc in ((r, c + 1), (r + 1, c)):
-            if t.shape.contains(nr, nc):
-                nxt = t.cell(nr, nc)
-                if entries[-1] >= nxt[0]:
-                    raise OrderViolation(
-                        f"max{entries} at {(r, c)} not below min{nxt} at {(nr, nc)}"
-                    )
-    return m - t.shape.ncells
+    for r, (row, off) in enumerate(zip(rows, offs), start=1):
+        below, boff = (rows[r], offs[r]) if r < len(rows) else ((), 0)
+        end, bend = off + len(row), boff + len(below)
+        for c, entries in enumerate(row, start=off + 1):
+            top = entries[-1]
+            if c < end and top >= row[c - off][0]:
+                raise OrderViolation(
+                    f"max{entries} at {(r, c)} not below"
+                    f" min{row[c - off]} at {(r, c + 1)}"
+                )
+            if boff < c <= bend and top >= below[c - 1 - boff][0]:
+                raise OrderViolation(
+                    f"max{entries} at {(r, c)} not below"
+                    f" min{below[c - 1 - boff]} at {(r + 1, c)}"
+                )
+    return m - ncells
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,7 @@ def _walk(preds: list[int], succs: list[int], total: int) -> Iterator[tuple[tupl
 
     def rec(e: int, ideal: int, nopen: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         if e > total:
-            yield tuple(tuple(c) for c in cells)
+            yield tuple(map(tuple, cells))
             return
         left = total - e
         for i in range(ncells):
@@ -187,12 +187,14 @@ def _comaj_walk(preds: list[int], succs: list[int], total: int) -> QPoly:
 
 
 def _repack(shape: SkewShape, flat: tuple[tuple[int, ...], ...]) -> SetValuedTableau:
+    """The tableau of the shape whose cells, in row-major order, hold ``flat``."""
+    inner = shape.inner.parts
     rows = []
     i = 0
-    for r in range(1, shape.outer.nrows + 1):
-        w = len(shape.row_span(r))
-        rows.append(tuple(flat[i : i + w]))
-        i += w
+    for r, end in enumerate(shape.outer.parts):
+        j = i + end - (inner[r] if r < len(inner) else 0)
+        rows.append(flat[i:j])
+        i = j
     return SetValuedTableau(shape, tuple(rows))
 
 

@@ -332,7 +332,7 @@ def decompose_extension(
     Returns (ext, cuts, picks) with compose_extension as exact inverse; the
     codec is ``biject._peel``, shared with ``biject.decompose``.
     """
-    times, cuts, picks = _peel([list(b) for b in s.blocks])
+    times, cuts, picks = _peel(s.blocks)
     ext = [0] * s.poset.n
     for x, time in enumerate(times, start=1):
         ext[time - 1] = x

@@ -480,16 +480,13 @@ ROUNDTRIP_CAP = 20000  # roundtrips per (poset, k); other rows see every object
 
 
 def _entry_word(s: SetValuedLinearExtension) -> bytes:
-    """Byte j-1 is the label of the element holding entry j (labels <= 255).
+    """The block lengths, then the blocks' entries in order, as bytes (values <= 255).
 
-    The blocks are the preimages of the word, so it is a key that tells apart
-    every set-valued extension of one poset.
+    The poset fixes the number of blocks, so the lengths split the entries
+    back into the blocks: it is a key that tells apart every set-valued
+    extension of one poset.
     """
-    word = bytearray(s.nentries)
-    for x, block in enumerate(s.blocks, start=1):
-        for e in block:
-            word[e - 1] = x
-    return bytes(word)
+    return bytes(map(len, s.blocks)) + bytes(itertools.chain.from_iterable(s.blocks))
 
 
 def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:

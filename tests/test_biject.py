@@ -6,6 +6,7 @@ import pytest
 
 from svtab.biject import (
     Triple,
+    _peel,
     ballot_path_from_tableau,
     compose,
     contract_path,
@@ -35,6 +36,7 @@ from svtab.core import (
     validate_svsyt,
 )
 from svtab.enumerate import gen_ballotlike, gen_paths, gen_svsyt, gen_two_row_union
+from svtab.posets import catalog, sv_linear_extensions
 from svtab.stats import inner_valleys, rl_minima
 
 
@@ -244,6 +246,39 @@ class TestTriples:
                     assert compose(tr) == t
                     assert len(tr.cuts) == k
                     assert len(tr.picks) == k
+
+    def test_peel_matches_the_stage_loop(self):
+        # reference: stage i = k..1 pops the largest non-minimal entry e, whose
+        # block is pick i and whose cut is e - i, and shifts larger entries down
+        def stage_loop(blocks):
+            blocks = [list(b) for b in blocks]
+            k = sum(map(len, blocks)) - len(blocks)
+            cuts, picks = [0] * k, [0] * k
+            for i in range(k, 0, -1):
+                e, x = max((b[-1], x) for x, b in enumerate(blocks) if len(b) > 1)
+                cuts[i - 1], picks[i - 1] = e - i, x
+                blocks[x].pop()
+                blocks = [[v - (v > e) for v in b] for b in blocks]
+            return [b[0] for b in blocks], cuts, picks
+
+        inputs = [
+            [cell for row in t.rows for cell in row]
+            for n in range(2, 10)
+            for t in gen_two_row_union(n)
+        ]
+        for _name, poset in catalog():
+            if poset.n <= 4:
+                for k in (0, 1, 2):
+                    inputs.extend(s.blocks for s in sv_linear_extensions(poset, k))
+        assert len(inputs) > 2055
+        for blocks in inputs:
+            assert _peel(blocks) == stage_loop(blocks)
+
+    def test_peel_cuts_weakly_increase_from_one(self):
+        for n in range(2, 10):
+            for t in gen_two_row_union(n):
+                _base, cuts, _picks = _peel([cell for row in t.rows for cell in row])
+                assert cuts == sorted(cuts) and all(c >= 1 for c in cuts)
 
     def test_compose_example_and_error(self):
         base = _rows([[1], [2]], [[3], [4]])

@@ -1,9 +1,10 @@
 """Core object model: shapes, tableaux, permutations, colored paths."""
 
 import itertools
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from svtab.core import (
@@ -19,6 +20,7 @@ from svtab.core import (
     Permutation,
     SetValuedTableau,
     SkewShape,
+    SvtabError,
     path_family,
     validate_svsyt,
 )
@@ -97,6 +99,141 @@ class TestSetValuedTableau:
         # column order
         with pytest.raises(OrderViolation):
             validate_svsyt(SetValuedTableau.from_rows([[[2], [3]], [[1], [4]]]))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            (((1,), (2,), (3,)),),  # a row longer than the shape's
+            (((1,), (2,)), ((3,),)),  # a row below the shape
+            (((1,),),),  # a row shorter than the shape's
+        ],
+    )
+    def test_rows_must_match_the_shape(self, rows, raised_under_O):
+        t = SetValuedTableau(SkewShape(Partition((2,))), rows)
+        with pytest.raises(InvalidShape):
+            validate_svsyt(t)
+        call = (
+            "svtab.core.validate_svsyt(svtab.core.SetValuedTableau("
+            f"svtab.core.SkewShape(svtab.core.Partition((2,))), {rows!r}))"
+        )
+        assert raised_under_O(call) == "InvalidShape"
+
+
+def _validate_svsyt_by_cell(t: SetValuedTableau) -> int:
+    """Reference: the cell-by-cell validator that the one-pass one replaced."""
+    if t.shape.ncells == 0:
+        raise InvalidShape("empty shape")
+    seen: list[int] = []
+    for pos, entries in t.cells():
+        if not entries:
+            raise EmptyCell(f"cell {pos} is empty")
+        if list(entries) != sorted(set(entries)):
+            raise NotAPartitionOfRange(f"cell {pos} entries not strictly sorted: {entries}")
+        seen.extend(entries)
+    m = len(seen)
+    if sorted(seen) != list(range(1, m + 1)):
+        raise NotAPartitionOfRange(
+            f"entries do not partition 1..{m}: {sorted(seen)}"
+        )
+    for (r, c), entries in t.cells():
+        for nr, nc in ((r, c + 1), (r + 1, c)):
+            if t.shape.contains(nr, nc):
+                nxt = t.cell(nr, nc)
+                if entries[-1] >= nxt[0]:
+                    raise OrderViolation(
+                        f"max{entries} at {(r, c)} not below min{nxt} at {(nr, nc)}"
+                    )
+    return m - t.shape.ncells
+
+
+@st.composite
+def _fillings(draw) -> SetValuedTableau:
+    """A filling of a random straight or skew shape whose rows match the shape.
+
+    Half the fillings draw each cell as a short list of small integers (empty
+    cells, duplicates, unsorted cells, gaps).  The rest split 1..n+k into
+    sorted cells, in row-major order or shuffled, and may then swap two
+    entries between cells, so that every row and column order violation and
+    the valid fillings all occur.
+    """
+    parts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    outer = sorted(parts, reverse=True)
+    inner: list[int] = []
+    for part in outer:
+        inner.append(draw(st.integers(0, min([part, *inner[-1:]]))))
+    widths = [o - i for o, i in zip(outer, inner)]
+    shape = SkewShape(Partition(tuple(outer)), Partition(tuple(p for p in inner if p)))
+    n = sum(widths)
+    if draw(st.booleans()):
+        cells = [
+            tuple(draw(st.lists(st.integers(1, n + 2), max_size=3))) for _ in range(n)
+        ]
+    else:
+        total = n + draw(st.integers(0, 3))
+        entries = list(range(1, total + 1))
+        if draw(st.booleans()):
+            entries = draw(st.permutations(entries))
+        splits = sorted(
+            draw(st.sets(st.integers(1, total - 1), min_size=n - 1, max_size=n - 1))
+            if n > 1
+            else ()
+        )
+        cells = [sorted(entries[a:b]) for a, b in zip([0, *splits], [*splits, total])]
+        if n > 1 and draw(st.booleans()):
+            pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+            i, j = draw(pair)
+            a = draw(st.integers(0, len(cells[i]) - 1))
+            b = draw(st.integers(0, len(cells[j]) - 1))
+            cells[i][a], cells[j][b] = cells[j][b], cells[i][a]
+            cells[i].sort()
+            cells[j].sort()
+        cells = [tuple(c) for c in cells]
+    rows, at = [], 0
+    for w in widths:
+        rows.append(tuple(cells[at : at + w]))
+        at += w
+    return SetValuedTableau(shape, tuple(rows))
+
+
+def _outcome(validate, t):
+    try:
+        return validate(t)
+    except SvtabError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_fillings())
+def test_one_pass_validation_matches_the_cell_by_cell_reference(t):
+    assert _outcome(validate_svsyt, t) == _outcome(_validate_svsyt_by_cell, t)
+
+
+def _outcome_kind(t) -> str:
+    got = _outcome(_validate_svsyt_by_cell, t)
+    if isinstance(got, int):
+        return "valid"
+    _cls, msg = got
+    for kind in ("empty shape", "is empty", "not strictly sorted", "do not partition"):
+        if kind in msg:
+            return kind
+    above, below = re.findall(r"at \((\d+),", msg)  # the rows of the two cells
+    return "row order" if above == below else "column order"
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "valid",
+        "empty shape",
+        "is empty",
+        "not strictly sorted",
+        "do not partition",
+        "row order",
+        "column order",
+    ],
+)
+def test_fillings_reach_every_outcome(kind):
+    find(_fillings(), lambda t: _outcome_kind(t) == kind)
 
 
 class TestPermutation:
