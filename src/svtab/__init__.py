@@ -76,7 +76,6 @@ from .series import (
     solve_E,
 )
 from .posets import (
-    Multichain,
     Poset,
     SetValuedLinearExtension,
     antichain,

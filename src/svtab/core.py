@@ -397,42 +397,30 @@ class ColoredPath:
     def final_height(self) -> int:
         return self.word.count("U") - self.word.count("D")
 
-    def has_low_level_first_color(self) -> bool:
-        """True if some u step sits at height 0 (violates restriction (1))."""
-        h = 0
-        for ch in self.word:
-            if ch == "u" and h == 0:
-                return True
-            if ch == "U":
-                h += 1
-            elif ch == "D":
-                h -= 1
-        return False
-
-    def has_early_second_color(self) -> bool:
-        """True if some d step precedes every earlier D (violates restriction (2)).
-
-        A d with no D anywhere before it counts, including paths with no D at all.
-        """
-        seen_D = False
-        for ch in self.word:
-            if ch == "D":
-                seen_D = True
-            elif ch == "d" and not seen_D:
-                return True
-        return False
-
 
 def path_family(p: ColoredPath) -> frozenset[str]:
-    """Family tags of a path.
+    """Family tags of a path, from one scan of its word.
 
-    The four motz families additionally require final height 0; ballotlike
-    means both restrictions hold, with any final height.
+    Restriction (1) forbids a u step at height 0, and restriction (2) a d step
+    with no D anywhere before it.  The four motz families additionally require
+    final height 0; ballotlike means both restrictions hold, with any final
+    height.
     """
-    r1 = not p.has_low_level_first_color()
-    r2 = not p.has_early_second_color()
+    r1 = r2 = True
+    h = 0
+    seen_D = False
+    for ch in p.word:
+        if ch == "U":
+            h += 1
+        elif ch == "D":
+            h -= 1
+            seen_D = True
+        elif ch == "u" and h == 0:
+            r1 = False
+        elif ch == "d" and not seen_D:
+            r2 = False
     tags = set()
-    if p.final_height == 0:
+    if h == 0:
         tags.add("motz")
         if r1:
             tags.add("motzE")

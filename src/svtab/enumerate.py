@@ -12,12 +12,16 @@ a valid object and the enumeration has polynomial delay).  Trying targets in
 index order (row-major for shapes, label order for posets) emits objects in
 lexicographic order of the word that maps each entry to its cell index.
 
-The counts visit no object: ``count_svsyt`` is a dynamic program over the
-walker's states (the open ideal after each entry), and ``count_paths`` one
-over the path walker's states (height and whether a D was seen).  The same
-per-ideal move table drives ``_comaj_walk``, which tallies the walker's
+The move rule is stated once, in the per-ideal move table ``_Moves``, and
+the walker and both ideal DPs read it.  The counts visit no object:
+``count_svsyt`` is a dynamic program over the walker's states (the open ideal
+after each entry), and ``count_paths`` one over the path walker's states
+(height and whether a D was seen).  ``_comaj_walk`` tallies the walker's
 objects by their set-valued comajor index over states that also record the
-cell the last entry opened.
+cell the last entry opened; ``_comaj_split`` further splits the tally by the
+number of entries in a given set of cells.  The set-valued q-Catalan and
+q-Narayana polynomials of ``stats`` come from these DPs, and ``verify`` holds
+the enumeration tally they are checked against.
 """
 
 from __future__ import annotations
@@ -71,119 +75,117 @@ def _cell_masks(shape: SkewShape) -> tuple[list[tuple[int, int]], list[int], lis
     return cells, preds, succs
 
 
-def _walk(preds: list[int], succs: list[int], total: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    ncells = len(preds)
-    cells: list[list[int]] = [[] for _ in range(ncells)]
-
-    def rec(e: int, ideal: int, nopen: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if e > total:
-            yield tuple(map(tuple, cells))
-            return
-        left = total - e
-        for i in range(ncells):
-            bit = 1 << i
-            if ideal & bit:
-                if succs[i] & ideal or left < ncells - nopen:
-                    continue
-                cells[i].append(e)
-                yield from rec(e + 1, ideal, nopen)
-                cells[i].pop()
-            elif preds[i] & ideal == preds[i]:
-                cells[i].append(e)
-                yield from rec(e + 1, ideal | bit, nopen + 1)
-                cells[i].pop()
-
-    return rec(1, 0, 0)
-
-
 class _Moves(dict):
-    """Open ideal -> the walker's moves from it, computed on first lookup.
+    """Open ideal -> the walker's moves from it: the only statement of the rule.
 
-    A value is (opens, stays): opens lists (i, ideal | 1 << i) for every
-    unopened cell i whose lower covers are open, and stays counts the open
-    cells none of whose upper covers is open (the cells that may take an
-    appended entry).
+    A move is (i, ideal after), in cell-index order: an unopened cell i whose
+    lower covers are all open may be opened (ideal | 1 << i), and an open cell
+    i none of whose upper covers is open may take an appended entry (the ideal
+    stays).  An append is legal only while the entries after it can still
+    open every unopened cell, so every walk ends in a valid filling.
     """
 
     def __init__(self, preds: list[int], succs: list[int]):
         super().__init__()
         self.preds, self.succs = preds, succs
 
-    def __missing__(self, ideal: int) -> tuple[list[tuple[int, int]], int]:
-        preds, succs = self.preds, self.succs
-        opens = [
-            (i, ideal | 1 << i)
-            for i in range(len(preds))
-            if not ideal >> i & 1 and preds[i] & ideal == preds[i]
-        ]
-        stays = sum(
-            1 for i in range(len(preds)) if ideal >> i & 1 and not succs[i] & ideal
-        )
-        self[ideal] = opens, stays
-        return opens, stays
+    def __missing__(self, ideal: int) -> tuple[int, list, list]:
+        moves = []
+        for i, (pred, succ) in enumerate(zip(self.preds, self.succs)):
+            if ideal >> i & 1:
+                if not succ & ideal:
+                    moves.append((i, ideal))
+            elif pred & ideal == pred:
+                moves.append((i, ideal | 1 << i))
+        unopened = len(self.preds) - ideal.bit_count()
+        self[ideal] = value = unopened, moves, [m for m in moves if m[1] != ideal]
+        return value
+
+    def legal(self, ideal: int, left: int) -> list[tuple[int, int]]:
+        """The legal moves from the ideal when ``left`` entries follow this one."""
+        unopened, moves, opens = self[ideal]
+        return moves if left >= unopened else opens
+
+
+def _walk(preds: list[int], succs: list[int], total: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every filling of the cells by entries 1..total, as per-cell entry tuples."""
+    moves = _Moves(preds, succs)
+    cells: list[list[int]] = [[] for _ in preds]
+
+    def rec(e: int, ideal: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if e > total:
+            yield tuple(map(tuple, cells))
+            return
+        for i, up in moves.legal(ideal, total - e):
+            cells[i].append(e)
+            yield from rec(e + 1, up)
+            cells[i].pop()
+
+    return rec(1, 0)
 
 
 def _count_walk(preds: list[int], succs: list[int], total: int) -> int:
     """The number of leaves of ``_walk``, without visiting them.
 
     The subtree below a node of the walk depends only on the next entry and
-    the ideal of open cells (whose popcount is the open-cell count), so the
-    leaves are counted one entry at a time over the reachable ideals.  Every
-    legal append keeps the ideal, so the appends from a node count as one
-    transition weighted by the number of cells that may take the entry.
+    the ideal of open cells, so the leaves are counted one entry at a time
+    over the reachable ideals.
     """
-    ncells = len(preds)
     moves = _Moves(preds, succs)
     layer = {0: 1}
     for e in range(1, total + 1):
-        left = total - e
         nxt: dict[int, int] = {}
         for ideal, ways in layer.items():
-            opens, stays = moves[ideal]
-            for _i, up in opens:
+            for _i, up in moves.legal(ideal, total - e):
                 nxt[up] = nxt.get(up, 0) + ways
-            if stays and left >= ncells - ideal.bit_count():
-                nxt[ideal] = nxt.get(ideal, 0) + ways * stays
         layer = nxt
     return sum(layer.values())
 
 
-def _add_shifted(into: dict[int, int], tally: dict[int, int], shift: int, ways: int):
-    """Add ways times the tally, every exponent raised by shift, into ``into``."""
+def _add_shifted(into: dict[int, int], tally: dict[int, int], shift: int):
+    """Add the tally, every exponent raised by shift, into ``into``."""
     for c, n in tally.items():
-        into[c + shift] = into.get(c + shift, 0) + n * ways
+        into[c + shift] = into.get(c + shift, 0) + n
+
+
+def _comaj_split(preds: list[int], succs: list[int], total: int, marked: int) -> dict[int, QPoly]:
+    """j -> the comajor tally of ``_walk``'s leaves with j entries in the
+    cells of the bitmask ``marked``, without visiting the leaves.
+
+    Cells are labeled by index.  A descent j adds total - j to
+    ``comaj_plus_k``, and the move that places entry j or j + 1 settles it:
+    an appended entry e is a descent (total - e), and an entry e that opens
+    cell i makes e - 1 a descent (total - e + 1) when e - 1 opened a cell of
+    larger index.  So ``_count_walk``'s state gains the cell the last entry
+    opened (-1 after an append and before entry 1) and the marked count, and
+    each state holds a tally {comaj so far: leaves}.
+    """
+    moves = _Moves(preds, succs)
+    layer: dict[tuple[int, int, int], dict[int, int]] = {(0, -1, 0): {0: 1}}
+    for e in range(1, total + 1):
+        left = total - e
+        nxt: dict[tuple[int, int, int], dict[int, int]] = {}
+        for (ideal, last, marks), tally in layer.items():
+            for i, up in moves.legal(ideal, left):
+                j = marks + (marked >> i & 1)
+                if up == ideal:
+                    _add_shifted(nxt.setdefault((up, -1, j), {}), tally, left)
+                else:
+                    shift = left + 1 if i < last else 0
+                    _add_shifted(nxt.setdefault((up, i, j), {}), tally, shift)
+        layer = nxt
+    out: dict[int, dict[int, int]] = {}
+    for (_ideal, _last, marks), tally in layer.items():
+        _add_shifted(out.setdefault(marks, {}), tally, 0)
+    return {
+        marks: QPoly([tally.get(c, 0) for c in range(max(tally) + 1)])
+        for marks, tally in sorted(out.items())
+    }
 
 
 def _comaj_walk(preds: list[int], succs: list[int], total: int) -> QPoly:
-    """The comajor tally of ``_walk``'s leaves, without visiting them.
-
-    The coefficient of q^c is the number of leaves whose ``comaj_plus_k`` is
-    c, with cells labeled by index.  A descent j contributes total - j, and
-    each is settled by the move that places entry j or j + 1: an appended
-    entry e is a descent (total - e), and an entry e that opens cell i makes
-    e - 1 a descent (total - e + 1) when e - 1 opened a cell of larger index.
-    So ``_count_walk``'s state gains the index of the cell the last entry
-    opened, or -1 after an append (and before entry 1), and each state holds
-    a tally {comaj so far: leaves}.
-    """
-    ncells = len(preds)
-    moves = _Moves(preds, succs)
-    layer: dict[tuple[int, int], dict[int, int]] = {(0, -1): {0: 1}}
-    for e in range(1, total + 1):
-        left = total - e
-        nxt: dict[tuple[int, int], dict[int, int]] = {}
-        for (ideal, last), tally in layer.items():
-            opens, stays = moves[ideal]
-            for i, up in opens:
-                shift = total - e + 1 if i < last else 0
-                _add_shifted(nxt.setdefault((up, i), {}), tally, shift, 1)
-            if stays and left >= ncells - ideal.bit_count():
-                _add_shifted(nxt.setdefault((ideal, -1), {}), tally, total - e, stays)
-        layer = nxt
-    out: dict[int, int] = {}
-    for tally in layer.values():
-        _add_shifted(out, tally, 0, 1)
-    return QPoly([out.get(c, 0) for c in range(max(out, default=0) + 1)])
+    """The comajor tally of ``_walk``'s leaves (``_comaj_split`` unmarked)."""
+    return _comaj_split(preds, succs, total, 0).get(0, QPoly.zero())
 
 
 def _repack(shape: SkewShape, flat: tuple[tuple[int, ...], ...]) -> SetValuedTableau:

@@ -35,13 +35,11 @@ __all__ = [
     "NotNaturallyLabeled",
     "Poset",
     "SetValuedLinearExtension",
-    "Multichain",
     "chain",
     "antichain",
     "young_diagram",
     "relabel",
     "linear_extensions",
-    "order_ideals",
     "descent_positions",
     "comaj",
     "sv_linear_extensions",
@@ -103,17 +101,6 @@ class Poset:
         return up
 
     @cached_property
-    def below(self) -> dict[int, frozenset[int]]:
-        down: dict[int, set[int]] = {x: set() for x in self.elements}
-        for x, ups in self.above.items():
-            for y in ups:
-                down[y].add(x)
-        return {x: frozenset(s) for x, s in down.items()}
-
-    def less(self, a: int, b: int) -> bool:
-        return b in self.above[a]
-
-    @cached_property
     def _cover_map(self) -> dict[int, tuple[int, ...]]:
         out = {}
         for x in self.elements:
@@ -152,10 +139,6 @@ class Poset:
     def natural(self) -> bool:
         """Always true: construction rejects label-decreasing edges."""
         return all(a < b for a, b in self.covers)
-
-    def is_ideal(self, members) -> bool:
-        s = frozenset(members)
-        return all(self.below[x] <= s for x in s)
 
 
 def chain(n: int) -> Poset:
@@ -204,16 +187,6 @@ def linear_extensions(poset: Poset):
         for x, (time,) in enumerate(blocks, start=1):
             ext[time - 1] = x
         yield tuple(ext)
-
-
-def order_ideals(poset: Poset):
-    """All order ideals as frozensets (small posets only)."""
-    if poset.n > 16:
-        raise OutOfRange(f"order_ideals scans 2^n subsets; need n <= 16, got {poset.n}")
-    for bits in range(1 << poset.n):
-        members = frozenset(x for x in poset.elements if bits >> (x - 1) & 1)
-        if poset.is_ideal(members):
-            yield members
 
 
 def descent_positions(ext: tuple[int, ...]) -> frozenset[int]:
@@ -276,25 +249,6 @@ class SetValuedLinearExtension:
         return " ".join(
             f"{x}:{{{','.join(map(str, b))}}}" for x, b in self.labeled_blocks()
         )
-
-
-@dataclass(frozen=True)
-class Multichain:
-    """Weakly increasing sequence of order ideals of one poset."""
-
-    poset: Poset
-    ideals: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "ideals", tuple(frozenset(i) for i in self.ideals)
-        )
-        for i in self.ideals:
-            if not self.poset.is_ideal(i):
-                raise OrderViolation(f"{sorted(i)} is not downward closed")
-        for a, b in zip(self.ideals, self.ideals[1:]):
-            if not a <= b:
-                raise OrderViolation("ideals must weakly increase")
 
 
 def compose_extension(

@@ -4,19 +4,26 @@ The descent machinery uses the natural row-major labeling of a shape's cells;
 an entry j is a natural descent when j+1 lives at a smaller label (and both
 survive the removal of the non-minimal entries), or when j itself is one of
 the non-minimal entries.
+
+The set-valued q-Catalan and q-Narayana polynomials come from the comajor
+ideal DP of ``enumerate`` over the two-row rectangles, without building a
+tableau; the enumeration tally they must equal is an oracle in ``verify``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
+from itertools import chain
 
 from .core import (
+    NotInFamily,
     OutOfRange,
     Permutation,
     SetValuedTableau,
     validate_svsyt,
 )
-from .enumerate import gen_two_row_union
+from .enumerate import _cell_masks, _comaj_split, _comaj_walk, _two_row_shapes, as_skew
 from .rings import QPoly
 
 __all__ = [
@@ -110,46 +117,55 @@ def dyck_type(t: SetValuedTableau) -> tuple[int, tuple[int, ...], dict[int, int]
 
     m is the number of top-row elements a_1 < ... < a_m; the composition lists
     consecutive gaps with the total entry count appended as sentinel, so it
-    sums to n-1.
+    sums to n-1.  The top row must hold entry 1.
     """
     validate_svsyt(t)
     n = t.nentries
-    tops = sorted(
-        e for (r, _c), entries in t.cells() if r == 1 for e in entries
-    )
-    assert tops and tops[0] == 1
+    tops = sorted(chain.from_iterable(t.rows[0]))
+    if not tops or tops[0] != 1:
+        raise NotInFamily(f"entry 1 is not in the top row of {t}")
     m = len(tops)
     comp = tuple(
         (tops[i + 1] if i + 1 < m else n) - tops[i] for i in range(m)
     )
-    assert sum(comp) == n - 1
     return m, comp, dict(Counter(comp))
 
 
-def _tally(polys: Counter) -> QPoly:
-    top = max(polys) if polys else 0
-    return QPoly([polys.get(e, 0) for e in range(top + 1)])
-
-
 def set_valued_q_catalan(n: int) -> QPoly:
-    """Comajor-index generating polynomial over the (n+1)-entry two-row union."""
+    """Comajor-index generating polynomial over the (n+1)-entry two-row union.
+
+    The comajor ideal DP summed over the 2-by-b rectangles; no tableau is built.
+    """
     if n < 1:
         raise OutOfRange(f"need n >= 1, got {n}")
-    tally: Counter = Counter()
-    for t in gen_two_row_union(n + 1):
-        tally[comaj_plus_k(t)] += 1
-    return _tally(tally)
+    total = QPoly.zero()
+    for lam in _two_row_shapes(n + 1):
+        _, preds, succs = _cell_masks(as_skew(lam))
+        total = total + _comaj_walk(preds, succs, n + 1)
+    return total
+
+
+@lru_cache(maxsize=1)
+def _q_narayana_row(n: int) -> dict[int, QPoly]:
+    """m -> q-Narayana(n, m): the same DP, split by the entries in the top row.
+
+    Cells are row-major, so the top row of a 2-by-b rectangle is its first b
+    cells.  Callers go n by n, so the one cached row serves every m of an n.
+    """
+    row: dict[int, QPoly] = {}
+    for lam in _two_row_shapes(n + 1):
+        _, preds, succs = _cell_masks(as_skew(lam))
+        top = (1 << lam.parts[0]) - 1
+        for m, poly in _comaj_split(preds, succs, n + 1, top).items():
+            row[m] = row.get(m, QPoly.zero()) + poly
+    return row
 
 
 def set_valued_q_narayana(n: int, m: int) -> QPoly:
     """Same sum restricted to tableaux with exactly m top-row elements."""
     if n < 1 or not 1 <= m <= n:
         raise OutOfRange(f"need 1 <= m <= n, got {(n, m)}")
-    tally: Counter = Counter()
-    for t in gen_two_row_union(n + 1):
-        if dyck_type(t)[0] == m:
-            tally[comaj_plus_k(t)] += 1
-    return _tally(tally)
+    return _q_narayana_row(n).get(m, QPoly.zero())
 
 
 # ---------------------------------------------------------------------------

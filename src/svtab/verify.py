@@ -41,6 +41,7 @@ from .closedform import (
     f_count,
     kreweras,
     more_shapes_counts,
+    narayana,
     path_family_count,
     peaks_count,
     row_sums,
@@ -457,10 +458,36 @@ def check_q_narayana() -> list[Row]:
 
 
 def check_q_row_sum(n: int) -> list[Row]:
+    """Sum over m of the split DP (q-Narayana) vs the unsplit DP (q-Catalan)."""
     total = QPoly.zero()
     for m in range(1, n + 1):
         total = total + set_valued_q_narayana(n, m)
     return [(f"n={n}", str(set_valued_q_catalan(n)), str(total))]
+
+
+def check_q_oracle(n: int) -> list[Row]:
+    """q-Narayana from the DP vs the comajor tally of the enumerated union, by m."""
+    tallies: dict[int, Counter] = {m: Counter() for m in range(1, n + 1)}
+    for t in gen_two_row_union(n + 1):
+        tallies[dyck_type(t)[0]][comaj_plus_k(t)] += 1
+    rows: list[Row] = []
+    for m, tally in tallies.items():
+        want = QPoly([tally[c] for c in range(max(tally) + 1)])
+        rows.append((f"n={n},m={m}", str(want), str(set_valued_q_narayana(n, m))))
+    return rows
+
+
+def check_q_at_one(catalan_nmax: int, narayana_nmax: int) -> list[Row]:
+    """The q-analogs at q = 1 vs the Catalan and Narayana numbers."""
+    rows = [
+        (f"n={n:02d}", str(catalan(n)), str(set_valued_q_catalan(n)(1)))
+        for n in range(1, catalan_nmax + 1)
+    ]
+    return rows + [
+        (f"n={n:02d},m={m:02d}", str(narayana(n, m)), str(set_valued_q_narayana(n, m)(1)))
+        for n in range(1, narayana_nmax + 1)
+        for m in range(1, n + 1)
+    ]
 
 
 def check_kreweras_types(n: int) -> list[Row]:
@@ -620,6 +647,8 @@ _CHECKS = {
         check_q_catalan,
         check_q_narayana,
         check_q_row_sum,
+        check_q_oracle,
+        check_q_at_one,
         check_kreweras_types,
         check_poset_identities,
         check_pi_permutation,
@@ -721,7 +750,11 @@ def build_tasks(
     if "qstats" in chosen:
         tasks.append(("qstats", "check_q_catalan", {}))
         tasks.append(("qstats", "check_q_narayana", {}))
-        tasks += [("qstats", "check_q_row_sum", {"n": n}) for n in range(1, 7)]
+        # the q-analogs are DPs, so desk checks them past the enumeration ceiling
+        tasks += [("qstats", "check_q_row_sum", {"n": n}) for n in range(1, (6 if quick else 14) + 1)]
+        tasks += [("qstats", "check_q_oracle", {"n": n}) for n in range(1, (6 if quick else 9) + 1)]
+        at_one = {"catalan_nmax": 12 if quick else 20, "narayana_nmax": 8 if quick else 14}
+        tasks.append(("qstats", "check_q_at_one", at_one))
         tasks += [
             ("qstats", "check_kreweras_types", {"n": n})
             for n in range(2, (7 if quick else 9) + 1)

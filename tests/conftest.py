@@ -14,15 +14,15 @@ import svtab
 def raised_under_O():
     """Run one call in a ``python -O`` interpreter; give the exception's name.
 
-    The call sees the modules ``svtab.closedform``, ``svtab.posets``,
-    ``svtab.rings`` and ``svtab.series``.  An input check written as an
+    The call sees the modules ``svtab.closedform``, ``svtab.core``,
+    ``svtab.posets``, ``svtab.rings``, ``svtab.series`` and ``svtab.stats``.  An input check written as an
     ``assert`` vanishes there, so the name is empty.
     """
     src = str(Path(svtab.__file__).resolve().parents[1])
 
     def run(call: str) -> str:
         script = (
-            "import svtab.closedform, svtab.posets, svtab.rings, svtab.series\n"
+            "import svtab.closedform, svtab.core, svtab.posets, svtab.rings, svtab.series, svtab.stats\n"
             f"try:\n    {call}\nexcept Exception as exc:\n    print(type(exc).__name__)\n"
         )
         proc = subprocess.run(

@@ -19,7 +19,9 @@ from svtab.core import (
     validate_svsyt,
 )
 from svtab.enumerate import (
+    _Moves,
     _cell_masks,
+    _comaj_split,
     _comaj_walk,
     as_skew,
     count_paths,
@@ -282,3 +284,33 @@ def test_comaj_dp_over_two_row_shapes_is_the_q_catalan():
             _cells, preds, succs = _cell_masks(as_skew((b, b)))
             total = total + _comaj_walk(preds, succs, n + 1)
         assert total == set_valued_q_catalan(n), n
+
+
+def test_move_table_lists_appends_and_opens_in_cell_order():
+    # 2x2: cells 0 1 / 2 3; with cell 0 open, it may take an append and
+    # cells 1 and 2 may open, but cell 3 waits for both
+    moves = _Moves(*_cell_masks(as_skew((2, 2)))[1:])
+    assert moves.legal(0, 3) == [(0, 0b1)]
+    assert moves.legal(0b1, 3) == [(0, 0b1), (1, 0b11), (2, 0b101)]
+    assert moves.legal(0b11, 2) == [(1, 0b11), (2, 0b111)]
+    # an append must leave an entry for each of the unopened cells
+    assert moves.legal(0b1, 2) == [(1, 0b11), (2, 0b101)]
+    assert moves.legal(0b11, 1) == [(2, 0b111)]
+
+
+TINY_POSETS = {name: p for name, p in catalog() if p.n <= 4}
+
+
+@pytest.mark.parametrize("name", sorted(TINY_POSETS))
+def test_comaj_split_matches_streamed_tally_by_marked_entries(name):
+    poset = TINY_POSETS[name]
+    for k in range(3):
+        objects = list(sv_linear_extensions(poset, k))
+        for marked in range(1 << poset.n):
+            by_marks = {}
+            for s in objects:
+                j = sum(len(b) for i, b in enumerate(s.blocks) if marked >> i & 1)
+                by_marks.setdefault(j, []).append(s)
+            want = {j: _streamed_tally(objs) for j, objs in sorted(by_marks.items())}
+            got = _comaj_split(*poset._cover_masks, poset.n + k, marked)
+            assert got == want, (name, k, marked)

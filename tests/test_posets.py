@@ -13,7 +13,6 @@ from svtab.core import (
     Partition,
 )
 from svtab.posets import (
-    Multichain,
     NotNaturallyLabeled,
     Poset,
     SetValuedLinearExtension,
@@ -27,7 +26,6 @@ from svtab.posets import (
     equidistribution_check,
     expected_ddeg,
     linear_extensions,
-    order_ideals,
     pi_perm,
     qbinom,
     relabel,
@@ -66,10 +64,6 @@ class TestPoset:
 
     def test_order_relations(self):
         assert VEE.above[1] == frozenset({3})
-        assert WEDGE.below[3] == frozenset({1})
-        assert chain(3).is_ideal(frozenset({1, 2}))
-        assert not chain(3).is_ideal(frozenset({2}))
-        assert antichain(3).is_ideal(frozenset({2}))
 
 
 class TestLinearExtensions:
@@ -95,28 +89,6 @@ class TestLinearExtensions:
         assert descent_positions((2, 1)) == frozenset({1})
         assert comaj((1, 3, 2, 4)) == 2
         assert comaj((1, 2, 3)) == 0
-
-
-class TestOrderIdeals:
-    def test_counts(self):
-        assert len(list(order_ideals(chain(5)))) == 6
-        assert len(list(order_ideals(antichain(4)))) == 16
-        assert len(list(order_ideals(VEE))) == 5
-
-    def test_all_are_ideals(self):
-        for poset in (chain(4), antichain(3), VEE, WEDGE, young_diagram((2, 2))):
-            ideals = list(order_ideals(poset))
-            assert len(set(ideals)) == len(ideals)
-            for ideal in ideals:
-                assert poset.is_ideal(ideal)
-
-    def test_multichain_validation(self):
-        good = Multichain(chain(3), (frozenset(), frozenset({1}), frozenset({1, 2})))
-        assert len(good.ideals) == 3
-        with pytest.raises(OrderViolation):
-            Multichain(chain(3), (frozenset({2}),))
-        with pytest.raises(OrderViolation):
-            Multichain(chain(3), (frozenset({1, 2}), frozenset({1})))
 
 
 class TestSvLinearExtensions:
@@ -455,10 +427,3 @@ def test_relabel_rejects_a_non_permutation_under_O(raised_under_O):
         relabel(chain(3), (1, 1, 2))
     call = "svtab.posets.relabel(svtab.posets.chain(3), (1, 1, 2))"
     assert raised_under_O(call) == "InvalidPick"
-
-
-def test_order_ideals_rejects_a_large_poset_under_O(raised_under_O):
-    with pytest.raises(OutOfRange):
-        next(order_ideals(antichain(40)))
-    call = "next(svtab.posets.order_ideals(svtab.posets.antichain(40)))"
-    assert raised_under_O(call) == "OutOfRange"

@@ -2,8 +2,10 @@
 
 from collections import Counter
 
+import pytest
+
 from svtab.closedform import catalan, kreweras, narayana
-from svtab.core import Permutation, SetValuedTableau
+from svtab.core import NotInFamily, Permutation, SetValuedTableau
 from svtab.enumerate import gen_svsyt, gen_two_row_union
 from svtab.rings import QPoly
 from svtab.stats import (
@@ -193,3 +195,25 @@ class TestDdeg:
         assert ddeg(chain(3), frozenset({1, 2})) == 1
         assert ddeg(antichain(3), frozenset({1, 3})) == 2
         assert ddeg(antichain(4), frozenset({1, 2, 3, 4})) == 4
+
+
+def test_q_analogs_match_the_enumeration_tally_by_m():
+    # the library's DP against comaj_plus_k tallied by dyck_type's m
+    for n in range(1, 9):
+        tallies = {m: Counter() for m in range(1, n + 1)}
+        for t in gen_two_row_union(n + 1):
+            tallies[dyck_type(t)[0]][comaj_plus_k(t)] += 1
+        total = QPoly.zero()
+        for m, tally in tallies.items():
+            want = QPoly([tally[c] for c in range(max(tally) + 1)])
+            assert set_valued_q_narayana(n, m) == want, (n, m)
+            total = total + want
+        assert set_valued_q_catalan(n) == total, n
+
+
+def test_dyck_type_rejects_entry_one_below_the_top_row_under_O(raised_under_O):
+    rows = "[[[2]], [[1], [3]]], inner=(1,)"
+    with pytest.raises(NotInFamily):
+        dyck_type(SetValuedTableau.from_rows([[[2]], [[1], [3]]], inner=(1,)))
+    call = f"svtab.stats.dyck_type(svtab.core.SetValuedTableau.from_rows({rows}))"
+    assert raised_under_O(call) == "NotInFamily"

@@ -407,6 +407,22 @@ v.solve_E = planted
         [("series", "check_closed_form_E", {"order": 6})],
         {("check_closed_form_E", "E closed form t^05")},
     ),
+    "q_dp_marks_one_too_many": (
+        """
+import svtab.stats as st
+real = st._comaj_split
+st._comaj_split = lambda p, s, t, marked: {j + 1: q for j, q in real(p, s, t, marked).items()}
+""",
+        [
+            ("qstats", "check_q_catalan", {}),
+            ("qstats", "check_q_narayana", {}),
+            *(("qstats", "check_q_oracle", {"n": n}) for n in (3, 4)),
+        ],
+        {
+            *(("check_q_narayana", f"n={n},m={m}") for n, m in svtab.verify.QNAR_TABLE),
+            *(("check_q_oracle", f"n={n},m={m}") for n in (3, 4) for m in range(1, n + 1)),
+        },
+    ),
 }
 
 
