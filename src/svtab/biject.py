@@ -223,7 +223,9 @@ def contract_path(p: ColoredPath) -> ColoredPath:
 
     The all-u path maps to the all-u path.  Otherwise the step pair ending at
     the first D collapses: (u,D) becomes D and (U,D) becomes d.  The image is
-    an unrestricted bicolored Motzkin path one step shorter.
+    an unrestricted bicolored Motzkin path one step shorter.  The family check
+    settles the word's form: with no D it is all u, and the step before the
+    first D is U or u.
     """
     if "motzT" not in path_family(p):
         raise NotInMotzT(f"{p.word!r} not in the no-early-d family")
@@ -232,17 +234,16 @@ def contract_path(p: ColoredPath) -> ColoredPath:
     word = p.word
     j = word.find("D")
     if j < 0:
-        assert set(word) <= {"u"}
         return ColoredPath("u" * (len(word) - 1))
-    assert j >= 1
-    prev = word[j - 1]
-    assert prev in "Uu", "the step before the first D must be U or u"
-    merged = "D" if prev == "u" else "d"
+    merged = "D" if word[j - 1] == "u" else "d"
     return ColoredPath(word[: j - 1] + merged + word[j + 1 :])
 
 
 def expand_path(p: ColoredPath) -> ColoredPath:
-    """Inverse of contract_path: split the first D-or-d back into two steps."""
+    """Inverse of contract_path: split the first D-or-d back into two steps.
+
+    A Motzkin path with no D or d is all u.
+    """
     if "motz" not in path_family(p):
         raise NotInFamily(f"{p.word!r} is not a bicolored Motzkin path")
     word = p.word
@@ -252,7 +253,6 @@ def expand_path(p: ColoredPath) -> ColoredPath:
             first = j
             break
     if first is None:
-        assert set(word) <= {"u"}
         return ColoredPath("u" * (len(word) + 1))
     pair = "uD" if word[first] == "D" else "UD"
     return ColoredPath(word[:first] + pair + word[first + 1 :])

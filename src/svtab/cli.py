@@ -14,8 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable
 
@@ -66,10 +65,8 @@ __all__ = ["RunConfig", "main"]
 
 @dataclass
 class RunConfig:
-    """Validated invocation: one command, its parameters, and output plumbing."""
+    """Output plumbing of one invocation."""
 
-    command: str
-    params: dict = field(default_factory=dict)
     fmt: str = "text"
     threads: int | None = None
     output: str | None = None
@@ -521,7 +518,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     cfg = RunConfig(
-        command=args.command,
         fmt=getattr(args, "format", "text"),
         threads=getattr(args, "parallel", None),
         output=args.output,

@@ -3,8 +3,9 @@ path counts, and the two-row set-valued tableau counting formulas.
 
 Each count is computed one way and only its arguments are checked; ``svtab
 verify`` checks every formula against an independent computation.  All
-arithmetic is exact; division-bearing formulas are computed in exact
-rationals with integrality asserted before returning an int.
+arithmetic is exact.  Where a standard identity makes a quotient an integer
+the division is floor division; the two-row tableau counts, whose
+integrality is the paper's claim, assert it.
 """
 
 from __future__ import annotations
@@ -43,14 +44,7 @@ def binom(m: int, j: int) -> int:
     """
     if j < 0:
         return 0
-    num = 1
-    for a in range(j):
-        num *= m - a
-    den = 1
-    for a in range(2, j + 1):
-        den *= a
-    assert num % den == 0
-    return num // den
+    return falling(m, j) // factorial(j)  # j! divides a product of j consecutive integers
 
 
 def falling(x: int, a: int) -> int:
@@ -66,18 +60,14 @@ def falling(x: int, a: int) -> int:
 def catalan(n: int) -> int:
     if n < 0:
         raise OutOfRange(f"catalan undefined for n={n}")
-    c = binom(2 * n, n)
-    assert c % (n + 1) == 0
-    return c // (n + 1)
+    return comb(2 * n, n) // (n + 1)
 
 
 def narayana(n: int, m: int) -> int:
     """Number of Dyck paths of semilength n with m peaks."""
     if n < 1 or not 1 <= m <= n:
         raise OutOfRange(f"narayana undefined for {(n, m)}")
-    val = Fraction(binom(n, m - 1) * binom(n - 1, m - 1), m)
-    assert val.denominator == 1
-    return int(val)
+    return comb(n, m - 1) * comb(n - 1, m - 1) // m
 
 
 def kreweras(n: int, m: int, mu) -> int:
@@ -91,9 +81,7 @@ def kreweras(n: int, m: int, mu) -> int:
         raise InconsistentType(f"type {mu} needs part sizes and multiplicities >= 1")
     if sum(mu.values()) != m or sum(j * c for j, c in mu.items()) != n:
         raise InconsistentType(f"type {mu} is not an m={m} multiset of total {n}")
-    val = Fraction(falling(n, m - 1), prod(factorial(c) for c in mu.values()))
-    assert val.denominator == 1
-    return int(val)
+    return falling(n, m - 1) // prod(factorial(c) for c in mu.values())
 
 
 def hook_count(shape) -> int:
@@ -107,9 +95,7 @@ def hook_count(shape) -> int:
     for r in range(1, lam.nrows + 1):
         for c in range(1, lam.part(r) + 1):
             hooks *= (lam.part(r) - c) + (conj.part(c) - r) + 1
-    num = factorial(n)
-    assert num % hooks == 0
-    return num // hooks
+    return factorial(n) // hooks
 
 
 def e_count(n: int, i: int) -> int:

@@ -10,18 +10,18 @@ Conventions used throughout the package:
   (u != v), every entry of u is smaller than every entry of v.
 * Path words use the four-letter step alphabet U (up), D (down), u (level,
   first color), d (level, second color); heights never go negative.
+* ``PATH_RULES`` is the one family table of the colored paths: each family's
+  restrictions and whether it ends at height 0.
 * All types are immutable and hashable, safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Rational  # exact rationals, gcd-reduced by stdlib
-from itertools import chain
+from itertools import chain, product
 from typing import Iterator, Sequence
 
 __all__ = [
-    "Rational",
     "SvtabError",
     "InvalidShape",
     "EmptyCell",
@@ -40,6 +40,7 @@ __all__ = [
     "validate_svsyt",
     "Permutation",
     "ColoredPath",
+    "PATH_RULES",
     "PATH_FAMILIES",
     "path_family",
 ]
@@ -357,7 +358,27 @@ class Permutation:
         return True
 
 
-PATH_FAMILIES = ("motz", "motzE", "motzT", "motzET", "ballotlike")
+# family -> (restriction 1, restriction 2, ends at height 0).  Restriction (1)
+# forbids a u step at height 0, and restriction (2) a d step with no D anywhere
+# before it.
+PATH_RULES = {
+    "motz": (False, False, True),
+    "motzE": (True, False, True),
+    "motzT": (False, True, True),
+    "motzET": (True, True, True),
+    "ballotlike": (True, True, False),
+}
+PATH_FAMILIES = tuple(PATH_RULES)
+
+# (r1 holds, r2 holds, ends at 0) -> the families of a path with those traits
+_PATH_TAGS = {
+    traits: frozenset(
+        family
+        for family, needs in PATH_RULES.items()
+        if all(has or not need for has, need in zip(traits, needs))
+    )
+    for traits in product((False, True), repeat=3)
+}
 
 
 @dataclass(frozen=True)
@@ -399,13 +420,7 @@ class ColoredPath:
 
 
 def path_family(p: ColoredPath) -> frozenset[str]:
-    """Family tags of a path, from one scan of its word.
-
-    Restriction (1) forbids a u step at height 0, and restriction (2) a d step
-    with no D anywhere before it.  The four motz families additionally require
-    final height 0; ballotlike means both restrictions hold, with any final
-    height.
-    """
+    """Family tags of a path, from one scan of its word and ``PATH_RULES``."""
     r1 = r2 = True
     h = 0
     seen_D = False
@@ -419,15 +434,4 @@ def path_family(p: ColoredPath) -> frozenset[str]:
             r1 = False
         elif ch == "d" and not seen_D:
             r2 = False
-    tags = set()
-    if h == 0:
-        tags.add("motz")
-        if r1:
-            tags.add("motzE")
-        if r2:
-            tags.add("motzT")
-        if r1 and r2:
-            tags.add("motzET")
-    if r1 and r2:
-        tags.add("ballotlike")
-    return frozenset(tags)
+    return _PATH_TAGS[r1, r2, h == 0]

@@ -13,10 +13,12 @@ index order (row-major for shapes, label order for posets) emits objects in
 lexicographic order of the word that maps each entry to its cell index.
 
 The move rule is stated once, in the per-ideal move table ``_Moves``, and
-the walker and both ideal DPs read it.  The counts visit no object:
-``count_svsyt`` is a dynamic program over the walker's states (the open ideal
-after each entry), and ``count_paths`` one over the path walker's states
-(height and whether a D was seen).  ``_comaj_walk`` tallies the walker's
+the walker and both ideal DPs read it.  Likewise the colored-path step rule
+is stated once, in ``_path_steps``, and the path walker and its DP read it;
+the family's restrictions come from ``core.PATH_RULES``.  The counts visit no
+object: ``count_svsyt`` is a dynamic program over the walker's states (the
+open ideal after each entry), and ``count_paths`` one over the path walker's
+states (height and whether a D was seen).  ``_comaj_walk`` tallies the walker's
 objects by their set-valued comajor index over states that also record the
 cell the last entry opened; ``_comaj_split`` further splits the tally by the
 number of entries in a given set of cells.  The set-valued q-Catalan and
@@ -26,10 +28,11 @@ the enumeration tally they are checked against.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator
 
 from .core import (
-    PATH_FAMILIES,
+    PATH_RULES,
     ColoredPath,
     OutOfRange,
     Partition,
@@ -257,59 +260,50 @@ def gen_avoid321(m: int) -> Iterator[Permutation]:
     return rec(0, 0)
 
 
-_NEED_R1 = {"motzE", "motzET", "ballotlike"}
-_NEED_R2 = {"motzT", "motzET", "ballotlike"}
+@lru_cache(maxsize=None)
+def _path_steps(h: int, seen_D: bool, r1: bool, r2: bool) -> tuple[tuple[str, int, bool], ...]:
+    """The legal steps from a path state: the only statement of the step rule.
+
+    A step is (letter, height after, D seen after), in the order U < D < u < d.
+    D needs height > 0; r1 forbids u at height 0, and r2 forbids d before the
+    first D.
+    """
+    steps = [("U", h + 1, seen_D)]
+    if h > 0:
+        steps.append(("D", h - 1, True))
+    if not (r1 and h == 0):
+        steps.append(("u", h, seen_D))
+    if seen_D or not r2:
+        steps.append(("d", h, seen_D))
+    return tuple(steps)
 
 
 def _gen_path_words(n: int, r1: bool, r2: bool, end: int | None) -> Iterator[str]:
-    """DFS over the step alphabet in the order U < D < u < d.
-
-    r1: forbid u at height 0; r2: forbid d before the first D;
-    end: required final height, or None for any.
-    """
+    """DFS over ``_path_steps``; end is the required final height, or None for any."""
     buf: list[str] = []
-
-    def feasible(h: int, left: int) -> bool:
-        if end is None:
-            return True
-        return abs(h - end) <= left
 
     def rec(h: int, left: int, seen_D: bool) -> Iterator[str]:
         if left == 0:
             yield "".join(buf)
             return
-        for ch in "UDud":
-            if ch == "U":
-                nh, nD = h + 1, seen_D
-            elif ch == "D":
-                if h == 0:
-                    continue
-                nh, nD = h - 1, True
-            elif ch == "u":
-                if r1 and h == 0:
-                    continue
-                nh, nD = h, seen_D
-            else:
-                if r2 and not seen_D:
-                    continue
-                nh, nD = h, seen_D
-            if not feasible(nh, left - 1):
-                continue
-            buf.append(ch)
-            yield from rec(nh, left - 1, nD)
-            buf.pop()
+        left -= 1
+        for ch, nh, nD in _path_steps(h, seen_D, r1, r2):
+            if end is None or abs(nh - end) <= left:
+                buf.append(ch)
+                yield from rec(nh, left, nD)
+                buf.pop()
 
     return rec(0, n, False)
 
 
 def _family_rules(family: str, n: int) -> tuple[bool, bool, int | None]:
     """(r1, r2, end) of ``_gen_path_words`` for the length-n paths of the family."""
-    if family not in PATH_FAMILIES:
+    if family not in PATH_RULES:
         raise OutOfRange(f"unknown family {family!r}")
     if n < 0:
         raise OutOfRange(f"n={n}")
-    end = None if family == "ballotlike" else 0
-    return family in _NEED_R1, family in _NEED_R2, end
+    r1, r2, ends_at_0 = PATH_RULES[family]
+    return r1, r2, 0 if ends_at_0 else None
 
 
 def gen_paths(family: str, n: int) -> Iterator[ColoredPath]:
@@ -319,32 +313,22 @@ def gen_paths(family: str, n: int) -> Iterator[ColoredPath]:
 
 
 def count_paths(family: str, n: int) -> int:
-    """The number of length-n paths of the family, by a DP over (height, seen D).
-
-    The step rules are those of ``_gen_path_words``; ballotlike paths may end
-    at any height, the other families end at height 0.
-    """
+    """The number of length-n paths of the family, by a DP over (height, seen D)."""
     r1, r2, end = _family_rules(family, n)
     layer = {(0, False): 1}
     for _ in range(n):
         nxt: dict[tuple[int, bool], int] = {}
         for (h, seen_D), ways in layer.items():
-            steps = [(h + 1, seen_D)]  # U
-            if h > 0:
-                steps.append((h - 1, True))  # D
-            if not (r1 and h == 0):
-                steps.append((h, seen_D))  # u
-            if seen_D or not r2:
-                steps.append((h, seen_D))  # d
-            for state in steps:
-                nxt[state] = nxt.get(state, 0) + ways
+            for _ch, nh, nD in _path_steps(h, seen_D, r1, r2):
+                nxt[nh, nD] = nxt.get((nh, nD), 0) + ways
         layer = nxt
     return sum(ways for (h, _), ways in layer.items() if end is None or h == end)
 
 
 def gen_ballotlike(n: int, i: int) -> Iterator[ColoredPath]:
-    """Ballot-like paths (both restrictions) of length n ending at height i."""
+    """Ballot-like paths of length n ending at height i."""
     if not 0 <= i <= n:
         raise OutOfRange(f"need 0 <= i <= n, got {(n, i)}")
-    for w in _gen_path_words(n, True, True, i):
+    r1, r2, _ends_at_0 = PATH_RULES["ballotlike"]
+    for w in _gen_path_words(n, r1, r2, i):
         yield ColoredPath(w)

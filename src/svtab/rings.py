@@ -413,9 +413,6 @@ class TSeries:
             inv[m] = -acc
         return TSeries(self.ring, n, inv)
 
-    def __truediv__(self, other: "TSeries") -> "TSeries":
-        return self * other.inverse()
-
     def sqrt(self) -> "TSeries":
         """Termwise square root with constant term 1; each halving must be exact."""
         if self.coeffs[0] != self.ring.one():

@@ -2,7 +2,7 @@
 
 Everything is exact: coefficients are integer polynomials in the four step
 markers U, D, u, d (or in q for the valley-refined family), and every
-division along the way is asserted exact.  The four named series are
+division along the way is checked exact.  The four named series are
 
   E    -- all bicolored Motzkin paths ("motz"),
   E1   -- paths with no low-level u step ("motzE"),
@@ -20,11 +20,10 @@ from fractions import Fraction
 import threading
 
 from .core import OutOfRange, SvtabError
-from .rings import MARKERS, InexactDivision, MultiPoly, QPoly, TSeries
+from .rings import MARKERS, MultiPoly, QPoly, TSeries
 
 __all__ = [
     "NonInvertibleDenominator",
-    "DivisionNotExact",
     "SeriesContext",
     "solve_E",
     "derived_series",
@@ -37,8 +36,6 @@ __all__ = [
 class NonInvertibleDenominator(SvtabError):
     """A series denominator lacks the unit constant term needed for inversion."""
 
-
-DivisionNotExact = InexactDivision
 
 _U = MultiPoly.gen("U")
 _D = MultiPoly.gen("D")

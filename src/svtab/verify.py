@@ -97,7 +97,6 @@ __all__ = [
     "available_threads",
     "build_tasks",
     "run_tasks",
-    "run_suites",
     "report_dict",
     "report_text",
 ]
@@ -847,10 +846,6 @@ def run_tasks(tasks, threads: int | None = None) -> list[CheckResult]:
                 results.extend(out)
     results.sort(key=lambda r: (r.suite, r.check, r.instance))
     return results
-
-
-def run_suites(suites, threads: int | None = None, **limits) -> list[CheckResult]:
-    return run_tasks(build_tasks(suites, **limits), threads=threads)
 
 
 def report_dict(results, threads: int, wall_seconds: float, budget: str) -> dict:

@@ -51,6 +51,10 @@ class TestElementary:
     def test_binom_matches_math_comb(self, m, j):
         assert binom(m, j) == (math.comb(m, j) if 0 <= j <= m else 0)
 
+    @given(st.integers(1, 40), st.integers(0, 40))
+    def test_binom_of_a_negative_upper_index(self, m, j):
+        assert binom(-m, j) == (-1) ** j * math.comb(m + j - 1, j)
+
     def test_falling(self):
         assert falling(5, 3) == 60
         assert falling(7, 0) == 1

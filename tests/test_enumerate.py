@@ -9,7 +9,7 @@ from svtab.closedform import ballot_count, catalan
 from svtab.closedform import act_count
 from svtab.posets import catalog, sv_linear_extensions
 from svtab.rings import QPoly
-from svtab.stats import comaj_plus_k, set_valued_q_catalan
+from svtab.stats import comaj_plus_k
 from svtab.core import (
     ColoredPath,
     OutOfRange,
@@ -23,6 +23,7 @@ from svtab.enumerate import (
     _cell_masks,
     _comaj_split,
     _comaj_walk,
+    _path_steps,
     as_skew,
     count_paths,
     count_svsyt,
@@ -278,12 +279,13 @@ def test_comaj_dp_matches_streamed_tally_on_posets(name):
 
 
 def test_comaj_dp_over_two_row_shapes_is_the_q_catalan():
+    # set_valued_q_catalan sums this same DP, so check each rectangle's term
+    # against the tally of the tableaux themselves
     for n in range(1, 9):
-        total = QPoly.zero()
         for b in range(1, (n + 1) // 2 + 1):
             _cells, preds, succs = _cell_masks(as_skew((b, b)))
-            total = total + _comaj_walk(preds, succs, n + 1)
-        assert total == set_valued_q_catalan(n), n
+            want = _streamed_tally(gen_svsyt((b, b), n + 1 - 2 * b))
+            assert _comaj_walk(preds, succs, n + 1) == want, (n, b)
 
 
 def test_move_table_lists_appends_and_opens_in_cell_order():
@@ -296,6 +298,23 @@ def test_move_table_lists_appends_and_opens_in_cell_order():
     # an append must leave an entry for each of the unopened cells
     assert moves.legal(0b1, 2) == [(1, 0b11), (2, 0b101)]
     assert moves.legal(0b11, 1) == [(2, 0b111)]
+
+
+def test_path_steps_list_the_legal_steps_in_letter_order():
+    # both restrictions at height 0 before any D: D dips, u and d are forbidden
+    assert _path_steps(0, False, True, True) == (("U", 1, False),)
+    # above 0, u is legal, but d still waits for the first D
+    assert _path_steps(1, False, True, True) == (
+        ("U", 2, False),
+        ("D", 0, True),
+        ("u", 1, False),
+    )
+    # with no restrictions, only D is barred at height 0
+    assert _path_steps(0, False, False, False) == (
+        ("U", 1, False),
+        ("u", 0, False),
+        ("d", 0, False),
+    )
 
 
 TINY_POSETS = {name: p for name, p in catalog() if p.n <= 4}
