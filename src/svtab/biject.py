@@ -20,7 +20,6 @@ from .core import (
     NotInMotzET,
     NotInMotzT,
     OutOfRange,
-    Partition,
     Permutation,
     SetValuedTableau,
     ShapeMismatch,
@@ -68,14 +67,14 @@ def perm_from_tableau(t: SetValuedTableau) -> Permutation:
     then the columns are read left to right, each contributing the top cell
     minus its maximum, the bottom cell, and finally the top maximum.  The
     result is a permutation of [n-1] whose right-to-left minima are exactly
-    the top-row entries.
+    the top-row entries.  The input checks settle the shape of the word: a
+    2-by-b shape has b >= 1, so n >= 2, and as ``validate_svsyt`` makes rows
+    and columns strictly increase, n is the last entry of the bottom-right
+    cell.
     """
     validate_svsyt(t)
     _require_two_row_rectangular(t)
-    n = t.nentries
-    assert n >= 2
     top, bot = t.rows
-    assert bot[-1][-1] == n, "largest entry must be in the bottom-right cell"
     word: list[int] = []
     for above, below in zip(top, bot):
         word.extend(above[:-1])
@@ -98,10 +97,20 @@ def _suffix_minima_mask(vals: tuple[int, ...]) -> list[bool]:
 def tableau_from_perm(w: Permutation) -> SetValuedTableau:
     """Inverse of perm_from_tableau; builds the unique 2-row preimage.
 
-    Right-to-left minima become the top row, grouped so that each inner
-    valley closes a cell; maximal runs of non-minima become the bottom row;
-    the new largest entry n = len(w)+1 lands in the bottom-right cell,
-    opening a new cell exactly when one fewer run than column exists.
+    One pass over the word.  A right-to-left minimum joins the current top
+    cell, and an inner valley closes that cell.  A non-minimum opens a bottom
+    cell at position 1 or right after a minimum, and otherwise joins the
+    current bottom cell.  The new largest entry m+1 opens a bottom cell when
+    there are fewer bottom cells than top cells, and otherwise joins the
+    last one.
+
+    The 321 check makes this well formed.  In a 321-avoider every inner
+    valley is a minimum, so the valleys split the minima into top cells, and
+    the last value, a minimum, is not an inner valley, so the last top cell
+    is not empty.  Each inner valley comes right after a non-minimum, and
+    each run of non-minima ends in a descent onto a minimum, which is an
+    inner valley unless it is the last value; so with b top cells there are
+    b-1 or b bottom cells before m+1 is placed.
     """
     if not w.is_321_avoiding():
         raise Not321Avoiding(f"{w.to_text()} contains a 321 pattern")
@@ -110,38 +119,18 @@ def tableau_from_perm(w: Permutation) -> SetValuedTableau:
         raise OutOfRange("need a permutation of length >= 1")
     vals = tuple(w)
     is_min = _suffix_minima_mask(vals)
-    valley = [
-        0 < j < m - 1 and vals[j - 1] > vals[j] < vals[j + 1] for j in range(m)
-    ]
-    # every inner valley is a right-to-left minimum (else a 321 would occur)
-    assert all(is_min[j] for j in range(m) if valley[j])
-
-    top: list[list[int]] = []
-    box: list[int] = []
-    for j in range(m):
-        if is_min[j]:
-            box.append(vals[j])
-            if valley[j]:
-                top.append(box)
-                box = []
-    assert box, "the final position is always a right-to-left minimum"
-    top.append(box)
-
+    top: list[list[int]] = [[]]
     bot: list[list[int]] = []
-    run: list[int] = []
-    for j in range(m):
+    for j, v in enumerate(vals):
         if is_min[j]:
-            if run:
-                bot.append(run)
-                run = []
+            top[-1].append(v)
+            if 0 < j < m - 1 and vals[j - 1] > v < vals[j + 1]:
+                top.append([])
+        elif j == 0 or is_min[j - 1]:
+            bot.append([v])
         else:
-            run.append(vals[j])
-    if run:
-        bot.append(run)
-
-    b = len(top)
-    assert len(bot) in (b - 1, b)
-    if len(bot) == b - 1:
+            bot[-1].append(v)
+    if len(bot) < len(top):
         bot.append([m + 1])
     else:
         bot[-1].append(m + 1)
@@ -247,11 +236,7 @@ def expand_path(p: ColoredPath) -> ColoredPath:
     if "motz" not in path_family(p):
         raise NotInFamily(f"{p.word!r} is not a bicolored Motzkin path")
     word = p.word
-    first = None
-    for j, step in enumerate(word):
-        if step in "Dd":
-            first = j
-            break
+    first = next((j for j, step in enumerate(word) if step in "Dd"), None)
     if first is None:
         return ColoredPath("u" * (len(word) + 1))
     pair = "uD" if word[first] == "D" else "UD"
@@ -372,15 +357,9 @@ def compose(tr: Triple) -> SetValuedTableau:
     base = tr.base
     if validate_svsyt(base) != 0:
         raise InvalidPick("base tableau must be standard (no extra entries)")
-    cells, _preds, succs = _cell_masks(base.shape)
-    blocks = _insert(
-        [entries[0] for _, entries in base.cells()],
-        succs,
-        tr.cuts,
-        tr.picks,
-        {cell: x for x, cell in enumerate(cells)},
-        "cell",
-    )
+    index, _preds, succs = _cell_masks(base.shape)
+    entries = [e for (e,) in chain.from_iterable(base.rows)]
+    blocks = _insert(entries, succs, tr.cuts, tr.picks, index, "cell")
     return _repack(base.shape, tuple(tuple(b) for b in blocks))
 
 
@@ -410,18 +389,11 @@ def rotate_complement(t: SetValuedTableau) -> SetValuedTableau:
             f"expected (b+1,b) or (b+1,b+1)/(1), got {tuple(outer)}/{tuple(inner)}"
         )
     total = t.nentries
-    width = outer.part(1)
-    new_rows = []
-    new_inner = []
-    for r_new in (1, 2):
-        r_old = 3 - r_new
-        lo, hi = width - outer.part(r_old), width - inner.part(r_old)
-        new_inner.append(lo)
-        row = []
-        for c_new in range(lo + 1, hi + 1):
-            old = t.cell(r_old, width + 1 - c_new)
-            row.append([total + 1 - v for v in old])
-        new_rows.append(row)
-    while new_inner and new_inner[-1] == 0:
-        new_inner.pop()
-    return SetValuedTableau.from_rows(new_rows, inner=tuple(new_inner))
+
+    def turned(row):
+        return [[total + 1 - v for v in reversed(cell)] for cell in reversed(row)]
+
+    top, bot = t.rows
+    return SetValuedTableau.from_rows(
+        [turned(bot), turned(top)], inner=(1,) if straight_ok else ()
+    )

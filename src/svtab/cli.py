@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable
 
@@ -61,15 +60,7 @@ from .verify import (
     run_tasks,
 )
 
-__all__ = ["RunConfig", "main"]
-
-@dataclass
-class RunConfig:
-    """Output plumbing of one invocation."""
-
-    fmt: str = "text"
-    threads: int | None = None
-    output: str | None = None
+__all__ = ["main"]
 
 
 class UsageError(SvtabError):
@@ -108,13 +99,13 @@ def _require(args: argparse.Namespace, *names: str) -> list:
     return got
 
 
-def _write(cfg: RunConfig, text: str) -> None:
+def _write(args: argparse.Namespace, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if cfg.output is None:
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -165,7 +156,7 @@ def _obj_json(obj):
 # subcommands
 
 
-def cmd_enumerate(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> int:
     family = args.family
     if family == "svsyt":
         (shape,) = _require(args, "shape")
@@ -184,7 +175,7 @@ def cmd_enumerate(cfg: RunConfig, args: argparse.Namespace) -> int:
         stream = gen_paths(family, n)
 
     if args.emit == "count":
-        _write(cfg, str(sum(1 for _ in stream)))
+        _write(args, str(sum(1 for _ in stream)))
         return 0
     lines = []
     for obj in stream:
@@ -192,7 +183,7 @@ def cmd_enumerate(cfg: RunConfig, args: argparse.Namespace) -> int:
             lines.append(json.dumps(_obj_json(obj)))
         else:
             lines.append(_obj_text(obj))
-    _write(cfg, "\n".join(lines) if lines else "")
+    _write(args, "\n".join(lines) if lines else "")
     return 0
 
 
@@ -238,7 +229,7 @@ _FAMILY_COUNTS: dict[str, tuple[tuple[str, ...], Callable, Callable]] = {
 }
 
 
-def cmd_count(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_count(args: argparse.Namespace) -> int:
     if (args.formula is None) == (args.family is None):
         raise UsageError("give exactly one of --formula / --family")
     table = _FORMULAS if args.formula else _FAMILY_COUNTS
@@ -249,17 +240,17 @@ def cmd_count(cfg: RunConfig, args: argparse.Namespace) -> int:
     params = dict(zip(names, _require(args, *names)))
     value = value_fn(**params)
     if not args.oracle:
-        _write(cfg, str(value))
+        _write(args, str(value))
         return 0
     if oracle_fn is None:
         raise UsageError(f"no independent oracle for --formula {key}")
     oracle = oracle_fn(**params)
     agree = value == oracle
-    _write(cfg, f"{value},{oracle},{'ok' if agree else 'MISMATCH'}")
+    _write(args, f"{value},{oracle},{'ok' if agree else 'MISMATCH'}")
     return 0 if agree else 1
 
 
-def cmd_table(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> int:
     if args.name != "ef":
         raise UsageError(f"unknown table {args.name!r}")
     rows = [("n", "i", "e", "f", "total")]
@@ -267,12 +258,12 @@ def cmd_table(cfg: RunConfig, args: argparse.Namespace) -> int:
         for i in range(n + 1):
             e, f = e_count(n, i), f_count(n, i)
             rows.append((str(n), str(i), str(e), str(f), str(e + f)))
-    if cfg.fmt == "csv":
-        _write(cfg, "\n".join(",".join(r) for r in rows))
+    if args.format == "csv":
+        _write(args, "\n".join(",".join(r) for r in rows))
     else:
         widths = [max(len(r[j]) for r in rows) for j in range(5)]
         _write(
-            cfg,
+            args,
             "\n".join(
                 "  ".join(x.rjust(w) for x, w in zip(r, widths)) for r in rows
             ),
@@ -280,7 +271,7 @@ def cmd_table(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_qtable(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_qtable(args: argparse.Namespace) -> int:
     if args.stat == "catalan":
         polys = {
             str(n): set_valued_q_catalan(n) for n in range(1, args.max_n + 1)
@@ -291,14 +282,14 @@ def cmd_qtable(cfg: RunConfig, args: argparse.Namespace) -> int:
             for n in range(1, args.max_n + 1)
             for m in range(1, n + 1)
         }
-    if cfg.fmt == "json":
+    if args.format == "json":
         _write(
-            cfg,
+            args,
             json.dumps({key: list(p.coeffs) for key, p in polys.items()}, indent=2),
         )
     else:
         _write(
-            cfg,
+            args,
             "\n".join(",".join(map(str, p.coeffs)) for p in polys.values()),
         )
     return 0
@@ -336,7 +327,7 @@ def _read_object(kind: str, line: str, input_fmt: str):
     raise UsageError("triples are JSON-only; use --input json")
 
 
-def cmd_biject(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_biject(args: argparse.Namespace) -> int:
     kind, fn = _BIJECTIONS[args.map]
     lines_out = []
     for raw in sys.stdin:
@@ -354,45 +345,45 @@ def cmd_biject(cfg: RunConfig, args: argparse.Namespace) -> int:
             )
         else:
             lines_out.append(f"{_obj_text(obj)} => {_obj_text(image)}")
-    _write(cfg, "\n".join(lines_out) if lines_out else "")
+    _write(args, "\n".join(lines_out) if lines_out else "")
     return 0
 
 
-def cmd_series(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_series(args: argparse.Namespace) -> int:
     ctx = SeriesContext.build(args.order)
     series = {"E": ctx.E, "E1": ctx.E1, "E2": ctx.E2, "E12": ctx.E12}[args.which]
     values = {}
     for n in range(args.order + 1):
         coeff = series.coeff(n)
         values[str(n)] = coeff.at_ones() if args.spec == "all-ones" else str(coeff)
-    if cfg.fmt == "json":
+    if args.format == "json":
         _write(
-            cfg,
+            args,
             json.dumps(
                 {"which": args.which, "order": args.order, "values": values}, indent=2
             ),
         )
     else:
-        _write(cfg, "\n".join(f"{n},{v}" for n, v in values.items()))
+        _write(args, "\n".join(f"{n},{v}" for n, v in values.items()))
     return 0
 
 
-def cmd_expect(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_expect(args: argparse.Namespace) -> int:
     values = {str(n): expected_steps(n, args.step) for n in _parse_range(args.n)}
-    if cfg.fmt == "json":
+    if args.format == "json":
         _write(
-            cfg,
+            args,
             json.dumps(
                 {"step": args.step, "values": {k: str(v) for k, v in values.items()}},
                 indent=2,
             ),
         )
     else:
-        _write(cfg, "\n".join(f"{n},{v}" for n, v in values.items()))
+        _write(args, "\n".join(f"{n},{v}" for n, v in values.items()))
     return 0
 
 
-def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     suites = SUITES if args.suite == "all" else (args.suite,)
     tasks = build_tasks(
         suites,
@@ -401,15 +392,15 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         max_elements=args.max_elements,
         max_k=args.max_k,
     )
-    threads = cfg.threads if cfg.threads is not None else available_threads()
+    threads = args.parallel if args.parallel is not None else available_threads()
     started = perf_counter()
     results = run_tasks(tasks, threads=threads)
     wall = perf_counter() - started
     if args.report == "json":
         report = report_dict(results, threads, wall, args.budget)
-        _write(cfg, json.dumps(report, indent=2))
+        _write(args, json.dumps(report, indent=2))
     else:
-        _write(cfg, report_text(results))
+        _write(args, report_text(results))
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -517,13 +508,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = RunConfig(
-        fmt=getattr(args, "format", "text"),
-        threads=getattr(args, "parallel", None),
-        output=args.output,
-    )
     try:
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

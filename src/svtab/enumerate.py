@@ -62,12 +62,11 @@ def as_skew(shape) -> SkewShape:
     return SkewShape(_as_partition(shape))
 
 
-def _cell_masks(shape: SkewShape) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Row-major cells with bitmasks of cover predecessors/successors."""
-    cells = shape.cells()
-    index = {cell: i for i, cell in enumerate(cells)}
-    preds = [0] * len(cells)
-    succs = [0] * len(cells)
+def _cell_masks(shape: SkewShape) -> tuple[dict[tuple[int, int], int], list[int], list[int]]:
+    """Row-major cell index {cell: i} with bitmasks of cover predecessors/successors."""
+    index = {cell: i for i, cell in enumerate(shape.cells())}
+    preds = [0] * len(index)
+    succs = [0] * len(index)
     for (r, c), i in index.items():
         for nb in ((r, c - 1), (r - 1, c)):
             if nb in index:
@@ -75,7 +74,7 @@ def _cell_masks(shape: SkewShape) -> tuple[list[tuple[int, int]], list[int], lis
         for nb in ((r, c + 1), (r + 1, c)):
             if nb in index:
                 succs[i] |= 1 << index[nb]
-    return cells, preds, succs
+    return index, preds, succs
 
 
 class _Moves(dict):

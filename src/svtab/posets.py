@@ -27,7 +27,7 @@ from .core import (
     Partition,
     SvtabError,
 )
-from .enumerate import _walk, gen_svsyt
+from .enumerate import _cell_masks, _walk, as_skew, gen_svsyt
 from .rings import QPoly
 from .stats import descent_set_plus_k
 
@@ -101,39 +101,35 @@ class Poset:
         return up
 
     @cached_property
-    def _cover_map(self) -> dict[int, tuple[int, ...]]:
-        out = {}
-        for x in self.elements:
-            ups = self.above[x]
-            out[x] = tuple(
-                sorted(y for y in ups if not any(y in self.above[z] for z in ups))
-            )
-        return out
-
-    @cached_property
     def _cover_masks(self) -> tuple[list[int], list[int]]:
-        """Bitmasks of lower and upper covers; bit x-1 stands for element x."""
+        """Bitmasks of lower and upper covers; bit x-1 stands for element x.
+
+        y covers x when y is above x but above no other element above x.
+        """
         preds = [0] * self.n
         succs = [0] * self.n
-        for x, ups in self._cover_map.items():
+        for x, ups in self.above.items():
             for y in ups:
-                succs[x - 1] |= 1 << (y - 1)
-                preds[y - 1] |= 1 << (x - 1)
+                if not any(y in self.above[z] for z in ups):
+                    succs[x - 1] |= 1 << (y - 1)
+                    preds[y - 1] |= 1 << (x - 1)
         return preds, succs
 
     @cached_property
     def _cover_pairs(self) -> tuple[tuple[int, int], ...]:
         """Every true cover (x, y), x < y, in label order."""
-        return tuple((x, y) for x, ups in self._cover_map.items() for y in ups)
+        succs = self._cover_masks[1]
+        return tuple(
+            (x, y)
+            for x in self.elements
+            for y in self.elements
+            if succs[x - 1] >> (y - 1) & 1
+        )
 
     @cached_property
     def _index(self) -> dict[int, int]:
         """Element x -> its index x-1 in block lists and bitmasks."""
         return {x: x - 1 for x in self.elements}
-
-    def cover_successors(self, x: int) -> tuple[int, ...]:
-        """Elements covering x (immediate successors in the true cover relation)."""
-        return self._cover_map[x]
 
     @property
     def natural(self) -> bool:
@@ -151,17 +147,10 @@ def antichain(n: int) -> Poset:
 
 def young_diagram(shape) -> Poset:
     """Cells of the diagram ordered componentwise, labeled row-major."""
-    p = shape if isinstance(shape, Partition) else Partition(tuple(shape))
-    label = {}
-    for r in range(1, p.nrows + 1):
-        for c in range(1, p.part(r) + 1):
-            label[(r, c)] = len(label) + 1
-    edges = []
-    for (r, c), a in label.items():
-        for nb in ((r + 1, c), (r, c + 1)):
-            if nb in label:
-                edges.append((a, label[nb]))
-    return Poset(len(label), tuple(sorted(edges)))
+    index, _preds, succs = _cell_masks(as_skew(shape))
+    n = len(index)
+    edges = tuple((a + 1, b + 1) for a in range(n) for b in range(n) if succs[a] >> b & 1)
+    return Poset(n, edges)
 
 
 def relabel(poset: Poset, ext: tuple[int, ...]) -> Poset:
@@ -294,8 +283,9 @@ def decompose_extension(
 
 
 def _maximal_in_prefix(poset: Poset, ext: tuple[int, ...], t: int) -> list[int]:
-    members = set(ext[:t])
-    return [x for x in ext[:t] if not any(y in members for y in poset.cover_successors(x))]
+    succs = poset._cover_masks[1]
+    ideal = sum(1 << (x - 1) for x in ext[:t])
+    return [x for x in ext[:t] if not succs[x - 1] & ideal]
 
 
 def sv_linear_extensions(poset: Poset, k: int):
@@ -463,12 +453,8 @@ def _partitions(n: int):
 
 
 def _column_major_extension(shape: Partition) -> tuple[int, ...]:
-    label = {}
-    for r in range(1, shape.nrows + 1):
-        for c in range(1, shape.part(r) + 1):
-            label[(r, c)] = len(label) + 1
-    order = sorted(label, key=lambda rc: (rc[1], rc[0]))
-    return tuple(label[rc] for rc in order)
+    index = _cell_masks(as_skew(shape))[0]
+    return tuple(index[rc] + 1 for rc in sorted(index, key=lambda rc: (rc[1], rc[0])))
 
 
 def catalog() -> list[tuple[str, Poset]]:

@@ -1,6 +1,7 @@
 """Exact polynomial and truncated power-series arithmetic.
 
-Everything here is integer-exact: no floats, divisions assert exactness.
+Everything here is integer-exact: no floats, and a division that leaves a
+remainder raises ``InexactDivision`` (an ``SvtabError``).
 Coefficient rings (QPoly, MultiPoly) share a small duck-typed protocol so
 TSeries can be generic over either: ``zero()``/``one()``/``from_int()``
 classmethods, ring ops, and ``divexact_int``.
@@ -13,8 +14,8 @@ from typing import Iterable
 from .core import OutOfRange, SvtabError
 
 
-class InexactDivision(ArithmeticError):
-    pass
+class InexactDivision(SvtabError, ArithmeticError):
+    """An exact division left a remainder, or a series lacks the unit constant term."""
 
 
 class TruncationMismatch(SvtabError):

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 import threading
 
-from .core import OutOfRange, SvtabError
+from .core import OutOfRange
 from .rings import MARKERS, MultiPoly, QPoly, TSeries
 
 __all__ = [
-    "NonInvertibleDenominator",
     "SeriesContext",
     "solve_E",
     "derived_series",
@@ -31,10 +30,6 @@ __all__ = [
     "expected_steps",
     "peaks_genfun_check",
 ]
-
-
-class NonInvertibleDenominator(SvtabError):
-    """A series denominator lacks the unit constant term needed for inversion."""
 
 
 _U = MultiPoly.gen("U")
@@ -66,12 +61,6 @@ def solve_E(order: int) -> TSeries:
     return TSeries(MultiPoly, order, e)
 
 
-def _inverse_of(den: TSeries) -> TSeries:
-    if den.coeffs[0] != den.ring.one():
-        raise NonInvertibleDenominator("denominator constant term is not 1")
-    return den.inverse()
-
-
 def derived_series(e: TSeries) -> tuple[TSeries, TSeries, TSeries]:
     """The three restricted-family series (E1, E2, E12) built on top of E.
 
@@ -84,8 +73,8 @@ def derived_series(e: TSeries) -> tuple[TSeries, TSeries, TSeries]:
     block = _excursion_block(e)
     t_u = TSeries(MultiPoly, order, [0, _u])
     t_d = TSeries(MultiPoly, order, [0, _d])
-    e1 = _inverse_of(1 - (block + t_d))
-    e2 = _inverse_of(1 - (t_u + block))
+    e1 = (1 - (block + t_d)).inverse()
+    e2 = (1 - (t_u + block)).inverse()
     e12 = ((e1 * e2) * (_U * _D)).shift_up(2)
     return e1, e2, e12
 
@@ -156,15 +145,17 @@ def _shared_context(order: int) -> SeriesContext:
 
 
 def expected_steps(n: int, step: str) -> Fraction:
-    """Exact expected number of `step` letters in a uniform length-n motzET path."""
+    """Exact expected number of `step` letters in a uniform length-n motzET path.
+
+    The denominator, [t^n]E12 at all ones, counts the length-n motzET paths,
+    which is Catalan(n-1) >= 1 for n >= 2.
+    """
     if n < 2:
         raise OutOfRange(f"need n >= 2, got {n}")
     if step not in MARKERS:
         raise OutOfRange(f"step must be one of {MARKERS}, got {step!r}")
     poly = _shared_context(n).E12.coeff(n)
-    total = poly.at_ones()
-    assert total > 0
-    return Fraction(poly.weighted_exponent_sum(step), total)
+    return Fraction(poly.weighted_exponent_sum(step), poly.at_ones())
 
 
 def peaks_genfun_check(order: int) -> dict[int, QPoly]:
@@ -183,5 +174,5 @@ def peaks_genfun_check(order: int) -> dict[int, QPoly]:
     root = radicand.sqrt()
     numer = (1 - root) * (1 - root)
     den = TSeries(QPoly, big, [1, (q - 1) * 2, (q - 1) * (q - 1)])
-    g_big = 1 + numer.divexact_int(4).shift_down(1) * _inverse_of(den)
+    g_big = 1 + numer.divexact_int(4).shift_down(1) * den.inverse()
     return {n: g_big.coeff(n) for n in range(order + 1)}

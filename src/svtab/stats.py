@@ -175,8 +175,6 @@ def set_valued_q_narayana(n: int, m: int) -> QPoly:
 def ddeg(poset, ideal) -> int:
     """Number of maximal elements of an order ideal (its down-degree in J(P))."""
     members = frozenset(ideal)
-    return sum(
-        1
-        for x in members
-        if not any(y in members for y in poset.cover_successors(x))
-    )
+    succs = poset._cover_masks[1]
+    mask = sum(1 << (x - 1) for x in members)
+    return sum(1 for x in members if not succs[x - 1] & mask)

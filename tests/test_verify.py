@@ -423,6 +423,31 @@ st._comaj_split = lambda p, s, t, marked: {j + 1: q for j, q in real(p, s, t, ma
             *(("check_q_oracle", f"n={n},m={m}") for n in (3, 4) for m in range(1, n + 1)),
         },
     ),
+    "path_u_d_swapped": (
+        """
+import svtab.biject as b
+real = b._word_from_two_row
+b._word_from_two_row = lambda t: real(t).translate(str.maketrans("ud", "du"))
+""",
+        [
+            *(("bijections", "check_path_bijection", {"n": n}) for n in (2, 3, 4)),
+            *(("bijections", "check_ballot_bijection", {"n": n}) for n in (1, 2, 3)),
+        ],
+        {
+            ("check_path_bijection", "n=3"),
+            ("check_path_bijection", "n=4"),
+            ("check_ballot_bijection", "n=2,i=1"),
+            ("check_ballot_bijection", "n=3,i=0"),
+        },
+    ),
+    "comaj_off_by_one": (
+        """
+real = v.comaj_plus_k
+v.comaj_plus_k = lambda t: real(t) + 1
+""",
+        [("qstats", "check_q_oracle", {"n": n}) for n in (2, 3)],
+        {("check_q_oracle", f"n={n},m={m}") for n in (2, 3) for m in range(1, n + 1)},
+    ),
 }
 
 
@@ -441,3 +466,39 @@ def test_planted_library_bug_gives_fail_rows(bug, flags):
     rows = json.loads(proc.stdout)
     assert "no exception" not in {want for *_rest, want in rows}
     assert {(check, inst) for check, inst, status, _w in rows if status == "fail"} == fails
+
+
+# an inexact division inside a check is one failing row of its task; the other
+# tasks keep their rows
+_INEXACT_SCRIPT = _PLANT_HEAD + """
+real = TSeries.sqrt
+
+def planted(self):
+    coeffs = real(self).coeffs
+    coeffs[1] = coeffs[1] + 1
+    return TSeries(self.ring, self.order, coeffs)
+
+TSeries.sqrt = planted
+tasks = [("series", "check_closed_form_E", {"order": 4}), ("series", "check_series_taylor", {})]
+results = v.run_tasks(tasks, threads=1)
+print(json.dumps([(r.check, r.status, r.actual) for r in results]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_inexact_division_fails_its_task_only(flags):
+    src = str(Path(svtab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _INEXACT_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    rows = json.loads(proc.stdout)
+    closed = [(status, actual) for check, status, actual in rows if check == "check_closed_form_E"]
+    taylor = [status for check, status, _actual in rows if check == "check_series_taylor"]
+    assert len(closed) == 1
+    assert closed[0][0] == "fail"
+    assert closed[0][1].startswith("InexactDivision")
+    assert taylor and set(taylor) == {"pass"}
