@@ -20,10 +20,12 @@ from .core import (
     NotInMotzET,
     NotInMotzT,
     OutOfRange,
+    Partition,
     Permutation,
     SetValuedTableau,
     ShapeMismatch,
     ShapeNotTwoRowRectangular,
+    SkewShape,
     path_family,
     validate_svsyt,
 )
@@ -54,6 +56,12 @@ def _require_two_row_rectangular(t: SetValuedTableau) -> int:
     if b1 != b2:
         raise ShapeNotTwoRowRectangular(f"rows have unequal lengths {b1} != {b2}")
     return b1
+
+
+def _straight(rows: list[list[list[int]]]) -> SetValuedTableau:
+    """The straight tableau of these rows, whose cells are already sorted."""
+    shape = SkewShape(Partition(tuple(map(len, rows))))
+    return SetValuedTableau(shape, tuple(tuple(map(tuple, row)) for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +142,7 @@ def tableau_from_perm(w: Permutation) -> SetValuedTableau:
         bot.append([m + 1])
     else:
         bot[-1].append(m + 1)
-    return SetValuedTableau.from_rows([top, bot])
+    return _straight([top, bot])
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +190,7 @@ def _tableau_from_word(word: str) -> SetValuedTableau:
             top[-1].append(j)
         else:
             bot[-1].append(j)
-    return SetValuedTableau.from_rows([top] if not bot else [top, bot])
+    return _straight([top, bot] if bot else [top])
 
 
 def tableau_from_path(p: ColoredPath) -> SetValuedTableau:
@@ -286,7 +294,7 @@ def _peel(blocks: Sequence[Sequence[int]]) -> tuple[list[int], list[int], list[i
     increase and are >= 1.  Returns the kept entries, the cuts and the picks
     (as block indices).
     """
-    extras = sorted((e, x) for x, b in enumerate(blocks) for e in b[1:])
+    extras = sorted([(e, x) for x, b in enumerate(blocks) for e in b[1:]])
     xs = [e for e, _ in extras]
     cuts = [e - i for i, e in enumerate(xs, start=1)]
     picks = [x for _, x in extras]
@@ -300,8 +308,8 @@ def _insert(
     picks: tuple,
     index: dict,
     noun: str,
-) -> list[list[int]]:
-    """Inverse of ``_peel``: grow each pick's list by the entry cut + i.
+) -> tuple[tuple[int, ...], ...]:
+    """Inverse of ``_peel``: grow each pick's entries by the entry cut + i.
 
     ``base`` gives every element's entry in a standard filling (a permutation
     of 1..n) and ``succs`` the bitmask of its upper covers; ``index`` maps a
@@ -309,21 +317,21 @@ def _insert(
     element of the ideal of elements whose base entry is at most cuts[i-1].
     Larger entries shift up to make room, so base entry v ends at
     v + #{i : cuts[i-1] < v} and the i-th extra entry is cuts[i-1] + i.
+    Returns every element's entries, increasing: a pick's base entry is at
+    most its cut, so it ends below the extra entries it takes.
     """
     n = len(base)
-    k = len(cuts)
-    if len(picks) != k:
+    if len(picks) != len(cuts):
         raise InvalidPick("cuts and picks must have equal length")
-    if any(not 1 <= c <= n for c in cuts):
+    if cuts and not (1 <= min(cuts) and max(cuts) <= n):
         raise InvalidPick(f"cuts out of range 1..{n}: {cuts}")
-    if any(cuts[a] > cuts[a + 1] for a in range(k - 1)):
+    if sorted(cuts) != list(cuts):
         raise InvalidPick(f"cuts must weakly increase: {cuts}")
     ideal = [0] * (n + 1)  # ideal[t]: elements with base entry <= t
-    for y, v in enumerate(base):
-        ideal[v] = 1 << y
-    for t in range(1, n + 1):
-        ideal[t] |= ideal[t - 1]
-    for cut, p in zip(cuts, picks):
+    for t, y in enumerate(sorted(range(n), key=base.__getitem__), start=1):
+        ideal[t] = ideal[t - 1] | 1 << y
+    blocks = [(v + bisect_left(cuts, v),) for v in base]
+    for i, (cut, p) in enumerate(zip(cuts, picks), start=1):
         x = index.get(p)
         if x is None:
             raise InvalidPick(f"no {noun} {p}")
@@ -331,10 +339,8 @@ def _insert(
             raise InvalidPick(f"{noun} {p} is outside the ideal of cut {cut}")
         if succs[x] & ideal[cut]:
             raise InvalidPick(f"{noun} {p} is not maximal for cut {cut}")
-    blocks = [[v + bisect_left(cuts, v)] for v in base]
-    for i, (cut, p) in enumerate(zip(cuts, picks), start=1):
-        blocks[index[p]].append(cut + i)
-    return blocks
+        blocks[x] += (cut + i,)
+    return tuple(blocks)
 
 
 def decompose(t: SetValuedTableau) -> Triple:
@@ -359,8 +365,7 @@ def compose(tr: Triple) -> SetValuedTableau:
         raise InvalidPick("base tableau must be standard (no extra entries)")
     index, _preds, succs = _cell_masks(base.shape)
     entries = [e for (e,) in chain.from_iterable(base.rows)]
-    blocks = _insert(entries, succs, tr.cuts, tr.picks, index, "cell")
-    return _repack(base.shape, tuple(tuple(b) for b in blocks))
+    return _repack(base.shape, _insert(entries, succs, tr.cuts, tr.picks, index, "cell"))
 
 
 # ---------------------------------------------------------------------------

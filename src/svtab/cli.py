@@ -57,7 +57,7 @@ from .verify import (
     build_tasks,
     report_dict,
     report_text,
-    run_tasks,
+    _run_timed,
 )
 
 __all__ = ["main"]
@@ -394,10 +394,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     threads = args.parallel if args.parallel is not None else available_threads()
     started = perf_counter()
-    results = run_tasks(tasks, threads=threads)
+    results, timings = _run_timed(tasks, threads=threads)
     wall = perf_counter() - started
     if args.report == "json":
-        report = report_dict(results, threads, wall, args.budget)
+        report = report_dict(results, timings, threads, wall, args.budget)
         _write(args, json.dumps(report, indent=2))
     else:
         _write(args, report_text(results))

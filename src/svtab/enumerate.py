@@ -62,8 +62,12 @@ def as_skew(shape) -> SkewShape:
     return SkewShape(_as_partition(shape))
 
 
+@lru_cache(maxsize=256)
 def _cell_masks(shape: SkewShape) -> tuple[dict[tuple[int, int], int], list[int], list[int]]:
-    """Row-major cell index {cell: i} with bitmasks of cover predecessors/successors."""
+    """Row-major cell index {cell: i} with bitmasks of cover predecessors/successors.
+
+    Cached per shape, so callers only read the result.
+    """
     index = {cell: i for i, cell in enumerate(shape.cells())}
     preds = [0] * len(index)
     succs = [0] * len(index)
@@ -110,20 +114,33 @@ class _Moves(dict):
 
 
 def _walk(preds: list[int], succs: list[int], total: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every filling of the cells by entries 1..total, as per-cell entry tuples."""
+    """Every filling of the cells by entries 1..total, as per-cell entry tuples.
+
+    A depth-first search with one iterator of legal moves per placed entry
+    on an explicit stack, so a leaf is handed out through one generator
+    frame rather than a chain of ``total`` of them.
+    """
     moves = _Moves(preds, succs)
     cells: list[list[int]] = [[] for _ in preds]
-
-    def rec(e: int, ideal: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if e > total:
-            yield tuple(map(tuple, cells))
-            return
-        for i, up in moves.legal(ideal, total - e):
+    if total == 0:
+        yield tuple(map(tuple, cells))
+        return
+    stack = [iter(moves.legal(0, total - 1))]  # stack[e-1] places entry e
+    placed: list[int] = []  # the cell of each entry placed, but the last
+    while stack:
+        e = len(stack)
+        for i, up in stack[-1]:
             cells[i].append(e)
-            yield from rec(e + 1, up)
+            if e < total:
+                placed.append(i)
+                stack.append(iter(moves.legal(up, total - e - 1)))
+                break
+            yield tuple(map(tuple, cells))
             cells[i].pop()
-
-    return rec(1, 0)
+        else:
+            stack.pop()
+            if placed:
+                cells[placed.pop()].pop()
 
 
 def _count_walk(preds: list[int], succs: list[int], total: int) -> int:

@@ -200,28 +200,16 @@ class SetValuedLinearExtension:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "blocks", tuple(tuple(sorted(b)) for b in self.blocks)
-        )
-        if len(self.blocks) != self.poset.n:
-            raise OutOfRange(
-                f"expected {self.poset.n} blocks, got {len(self.blocks)}"
-            )
-        seen: list[int] = []
-        for x, b in enumerate(self.blocks, start=1):
-            if not b:
-                raise EmptyCell(f"element {x} received no entries")
-            seen.extend(b)
-        if sorted(seen) != list(range(1, len(seen) + 1)):
-            raise NotAPartitionOfRange(
-                f"entries do not partition 1..{len(seen)}"
-            )
-        # the covers suffice: the order is their transitive closure
-        for a, b in self.poset._cover_pairs:
-            if self.blocks[a - 1][-1] > self.blocks[b - 1][0]:
-                raise OrderViolation(
-                    f"block of {a} must finish before block of {b} starts"
-                )
+        blocks = tuple(map(tuple, map(sorted, self.blocks)))
+        object.__setattr__(self, "blocks", blocks)
+        _check_blocks(self.poset, blocks)
+
+    @classmethod
+    def _trusted(cls, poset: Poset, blocks: tuple[tuple[int, ...], ...]):
+        """The object of blocks known to be valid, built without checks."""
+        s = object.__new__(cls)
+        s.__dict__.update(poset=poset, blocks=blocks)
+        return s
 
     @property
     def nentries(self) -> int:
@@ -240,6 +228,26 @@ class SetValuedLinearExtension:
         )
 
 
+def _check_blocks(poset: Poset, blocks: tuple[tuple[int, ...], ...]) -> None:
+    """Raise unless the sorted blocks make a set-valued linear extension.
+
+    The checks, in this order: one block per element, no empty block, the
+    entries partition 1..n+k, and every cover's blocks are separated.
+    """
+    if len(blocks) != poset.n:
+        raise OutOfRange(f"expected {poset.n} blocks, got {len(blocks)}")
+    if not all(blocks):
+        x = blocks.index(()) + 1
+        raise EmptyCell(f"element {x} received no entries")
+    entries = sorted(itertools.chain.from_iterable(blocks))
+    if entries != list(range(1, len(entries) + 1)):
+        raise NotAPartitionOfRange(f"entries do not partition 1..{len(entries)}")
+    # the covers suffice: the order is their transitive closure
+    for a, b in poset._cover_pairs:
+        if blocks[a - 1][-1] > blocks[b - 1][0]:
+            raise OrderViolation(f"block of {a} must finish before block of {b} starts")
+
+
 def compose_extension(
     poset: Poset,
     ext: tuple[int, ...],
@@ -253,7 +261,7 @@ def compose_extension(
     by the first cuts[i-1] elements of ext.  The codec is ``biject._insert``,
     with element x at index x-1.
     """
-    if tuple(sorted(ext)) != tuple(poset.elements):
+    if sorted(ext) != list(poset.elements):
         raise InvalidPick(f"{ext} is not a linear extension listing")
     time_of = [0] * poset.n
     for j, x in enumerate(ext, start=1):
@@ -264,7 +272,8 @@ def compose_extension(
     blocks = _insert(
         time_of, poset._cover_masks[1], cuts, picks, poset._index, "element"
     )
-    return SetValuedLinearExtension(poset, tuple(tuple(b) for b in blocks))
+    _check_blocks(poset, blocks)  # the blocks are sorted, so not sorted again
+    return SetValuedLinearExtension._trusted(poset, blocks)
 
 
 def decompose_extension(
@@ -294,13 +303,17 @@ def sv_linear_extensions(poset: Poset, k: int):
     Walks the lattice of order ideals with the walker of ``enumerate``:
     entries 1..n+k are placed in turn, each opening an element whose lower
     covers are open or joining an open element none of whose upper covers is
-    open, elements tried in label order.
+    open, elements tried in label order.  Every leaf of the walk is a valid
+    object by construction (see ``enumerate``), so the objects are built
+    without ``SetValuedLinearExtension``'s checks, as ``gen_svsyt`` hands out
+    its tableaux; ``verify`` matches every one against a validated object.
     """
     if k < 0:
         raise OutOfRange(f"need k >= 0, got {k}")
     preds, succs = poset._cover_masks
+    trusted = SetValuedLinearExtension._trusted
     for blocks in _walk(preds, succs, poset.n + k):
-        yield SetValuedLinearExtension(poset, blocks)
+        yield trusted(poset, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,8 @@ def set_valued_q_narayana(n: int, m: int) -> QPoly:
 def ddeg(poset, ideal) -> int:
     """Number of maximal elements of an order ideal (its down-degree in J(P))."""
     members = frozenset(ideal)
+    if members and not (1 <= min(members) and max(members) <= poset.n):
+        raise OutOfRange(f"ideal {sorted(members)} has labels outside 1..{poset.n}")
     succs = poset._cover_masks[1]
     mask = sum(1 << (x - 1) for x in members)
     return sum(1 for x in members if not succs[x - 1] & mask)

@@ -528,8 +528,10 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
     weighted ideal DP (``enumerate._comaj_walk``).  For n <= 4 the composed
     objects' comajor weights are also compared with ``vartheta`` of their
     (extension, cuts), and the DP with the streamed walker's comajor tally.
-    Both routes build and validate every object, but each is dropped once its
-    key is taken, so the route check holds keys, not objects.
+    Only the composed objects are validated; the walker's are valid by
+    construction and built without checks, so a walker object that is not
+    valid shows as "not composed" in the routes row.  Each object is dropped
+    once its key is taken, so the route check holds keys, not objects.
     """
     tag = f"{name},k={k}"
     lhs, rhs = sum_identity_check(poset, k)
@@ -781,22 +783,32 @@ def build_tasks(
     return tasks
 
 
-def _run_task(task: Task) -> list[CheckResult]:
+def _run_task(task: Task) -> tuple[dict, list[CheckResult]]:
+    """The task's rows, and its time record: suite, check, the kwargs but the
+    poset, the task's wall seconds and its number of rows."""
     suite, check, kwargs = task
+    args = {k: v for k, v in kwargs.items() if k != "poset"}
     started = perf_counter()
     try:
         rows = _CHECKS[check](**kwargs)
     except (SvtabError, AssertionError) as exc:
         rows = [
             (
-                ",".join(f"{k}={v}" for k, v in kwargs.items() if k != "poset"),
+                ",".join(f"{k}={v}" for k, v in args.items()),
                 "no exception",
                 f"{type(exc).__name__}: {exc}",
             )
         ]
     elapsed = perf_counter() - started
     split = elapsed / max(len(rows), 1)
-    return [
+    timing = {
+        "suite": suite,
+        "check": check,
+        "kwargs": args,
+        "seconds": round(elapsed, 6),
+        "rows": len(rows),
+    }
+    return timing, [
         CheckResult(
             suite=suite,
             check=check,
@@ -829,30 +841,36 @@ def _longest_first(tasks) -> list[Task]:
     return sorted(tasks, key=key)
 
 
-def run_tasks(tasks, threads: int | None = None) -> list[CheckResult]:
+def _run_timed(tasks, threads: int | None = None) -> tuple[list[CheckResult], list[dict]]:
     """Run tasks, in worker processes when more than one thread is allowed.
 
-    Workers take the tasks longest first; the results are sorted, so the
-    order of hand-out does not show in them.
+    Workers take the tasks longest first.  Returns the rows, sorted so that
+    the order of hand-out does not show in them, and one time record per
+    task (see ``_run_task``) in the order of hand-out.
     """
     n = threads if threads is not None else available_threads()
-    results: list[CheckResult] = []
     if n <= 1 or len(tasks) <= 1:
-        for t in tasks:
-            results.extend(_run_task(t))
+        outs = [_run_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=min(n, len(tasks))) as pool:
-            for out in pool.map(_run_task, _longest_first(tasks), chunksize=1):
-                results.extend(out)
+            outs = list(pool.map(_run_task, _longest_first(tasks), chunksize=1))
+    results: list[CheckResult] = []
+    for _timing, rows in outs:
+        results.extend(rows)
     results.sort(key=lambda r: (r.suite, r.check, r.instance))
-    return results
+    return results, [timing for timing, _rows in outs]
 
 
-def report_dict(results, threads: int, wall_seconds: float, budget: str) -> dict:
-    """The JSON report: totals, the run's setting, and every row.
+def run_tasks(tasks, threads: int | None = None) -> list[CheckResult]:
+    """The rows of ``_run_timed``, without the time records."""
+    return _run_timed(tasks, threads)[0]
 
-    ``wall_seconds`` is the caller's wall time around the run and ``seconds``
-    the sum of the rows' task times.
+
+def report_dict(results, tasks, threads: int, wall_seconds: float, budget: str) -> dict:
+    """The JSON report: totals, the run's setting, every task's time and every row.
+
+    ``wall_seconds`` is the caller's wall time around the run, ``tasks`` the
+    time records of ``_run_timed`` and ``seconds`` their total.
     """
     failures = [r for r in results if not r.ok]
     return {
@@ -863,7 +881,8 @@ def report_dict(results, threads: int, wall_seconds: float, budget: str) -> dict
         "checks": len(results),
         "passed": len(results) - len(failures),
         "failed": len(failures),
-        "seconds": round(sum(r.seconds for r in results), 3),
+        "seconds": round(sum(t["seconds"] for t in tasks), 3),
+        "tasks": list(tasks),
         "results": [asdict(r) for r in results],
     }
 

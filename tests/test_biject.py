@@ -6,6 +6,7 @@ import pytest
 
 from svtab.biject import (
     Triple,
+    _insert,
     _peel,
     ballot_path_from_tableau,
     compose,
@@ -287,6 +288,47 @@ class TestTriples:
             compose(Triple(base, (2,), ((1, 1),)))
         with pytest.raises(InvalidPick):
             compose(Triple(base, (0,), ((2, 1),)))
+
+    # a chain of three elements as the codec sees it: base entries 1, 2, 3 and
+    # upper covers 0 -> 1 -> 2; picks are named by letter
+    CHAIN3 = ([1, 2, 3], [0b010, 0b100, 0b000], {"a": 0, "b": 1, "c": 2})
+
+    @pytest.mark.parametrize(
+        "cuts,picks,message",
+        [
+            ((1,), (), "cuts and picks must have equal length"),
+            ((1, 1), ("a",), "cuts and picks must have equal length"),
+            ((0,), ("a",), "cuts out of range 1..3: (0,)"),
+            ((4,), ("c",), "cuts out of range 1..3: (4,)"),
+            ((2, 1), ("b", "a"), "cuts must weakly increase: (2, 1)"),
+            ((1,), ("z",), "no letter z"),
+            ((1,), ("b",), "letter b is outside the ideal of cut 1"),
+            ((2,), ("a",), "letter a is not maximal for cut 2"),
+            # precedence: lengths, then range, then order, then pick by pick
+            ((0, 4), ("a",), "cuts and picks must have equal length"),
+            ((4, 0), ("a", "a"), "cuts out of range 1..3: (4, 0)"),
+            ((3, 1), ("z", "z"), "cuts must weakly increase: (3, 1)"),
+            ((1, 2), ("b", "z"), "letter b is outside the ideal of cut 1"),
+            ((2, 3), ("z", "a"), "no letter z"),
+            ((3, 3), ("a", "z"), "letter a is not maximal for cut 3"),
+        ],
+    )
+    def test_insert_errors(self, cuts, picks, message):
+        base, succs, index = self.CHAIN3
+        with pytest.raises(InvalidPick) as info:
+            _insert(base, succs, cuts, picks, index, "letter")
+        assert str(info.value) == message
+
+    def test_compose_names_the_cell(self):
+        base = _rows([[1], [2]], [[3], [4]])
+        for cuts, picks, message in [
+            ((2,), ((3, 1),), "no cell (3, 1)"),
+            ((1,), ((1, 2),), "cell (1, 2) is outside the ideal of cut 1"),
+            ((3,), ((1, 1),), "cell (1, 1) is not maximal for cut 3"),
+        ]:
+            with pytest.raises(InvalidPick) as info:
+                compose(Triple(base, cuts, picks))
+            assert str(info.value) == message
 
 
 class TestRotateComplement:

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from svtab.cli import main
+from svtab.verify import build_tasks
 
 
 def run(capsys, *argv):
@@ -283,6 +284,20 @@ class TestVerifyCommand:
         data = json.loads(out)
         assert data["failed"] == 0
         assert data["checks"] == data["passed"] > 0
+
+    def test_json_report_times_every_task_once(self, capsys):
+        argv = ["verify", "--suite", "counts", "--budget", "quick", "--report", "json"]
+        code, out, _ = run(capsys, *argv, "--parallel", "1")
+        assert code == 0
+        data = json.loads(out)
+        tasks = build_tasks(("counts",), budget="quick")
+        timed = [(t["suite"], t["check"], t["kwargs"]) for t in data["tasks"]]
+        assert timed == [(suite, check, kwargs) for suite, check, kwargs in tasks]
+        assert sum(t["rows"] for t in data["tasks"]) == data["checks"]
+        total = sum(t["seconds"] for t in data["tasks"])
+        assert data["seconds"] == round(total, 3)
+        # both totals are rounded to the millisecond
+        assert 0 < data["seconds"] <= data["wall_seconds"] + 0.001
 
     def test_json_report_wall_time_is_measured(self):
         argv = ["verify", "--suite", "qstats", "--budget", "quick", "--report", "json"]

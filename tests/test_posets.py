@@ -7,7 +7,9 @@ import pytest
 
 from svtab.closedform import binom, hook_count
 from svtab.core import (
+    EmptyCell,
     InvalidPick,
+    NotAPartitionOfRange,
     OrderViolation,
     OutOfRange,
     Partition,
@@ -160,6 +162,49 @@ class TestSvLinearExtensions:
                     assert accepted == separated, (poset, blocks)
                     rejected += not accepted
         assert rejected > 0
+
+
+    @pytest.mark.parametrize(
+        "poset,blocks,error,message",
+        [
+            (chain(2), ((1,),), OutOfRange, "expected 2 blocks, got 1"),
+            (chain(2), ((1,), (2,), (3,)), OutOfRange, "expected 2 blocks, got 3"),
+            (antichain(2), ((1, 2), ()), EmptyCell, "element 2 received no entries"),
+            (antichain(2), ((), ()), EmptyCell, "element 1 received no entries"),
+            (antichain(2), ((1,), (3,)), NotAPartitionOfRange, "entries do not partition 1..2"),
+            (antichain(2), ((1, 1), (2,)), NotAPartitionOfRange, "entries do not partition 1..3"),
+            (
+                chain(3),
+                ((3,), (2,), (1,)),
+                OrderViolation,
+                "block of 1 must finish before block of 2 starts",
+            ),
+            (VEE, ((1,), (3,), (2,)), OrderViolation, "block of 2 must finish before block of 3 starts"),
+            # precedence: the count, then empty blocks, then the partition, then the order
+            (chain(2), ((), (), ()), OutOfRange, "expected 2 blocks, got 3"),
+            (chain(2), ((9,), ()), EmptyCell, "element 2 received no entries"),
+            (chain(2), ((2,), (1, 1)), NotAPartitionOfRange, "entries do not partition 1..3"),
+        ],
+    )
+    def test_validation_errors(self, poset, blocks, error, message):
+        with pytest.raises(error) as info:
+            SetValuedLinearExtension(poset, blocks)
+        assert str(info.value) == message
+
+    def test_blocks_are_sorted(self):
+        s = SetValuedLinearExtension(chain(2), ([2, 1], (3,)))
+        assert s.blocks == ((1, 2), (3,))
+
+    def test_compose_errors(self):
+        for ext, cuts, picks, message in [
+            ((1, 1), (), (), "(1, 1) is not a linear extension listing"),
+            ((2, 1), (), (), "(2, 1) lists 2 before 1"),
+            ((1, 2), (1,), (2,), "element 2 is outside the ideal of cut 1"),
+            ((1, 2), (2,), (1,), "element 1 is not maximal for cut 2"),
+        ]:
+            with pytest.raises(InvalidPick) as info:
+                compose_extension(chain(2), ext, cuts, picks)
+            assert str(info.value) == message
 
 
 class TestTripleCodec:

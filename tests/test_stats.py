@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from svtab.closedform import catalan, kreweras, narayana
-from svtab.core import NotInFamily, Permutation, SetValuedTableau
+from svtab.core import NotInFamily, OutOfRange, Permutation, SetValuedTableau
 from svtab.enumerate import gen_svsyt, gen_two_row_union
 from svtab.rings import QPoly
 from svtab.stats import (
@@ -195,6 +195,12 @@ class TestDdeg:
         assert ddeg(chain(3), frozenset({1, 2})) == 1
         assert ddeg(antichain(3), frozenset({1, 3})) == 2
         assert ddeg(antichain(4), frozenset({1, 2, 3, 4})) == 4
+
+    @pytest.mark.parametrize("ideal", [{5}, {0}, {1, 4}])
+    def test_labels_outside_the_poset(self, ideal):
+        with pytest.raises(OutOfRange) as info:
+            ddeg(chain(3), ideal)
+        assert str(info.value) == f"ideal {sorted(ideal)} has labels outside 1..3"
 
 
 def test_q_analogs_match_the_enumeration_tally_by_m():

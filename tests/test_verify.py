@@ -23,6 +23,7 @@ from svtab.verify import (
     report_dict,
     report_text,
     run_tasks,
+    _run_timed,
 )
 
 
@@ -90,10 +91,13 @@ def test_longest_first_hands_out_big_poset_tasks_first():
 
 def test_reports():
     tasks = [("counts", "check_union_count", {"n": 4})]
-    results = run_tasks(tasks, threads=1)
+    results, timings = _run_timed(tasks, threads=1)
     assert results and all(isinstance(r, CheckResult) for r in results)
-    d = report_dict(results, threads=1, wall_seconds=0.25, budget="desk")
+    d = report_dict(results, timings, threads=1, wall_seconds=0.25, budget="desk")
     assert d["failed"] == 0 and d["passed"] == d["checks"] == len(results)
+    assert [(t["check"], t["kwargs"], t["rows"]) for t in d["tasks"]] == [
+        ("check_union_count", {"n": 4}, len(results))
+    ]
     assert (d["threads"], d["wall_seconds"], d["budget"]) == (1, 0.25, "desk")
     text = report_text(results)
     assert "PASS" in text and text.strip().endswith("0 failed")
@@ -219,7 +223,7 @@ def test_every_poset_row_can_fail():
 _VEE_K1_RUN = """
 kwargs = {"name": "vee", "poset": dict(catalog())["vee"], "k": 1}
 results = v.run_tasks([("posets", "check_poset_identities", kwargs)], threads=1)
-print(json.dumps([(r.instance, r.status, r.expected) for r in results]))
+print(json.dumps([(r.instance, r.status, r.expected, r.actual) for r in results]))
 """
 
 _DROP_SCRIPT = """
@@ -255,7 +259,7 @@ v.compose_extension = planted
 """ + _VEE_K1_RUN
 
 
-def _run_vee_k1(script, flags):
+def _vee_k1_rows(script, flags):
     src = str(Path(svtab.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, *flags, "-c", script],
@@ -265,8 +269,12 @@ def _run_vee_k1(script, flags):
         check=True,
     )
     rows = json.loads(proc.stdout)
-    assert "no exception" not in {want for _i, _s, want in rows}
-    return {inst: st for inst, st, _want in rows}
+    assert "no exception" not in {want for _i, _s, want, _got in rows}
+    return rows
+
+
+def _run_vee_k1(script, flags):
+    return {inst: st for inst, st, _want, _got in _vee_k1_rows(script, flags)}
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
@@ -276,6 +284,37 @@ def test_dropped_object_gives_fail_row_not_exception(flags):
     assert status["vee,k=1 comaj tally"] == "fail"
     assert status["vee,k=1 expectation"] == "pass"
     assert status["vee,k=1 weight sum"] == "pass"
+
+
+# the walker's objects are not validated: a walker that yields a filling
+# breaking a cover is caught by the routes row alone.  The first filling with
+# one extra entry, 1:{1,2} 2:{3} 3:{4}, becomes 1:{3} 2:{1,2} 3:{4}, which
+# breaks 1 < 2 and keeps the comajor index 2; the walks without extras, which
+# give the linear extensions, are left alone
+_BROKEN_COVER_SCRIPT = """
+import json
+import svtab.posets
+import svtab.verify as v
+from svtab.posets import catalog
+
+real = svtab.posets._walk
+
+def broken(preds, succs, total):
+    it = real(preds, succs, total)
+    if total > len(preds):
+        first, second, *rest = next(it)
+        yield (second, first, *rest)
+    yield from it
+
+svtab.posets._walk = broken
+""" + _VEE_K1_RUN
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_walker_object_breaking_a_cover_fails_routes_only(flags):
+    rows = _vee_k1_rows(_BROKEN_COVER_SCRIPT, flags)
+    failed = {inst: got for inst, status, _want, got in rows if status == "fail"}
+    assert failed == {"vee,k=1 routes": "8 objects, 1 not composed, 1 not walked"}
 
 
 # a wrong constant coefficient in the comajor DP
