@@ -377,7 +377,8 @@ def rotate_complement(t: SetValuedTableau) -> SetValuedTableau:
 
     Exchanges straight shapes (b+1, b) with skew shapes (b+1, b+1)/(1); entry
     v becomes N+1-v where N is the total number of entries.  Applying the map
-    twice gives back the original tableau.
+    twice gives back the original tableau.  The turned cells come out sorted,
+    so the image is built from them and the other shape directly.
     """
     validate_svsyt(t)
     outer, inner = t.shape.outer, t.shape.inner
@@ -393,12 +394,11 @@ def rotate_complement(t: SetValuedTableau) -> SetValuedTableau:
         raise ShapeMismatch(
             f"expected (b+1,b) or (b+1,b+1)/(1), got {tuple(outer)}/{tuple(inner)}"
         )
-    total = t.nentries
-
-    def turned(row):
-        return [[total + 1 - v for v in reversed(cell)] for cell in reversed(row)]
-
-    top, bot = t.rows
-    return SetValuedTableau.from_rows(
-        [turned(bot), turned(top)], inner=(1,) if straight_ok else ()
+    total, w = t.nentries, outer.part(1)
+    rows = tuple(
+        tuple(tuple(total + 1 - v for v in reversed(cell)) for cell in reversed(row))
+        for row in reversed(t.rows)
     )
+    if straight_ok:
+        return SetValuedTableau(SkewShape(Partition((w, w)), Partition((1,))), rows)
+    return SetValuedTableau(SkewShape(Partition((w, w - 1))), rows)

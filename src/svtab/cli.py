@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from time import perf_counter
 from typing import Callable
 
@@ -133,11 +134,8 @@ def _obj_text(obj) -> str:
         return str(obj)
     if isinstance(obj, Permutation):
         return obj.to_text()
-    if isinstance(obj, ColoredPath):
-        return obj.word
-    if isinstance(obj, Triple):
-        return json.dumps(obj.to_json_dict())
-    raise AssertionError(f"unexpected object {obj!r}")
+    got = _obj_json(obj)
+    return got if isinstance(got, str) else json.dumps(got)
 
 
 def _obj_json(obj):
@@ -221,8 +219,8 @@ _FAMILY_COUNTS: dict[str, tuple[tuple[str, ...], Callable, Callable]] = {
     **{
         fam: (
             ("n",),
-            (lambda f: lambda n: path_family_count(f, n))(fam),
-            (lambda f: lambda n: count_paths(f, n))(fam),
+            partial(path_family_count, fam),
+            partial(count_paths, fam),
         )
         for fam in PATH_FAMILIES
     },
@@ -283,15 +281,10 @@ def cmd_qtable(args: argparse.Namespace) -> int:
             for m in range(1, n + 1)
         }
     if args.format == "json":
-        _write(
-            args,
-            json.dumps({key: list(p.coeffs) for key, p in polys.items()}, indent=2),
-        )
+        text = json.dumps({key: list(p.coeffs) for key, p in polys.items()}, indent=2)
     else:
-        _write(
-            args,
-            "\n".join(",".join(map(str, p.coeffs)) for p in polys.values()),
-        )
+        text = "\n".join(",".join(map(str, p.coeffs)) for p in polys.values())
+    _write(args, text)
     return 0
 
 

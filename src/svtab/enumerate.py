@@ -13,15 +13,16 @@ index order (row-major for shapes, label order for posets) emits objects in
 lexicographic order of the word that maps each entry to its cell index.
 
 The move rule is stated once, in the per-ideal move table ``_Moves``, and
-the walker and both ideal DPs read it.  Likewise the colored-path step rule
-is stated once, in ``_path_steps``, and the path walker and its DP read it;
-the family's restrictions come from ``core.PATH_RULES``.  The counts visit no
-object: ``count_svsyt`` is a dynamic program over the walker's states (the
-open ideal after each entry), and ``count_paths`` one over the path walker's
-states (height and whether a D was seen).  ``_comaj_walk`` tallies the walker's
-objects by their set-valued comajor index over states that also record the
-cell the last entry opened; ``_comaj_split`` further splits the tally by the
-number of entries in a given set of cells.  The set-valued q-Catalan and
+the walker and both ideal DPs read it; the colored-path step rule is stated
+once, in ``_path_steps``, for the path walker and its DP, with the family's
+restrictions from ``core.PATH_RULES``.  The DPs visit no object: each is one
+forward pass of int weights (``_forward``) over the walker's states, the open
+ideal after each entry for ``count_svsyt`` and the height and whether a D was
+seen for ``count_paths``.  ``_comaj_walk`` tallies the walker's objects by
+their set-valued comajor index over states that also record the cell the last
+entry opened, each state's tally packed into one int that the ``_Moves``
+invariant keeps free of carries; ``_comaj_split`` further splits the tally by
+the number of entries in a given set of cells.  The set-valued q-Catalan and
 q-Narayana polynomials of ``stats`` come from these DPs, and ``verify`` holds
 the enumeration tally they are checked against.
 """
@@ -143,28 +144,40 @@ def _walk(preds: list[int], succs: list[int], total: int) -> Iterator[tuple[tupl
                 cells[placed.pop()].pop()
 
 
+def _forward(start, step, n: int) -> dict:
+    """The state -> int weight layer after n steps from {start: 1}.
+
+    A weight w moves along each (next state, shift) of ``step(state, left)``
+    as w << shift; ``left`` counts the steps after this one.
+    """
+    layer = {start: 1}
+    for left in range(n - 1, -1, -1):
+        nxt: dict = {}
+        for state, w in layer.items():
+            for up, shift in step(state, left):
+                nxt[up] = nxt.get(up, 0) + (w << shift)
+        layer = nxt
+    return layer
+
+
 def _count_walk(preds: list[int], succs: list[int], total: int) -> int:
     """The number of leaves of ``_walk``, without visiting them.
 
     The subtree below a node of the walk depends only on the next entry and
     the ideal of open cells, so the leaves are counted one entry at a time
-    over the reachable ideals.
+    over the reachable ideals, building each ideal's two step lists once.
     """
     moves = _Moves(preds, succs)
-    layer = {0: 1}
-    for e in range(1, total + 1):
-        nxt: dict[int, int] = {}
-        for ideal, ways in layer.items():
-            for _i, up in moves.legal(ideal, total - e):
-                nxt[up] = nxt.get(up, 0) + ways
-        layer = nxt
-    return sum(layer.values())
+    steps: dict[int, tuple[int, list[tuple[int, int]], list[tuple[int, int]]]] = {}
 
+    def step(ideal: int, left: int) -> list[tuple[int, int]]:
+        if ideal not in steps:
+            unopened, every, opens = moves[ideal]
+            steps[ideal] = unopened, [(up, 0) for _i, up in every], [(up, 0) for _i, up in opens]
+        unopened, every, opens = steps[ideal]
+        return every if left >= unopened else opens
 
-def _add_shifted(into: dict[int, int], tally: dict[int, int], shift: int):
-    """Add the tally, every exponent raised by shift, into ``into``."""
-    for c, n in tally.items():
-        into[c + shift] = into.get(c + shift, 0) + n
+    return sum(_forward(0, step, total).values())
 
 
 def _comaj_split(preds: list[int], succs: list[int], total: int, marked: int) -> dict[int, QPoly]:
@@ -176,29 +189,32 @@ def _comaj_split(preds: list[int], succs: list[int], total: int, marked: int) ->
     an appended entry e is a descent (total - e), and an entry e that opens
     cell i makes e - 1 a descent (total - e + 1) when e - 1 opened a cell of
     larger index.  So ``_count_walk``'s state gains the cell the last entry
-    opened (-1 after an append and before entry 1) and the marked count, and
-    each state holds a tally {comaj so far: leaves}.
+    opened (-1 after an append and before entry 1) and the marked count.
+
+    A state's tally {comaj so far: walks} is packed into one int, the count of
+    q^c in bits [cB, (c+1)B), so raising the comaj by c is a shift by cB.  B
+    bits suffice: every walk ends in a leaf (``_Moves``), so no count in any
+    layer exceeds the leaf count and no carry crosses a slot.
     """
     moves = _Moves(preds, succs)
-    layer: dict[tuple[int, int, int], dict[int, int]] = {(0, -1, 0): {0: 1}}
-    for e in range(1, total + 1):
-        left = total - e
-        nxt: dict[tuple[int, int, int], dict[int, int]] = {}
-        for (ideal, last, marks), tally in layer.items():
-            for i, up in moves.legal(ideal, left):
-                j = marks + (marked >> i & 1)
-                if up == ideal:
-                    _add_shifted(nxt.setdefault((up, -1, j), {}), tally, left)
-                else:
-                    shift = left + 1 if i < last else 0
-                    _add_shifted(nxt.setdefault((up, i, j), {}), tally, shift)
-        layer = nxt
-    out: dict[int, dict[int, int]] = {}
-    for (_ideal, _last, marks), tally in layer.items():
-        _add_shifted(out.setdefault(marks, {}), tally, 0)
+    width = _count_walk(preds, succs, total).bit_length()
+
+    def step(state: tuple[int, int, int], left: int) -> Iterator[tuple[tuple[int, int, int], int]]:
+        ideal, last, marks = state
+        for i, up in moves.legal(ideal, left):
+            j = marks + (marked >> i & 1)
+            if up == ideal:
+                yield (up, -1, j), width * left
+            else:
+                yield (up, i, j), width * (left + 1) if i < last else 0
+
+    packed: dict[int, int] = {}
+    for (_ideal, _last, marks), w in _forward((0, -1, 0), step, total).items():
+        packed[marks] = packed.get(marks, 0) + w
+    slot = (1 << width) - 1
     return {
-        marks: QPoly([tally.get(c, 0) for c in range(max(tally) + 1)])
-        for marks, tally in sorted(out.items())
+        marks: QPoly(w >> c * width & slot for c in range(w.bit_length() // width + 1))
+        for marks, w in sorted(packed.items())
     }
 
 
@@ -331,13 +347,12 @@ def gen_paths(family: str, n: int) -> Iterator[ColoredPath]:
 def count_paths(family: str, n: int) -> int:
     """The number of length-n paths of the family, by a DP over (height, seen D)."""
     r1, r2, end = _family_rules(family, n)
-    layer = {(0, False): 1}
-    for _ in range(n):
-        nxt: dict[tuple[int, bool], int] = {}
-        for (h, seen_D), ways in layer.items():
-            for _ch, nh, nD in _path_steps(h, seen_D, r1, r2):
-                nxt[nh, nD] = nxt.get((nh, nD), 0) + ways
-        layer = nxt
+
+    @lru_cache(maxsize=None)
+    def steps(state: tuple[int, bool]) -> list[tuple[tuple[int, bool], int]]:
+        return [((nh, nD), 0) for _ch, nh, nD in _path_steps(*state, r1, r2)]
+
+    layer = _forward((0, False), lambda state, _left: steps(state), n)
     return sum(ways for (h, _), ways in layer.items() if end is None or h == end)
 
 

@@ -27,7 +27,7 @@ from .core import (
     Partition,
     SvtabError,
 )
-from .enumerate import _cell_masks, _walk, as_skew, gen_svsyt
+from .enumerate import _cell_masks, _comaj_walk, _walk, as_skew, gen_svsyt
 from .rings import QPoly
 from .stats import descent_set_plus_k
 
@@ -373,19 +373,13 @@ def qbinom(a: int, b: int) -> QPoly:
     return qfact(a).divexact(qfact(b) * qfact(a - b))
 
 
-def _comaj_polynomial(poset: Poset) -> QPoly:
-    acc = QPoly.zero()
-    for ext in linear_extensions(poset):
-        acc = acc + QPoly.monomial(comaj(ext))
-    return acc
-
-
 def sum_identity_check(poset: Poset, k: int) -> tuple[QPoly, QPoly]:
     """Total cut weight and its closed form, returned for the caller to compare.
 
     Summing vartheta over all linear extensions and all weakly increasing cut
     vectors in {0..n} equals q^(k choose 2) times the Gaussian binomial
-    [n+k over k] times the plain comajor polynomial.
+    [n+k over k] times the plain comajor polynomial, which is the k = 0
+    comajor DP (``enumerate._comaj_walk``).
     """
     if k < 0:
         raise OutOfRange(f"need k >= 0, got {k}")
@@ -397,7 +391,7 @@ def sum_identity_check(poset: Poset, k: int) -> tuple[QPoly, QPoly]:
     rhs = (
         QPoly.monomial(k * (k - 1) // 2)
         * qbinom(n + k, k)
-        * _comaj_polynomial(poset)
+        * _comaj_walk(*poset._cover_masks, n)
     )
     return lhs, rhs
 

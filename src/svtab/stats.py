@@ -138,11 +138,8 @@ def set_valued_q_catalan(n: int) -> QPoly:
     """
     if n < 1:
         raise OutOfRange(f"need n >= 1, got {n}")
-    total = QPoly.zero()
-    for lam in _two_row_shapes(n + 1):
-        _, preds, succs = _cell_masks(as_skew(lam))
-        total = total + _comaj_walk(preds, succs, n + 1)
-    return total
+    masks = (_cell_masks(as_skew(lam))[1:] for lam in _two_row_shapes(n + 1))
+    return sum((_comaj_walk(preds, succs, n + 1) for preds, succs in masks), QPoly.zero())
 
 
 @lru_cache(maxsize=1)

@@ -7,7 +7,7 @@ import pytest
 
 from svtab.closedform import ballot_count, catalan
 from svtab.closedform import act_count
-from svtab.posets import catalog, sv_linear_extensions
+from svtab.posets import Poset, catalog, sv_linear_extensions
 from svtab.rings import QPoly
 from svtab.stats import comaj_plus_k
 from svtab.core import (
@@ -23,6 +23,7 @@ from svtab.enumerate import (
     _cell_masks,
     _comaj_split,
     _comaj_walk,
+    _count_walk,
     _path_steps,
     as_skew,
     count_paths,
@@ -286,6 +287,22 @@ def test_comaj_dp_over_two_row_shapes_is_the_q_catalan():
             _cells, preds, succs = _cell_masks(as_skew((b, b)))
             want = _streamed_tally(gen_svsyt((b, b), n + 1 - 2 * b))
             assert _comaj_walk(preds, succs, n + 1) == want, (n, b)
+
+
+def test_packed_comaj_tally_sums_to_the_leaf_count():
+    # each state's tally is packed into one int, a slot of B bits per power
+    # of q; a carry across a slot or a dropped top slot changes the sum at q = 1
+    for b in range(1, 13):
+        for k in range(25 - 2 * b):
+            _cells, preds, succs = _cell_masks(as_skew((b, b)))
+            assert _comaj_walk(preds, succs, 2 * b + k)(1) == count_svsyt((b, b), k), (b, k)
+    for name, poset in catalog():
+        for k in range(4):
+            total = poset.n + k
+            masks = poset._cover_masks
+            assert _comaj_walk(*masks, total)(1) == _count_walk(*masks, total), (name, k)
+    # a DP with no leaves decodes to no split at all
+    assert _comaj_split(*Poset(0, ())._cover_masks, 1, 0) == {}
 
 
 def test_move_table_lists_appends_and_opens_in_cell_order():
