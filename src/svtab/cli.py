@@ -59,6 +59,7 @@ from .verify import (
     report_dict,
     report_text,
     _run_timed,
+    _worker_count,
 )
 
 __all__ = ["main"]
@@ -329,7 +330,7 @@ def cmd_biject(args: argparse.Namespace) -> int:
             continue
         try:
             obj = _read_object(kind, line, args.input)
-        except (json.JSONDecodeError, ValueError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSONDecodeError
             raise UsageError(f"bad input line {line!r}: {exc}") from None
         image = fn(obj)
         if args.input == "json":
@@ -385,7 +386,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         max_elements=args.max_elements,
         max_k=args.max_k,
     )
-    threads = args.parallel if args.parallel is not None else available_threads()
+    if args.parallel is None:
+        threads = available_threads()
+    else:
+        threads = _worker_count(args.parallel, "--parallel")
     started = perf_counter()
     results, timings = _run_timed(tasks, threads=threads)
     wall = perf_counter() - started

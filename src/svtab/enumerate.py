@@ -160,6 +160,12 @@ def _forward(start, step, n: int) -> dict:
     return layer
 
 
+def _unpack(w: int, width: int) -> QPoly:
+    """The polynomial whose q^c coefficient sits in bits [c·width, (c+1)·width) of w."""
+    slot = (1 << width) - 1
+    return QPoly(w >> c * width & slot for c in range(w.bit_length() // width + 1))
+
+
 def _count_walk(preds: list[int], succs: list[int], total: int) -> int:
     """The number of leaves of ``_walk``, without visiting them.
 
@@ -211,11 +217,7 @@ def _comaj_split(preds: list[int], succs: list[int], total: int, marked: int) ->
     packed: dict[int, int] = {}
     for (_ideal, _last, marks), w in _forward((0, -1, 0), step, total).items():
         packed[marks] = packed.get(marks, 0) + w
-    slot = (1 << width) - 1
-    return {
-        marks: QPoly(w >> c * width & slot for c in range(w.bit_length() // width + 1))
-        for marks, w in sorted(packed.items())
-    }
+    return {marks: _unpack(w, width) for marks, w in sorted(packed.items())}
 
 
 def _comaj_walk(preds: list[int], succs: list[int], total: int) -> QPoly:

@@ -8,6 +8,13 @@ driven by the poset's cover bitmasks, and the cut-and-pick triple codec is the
 one in ``biject``.  The cut-weight machinery expresses the comajor generating
 polynomial through ordinary linear extensions; each quantity is computed one
 way here, and ``verify`` compares the routes.
+
+The cut rule.  An extension with k weakly increasing cuts in {0..n} is a walk
+of n + k steps, each opening an element as ``_Moves`` does or cutting at time
+j = |ideal| after c = n + k - 1 - left - j cuts (``left`` steps follow).  In
+``vartheta`` an uncut descent is worth (n - j) + (k - c) = left + 1, as in
+``_comaj_split``, and a cut n - j + c = 2(n - j) + k - 1 - left; a cut needs
+left >= n - j (the append rule), and one per append weighs it by ddeg(ideal).
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .biject import _insert, _peel
 from .core import (
@@ -27,7 +34,9 @@ from .core import (
     Partition,
     SvtabError,
 )
-from .enumerate import _cell_masks, _comaj_walk, _walk, as_skew, gen_svsyt
+from .enumerate import (
+    _Moves, _cell_masks, _comaj_walk, _forward, _unpack, _walk, as_skew, gen_svsyt
+)
 from .rings import QPoly
 from .stats import descent_set_plus_k
 
@@ -373,21 +382,37 @@ def qbinom(a: int, b: int) -> QPoly:
     return qfact(a).divexact(qfact(b) * qfact(a - b))
 
 
+def _cut_weight_sum(poset: Poset, k: int, picks: bool) -> QPoly:
+    """The cut rule's pass (module docstring), one cut move per pick if ``picks``
+    else one; slots of B >= 1 bits, B from the count, as no walk dead-ends."""
+    if k < 0:
+        raise OutOfRange(f"need k >= 0, got {k}")
+    moves = _Moves(*poset._cover_masks)
+
+    def step(state: tuple[int, int], left: int, width: int = 0):
+        ideal, last = state
+        unopened, every, opens = moves[ideal]
+        for i, up in opens:
+            yield (up, i), width * (left + 1) if i < last else 0
+        if left >= unopened:  # the append rule; with picks, a cut per append
+            cuts = len(every) - len(opens) if picks else 1
+            yield from [((ideal, -1), width * (2 * unopened + k - 1 - left))] * cuts
+
+    start, total = (0, -1), poset.n + k
+    width = max(1, sum(_forward(start, step, total).values()).bit_length())
+    return _unpack(sum(_forward(start, partial(step, width=width), total).values()), width)
+
+
 def sum_identity_check(poset: Poset, k: int) -> tuple[QPoly, QPoly]:
     """Total cut weight and its closed form, returned for the caller to compare.
 
     Summing vartheta over all linear extensions and all weakly increasing cut
-    vectors in {0..n} equals q^(k choose 2) times the Gaussian binomial
-    [n+k over k] times the plain comajor polynomial, which is the k = 0
-    comajor DP (``enumerate._comaj_walk``).
+    vectors in {0..n} (the cut rule, module docstring) equals q^(k choose 2)
+    times the Gaussian binomial [n+k over k] times the plain comajor
+    polynomial, which is the k = 0 comajor DP (``enumerate._comaj_walk``).
     """
-    if k < 0:
-        raise OutOfRange(f"need k >= 0, got {k}")
+    lhs = _cut_weight_sum(poset, k, False)
     n = poset.n
-    lhs = QPoly.zero()
-    for ext in linear_extensions(poset):
-        for cuts in itertools.combinations_with_replacement(range(n + 1), k):
-            lhs = lhs + vartheta(ext, cuts)
     rhs = (
         QPoly.monomial(k * (k - 1) // 2)
         * qbinom(n + k, k)
@@ -399,30 +424,12 @@ def sum_identity_check(poset: Poset, k: int) -> tuple[QPoly, QPoly]:
 def expected_ddeg(poset: Poset, k: int) -> tuple[QPoly, QPoly]:
     """Numerator and denominator of the expected ideal-degree product.
 
-    The expectation of prod ddeg(I_j) under the cut-weight distribution,
-    summed on the multichain side: over every linear extension and weakly
-    increasing cut vector in {0..n}, the denominator adds the cut weight and
-    the numerator adds it times the product of the cut ideals' degrees.  The
-    numerator is the comajor tally of the set-valued extensions with k extras.
+    The expectation of prod ddeg(I_j) under the cut-weight distribution, on
+    the multichain side by the cut rule (module docstring): the denominator is
+    the total cut weight, and the numerator, each cut weighed by its ideal's
+    degree, is the comajor tally of the set-valued extensions with k extras.
     """
-    if k < 0:
-        raise OutOfRange(f"need k >= 0, got {k}")
-    n = poset.n
-    num = QPoly.zero()
-    den = QPoly.zero()
-    for ext in linear_extensions(poset):
-        prefix_ddeg = [
-            len(_maximal_in_prefix(poset, ext, t)) for t in range(n + 1)
-        ]
-        for cuts in itertools.combinations_with_replacement(range(n + 1), k):
-            w = 1
-            for t in cuts:
-                w *= prefix_ddeg[t]
-            weight = vartheta(ext, cuts)
-            den = den + weight
-            if w:
-                num = num + weight * w
-    return num, den
+    return _cut_weight_sum(poset, k, True), _cut_weight_sum(poset, k, False)
 
 
 def equidistribution_check(shape, k: int):

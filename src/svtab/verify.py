@@ -10,6 +10,7 @@ carries its own counterexample.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import sys
 from collections import Counter
@@ -123,11 +124,20 @@ def available_threads() -> int:
     """Worker count: SVTAB_THREADS when set, else the logical core count."""
     env = os.environ.get("SVTAB_THREADS")
     if env is not None:
-        n = int(env)
-        if n < 1:
-            raise SvtabError(f"SVTAB_THREADS must be positive, got {env!r}")
-        return n
+        return _worker_count(env, "SVTAB_THREADS")
     return os.cpu_count() or 1
+
+
+def _worker_count(value: int | str, source: str) -> int:
+    """``value`` as a worker count; SvtabError naming ``source`` unless it is
+    an integer >= 1."""
+    try:
+        n = int(value)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise SvtabError(f"{source} must be a positive integer, got {value!r}")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -518,20 +528,20 @@ def _entry_word(s: SetValuedLinearExtension) -> bytes:
 def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
     """Cut-weight identities, route agreement and roundtrips for one (poset, k).
 
-    Every (extension, cuts, picks) is composed once; its object gives a key
-    (its ``_entry_word``) for the route check and, for the first
-    ``ROUNDTRIP_CAP`` triples, a decompose roundtrip back to the triple.  The
-    walker's set-valued extensions are streamed once and must give the same
-    set of keys; together with the roundtrips this makes decompose and compose
-    inverse on the walker's objects.  The ``expected_ddeg`` numerator is
-    compared with the comajor tally of the set-valued extensions from the
-    weighted ideal DP (``enumerate._comaj_walk``).  For n <= 4 the composed
-    objects' comajor weights are also compared with ``vartheta`` of their
-    (extension, cuts), and the DP with the streamed walker's comajor tally.
+    One pass over every linear extension and cut vector in {0..n} sums
+    ``vartheta``, times the pick pool sizes for the numerator: the ``oracle``
+    of ``expected_ddeg``.  Each triple is composed once; its object gives a
+    key (``_entry_word``) for the route check and, for the first
+    ``ROUNDTRIP_CAP`` triples, a decompose roundtrip.  The walker's objects,
+    streamed once, must give the same keys; with the roundtrips this makes
+    decompose and compose inverse on them.  The ``expected_ddeg`` numerator
+    is compared with the comajor DP (``enumerate._comaj_walk``).  For n <= 4
+    each composed object's comajor weight is compared with its ``vartheta``
+    and summed against the numerator, and the DP with the streamed tally.
     Only the composed objects are validated; the walker's are valid by
-    construction and built without checks, so a walker object that is not
-    valid shows as "not composed" in the routes row.  Each object is dropped
-    once its key is taken, so the route check holds keys, not objects.
+    construction, so a walker object that is not valid shows as "not
+    composed" in the routes row.  Each object is dropped once its key is
+    taken, so the route check holds keys, not objects.
     """
     tag = f"{name},k={k}"
     lhs, rhs = sum_identity_check(poset, k)
@@ -539,16 +549,17 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
 
     small = poset.n <= 4
     composed: set[bytes] = set()
-    weight_sum = comaj_sum = QPoly.zero()
+    comaj_sum = QPoly.zero()
+    dens, nums = Counter(), Counter()  # vartheta -> its terms, their pick products
     mismatch = ""
     tried = 0
     bad = []
     for ext in linear_extensions(poset):
-        for cuts in itertools.combinations_with_replacement(
-            range(1, poset.n + 1), k
-        ):
-            weight = vartheta(ext, cuts) if small else None
+        for cuts in itertools.combinations_with_replacement(range(poset.n + 1), k):
+            weight = vartheta(ext, cuts)
             pools = [_maximal_in_prefix(poset, ext, t) for t in cuts]
+            dens[weight] += 1
+            nums[weight] += math.prod(map(len, pools))
             for picks in itertools.product(*pools):
                 s = compose_extension(poset, ext, cuts, picks)
                 if tried < ROUNDTRIP_CAP:
@@ -558,12 +569,12 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
                 composed.add(_entry_word(s))
                 if small:
                     got = QPoly.monomial(comaj_plus_k(s))
-                    weight_sum = weight_sum + weight
                     comaj_sum = comaj_sum + got
                     if got != weight and not mismatch:
                         mismatch = f"; {got} at {ext},{cuts},{picks}"
+    den, num = (sum((w * c for w, c in t.items()), QPoly.zero()) for t in (dens, nums))
     if small:
-        rows.append((f"{tag} weights", str(weight_sum), f"{comaj_sum}{mismatch}"))
+        rows.append((f"{tag} weights", str(num), f"{comaj_sum}{mismatch}"))
 
     # one pass over the walker; matched keys leave ``composed``
     wanted = len(composed)
@@ -587,8 +598,9 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
     if small:
         streamed = QPoly([tally[e] for e in range(max(tally, default=0) + 1)])
         rows.append((f"{tag} comaj tally", str(dp), str(streamed)))
-    num, _den = expected_ddeg(poset, k)
-    rows.append((f"{tag} expectation", str(num), str(dp)))
+    dp_num, dp_den = expected_ddeg(poset, k)
+    rows.append((f"{tag} expectation", str(dp_num), str(dp)))
+    rows.append((f"{tag} oracle", f"{num} / {den}", f"{dp_num} / {dp_den}"))
 
     done = f"{tried - len(bad)} roundtrips" + (f"; {bad[0]} differs" if bad else "")
     rows.append((f"{tag} roundtrips", f"{tried} roundtrips", done))

@@ -219,6 +219,13 @@ class TestBiject:
         code, _, err = run(capsys, "biject", "--map", "alpha", "--input", "json")
         assert code == 2 and "bad input line" in err
 
+    @pytest.mark.parametrize("line", ['{"x":1}', "7"])
+    def test_json_of_the_wrong_shape(self, capsys, monkeypatch, line):
+        self._feed(monkeypatch, line + "\n")
+        code, out, err = run(capsys, "biject", "--map", "alpha", "--input", "json")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad input line {line!r}")
+
 
 class TestSeriesAndExpect:
     def test_series_at_ones(self, capsys):
@@ -316,6 +323,18 @@ class TestVerifyCommand:
 
     def test_unknown_suite(self, capsys):
         assert run(capsys, "verify", "--suite", "nosuch")[0] == 2
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_parallel_below_one_exits_2(self, capsys, count):
+        code, out, err = run(capsys, "verify", "--suite", "qstats", "--parallel", count)
+        assert (code, out) == (2, "")
+        assert f"--parallel must be a positive integer, got {count}" in err
+
+    def test_bad_thread_variable_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("SVTAB_THREADS", "abc")
+        code, out, err = run(capsys, "verify", "--suite", "qstats", "--budget", "quick")
+        assert (code, out) == (2, "")
+        assert "SVTAB_THREADS must be a positive integer, got 'abc'" in err
 
     @pytest.mark.parametrize(
         "flag,suite",

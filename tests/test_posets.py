@@ -37,6 +37,7 @@ from svtab.posets import (
     young_diagram,
     _maximal_in_prefix,
 )
+from svtab.enumerate import _comaj_walk, _count_walk
 from svtab.rings import QPoly
 from svtab.stats import comaj_plus_k, ddeg
 
@@ -410,6 +411,37 @@ class TestIdentities:
                 for s in sv_linear_extensions(poset, k):
                     tally = tally + QPoly.monomial(comaj_plus_k(s))
                 assert num == tally
+
+    @pytest.mark.parametrize(
+        "poset,extensions",
+        [(young_diagram((5, 5, 5, 5)), hook_count((5, 5, 5, 5))), (antichain(8), 40320)],
+        ids=["young-5-5-5-5", "antichain8"],
+    )
+    def test_both_identities_past_the_catalog(self, poset, extensions):
+        # n = 20 and n = 8 with k = 2, far past the loops over extensions
+        n, k = poset.n, 2
+        num, den = expected_ddeg(poset, k)
+        lhs, rhs = sum_identity_check(poset, k)
+        preds, succs = poset._cover_masks
+        assert num == _comaj_walk(preds, succs, n + k)
+        assert num(1) == _count_walk(preds, succs, n + k)
+        closed = QPoly.monomial(1) * qbinom(n + 2, 2) * _comaj_walk(preds, succs, n)
+        assert den == lhs == rhs == closed
+        assert den(1) == binom(n + 2, 2) * extensions
+
+    def test_empty_poset(self):
+        empty = Poset(0, ())
+        one, q = QPoly([1]), QPoly([0, 1])
+        assert [expected_ddeg(empty, k) for k in range(3)] == [
+            (one, one),
+            (QPoly.zero(), one),
+            (QPoly.zero(), q),
+        ]
+        assert [sum_identity_check(empty, k) for k in range(3)] == [
+            (one, one),
+            (one, one),
+            (q, q),
+        ]
 
 
 class TestEquidistribution:

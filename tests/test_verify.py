@@ -34,9 +34,10 @@ def test_suites_constant():
 def test_available_threads_env(monkeypatch):
     monkeypatch.setenv("SVTAB_THREADS", "3")
     assert available_threads() == 3
-    monkeypatch.setenv("SVTAB_THREADS", "0")
-    with pytest.raises(SvtabError):
-        available_threads()
+    for bad in ("0", "-2", "abc", ""):
+        monkeypatch.setenv("SVTAB_THREADS", bad)
+        with pytest.raises(SvtabError, match="SVTAB_THREADS must be a positive integer"):
+            available_threads()
     monkeypatch.delenv("SVTAB_THREADS")
     assert available_threads() >= 1
 
@@ -129,6 +130,7 @@ ROW_NAMES = (
     "routes",
     "comaj tally",
     "expectation",
+    "oracle",
     "roundtrips",
 )
 
@@ -176,10 +178,15 @@ def _plant_walker(monkeypatch):
 
 
 def _plant_multichain(monkeypatch):
-    real = svtab.posets._maximal_in_prefix
-    monkeypatch.setattr(
-        svtab.posets, "_maximal_in_prefix", lambda p, e, t: real(p, e, t) + [0]
-    )
+    # every cut of the numerator's DP one power of q heavier: each term has
+    # k cuts, so the numerator gains q^k and the denominator is left alone
+    real = svtab.posets._cut_weight_sum
+
+    def planted(poset, k, picks):
+        out = real(poset, k, picks)
+        return out * QPoly.monomial(k) if picks else out
+
+    monkeypatch.setattr(svtab.posets, "_cut_weight_sum", planted)
 
 
 def _plant_comaj_dp(monkeypatch):
@@ -196,9 +203,9 @@ def _plant_codec(monkeypatch):
 
 PLANTS = [
     (_plant_weight_sum, {"weight sum"}),
-    (_plant_weights, {"weights"}),
+    (_plant_weights, {"weights", "oracle"}),
     (_plant_walker, {"routes", "comaj tally"}),
-    (_plant_multichain, {"expectation"}),
+    (_plant_multichain, {"expectation", "oracle"}),
     (_plant_comaj_dp, {"expectation", "comaj tally"}),
     (_plant_codec, {"roundtrips"}),
 ]
