@@ -26,6 +26,7 @@ from .core import (
     ShapeMismatch,
     ShapeNotTwoRowRectangular,
     SkewShape,
+    _json_ints,
     path_family,
     validate_svsyt,
 )
@@ -278,8 +279,8 @@ class Triple:
     def from_json_dict(cls, d: dict) -> "Triple":
         return cls(
             SetValuedTableau.from_json_dict(d["base"]),
-            tuple(int(t) for t in d["cuts"]),
-            tuple((int(r), int(c)) for r, c in d["picks"]),
+            _json_ints(d["cuts"]),
+            tuple((r, c) for r, c in map(_json_ints, d["picks"])),
         )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from functools import partial
 from time import perf_counter
 from typing import Callable
@@ -39,7 +40,7 @@ from .closedform import (
     path_family_count,
     peaks_count,
 )
-from .core import PATH_FAMILIES, ColoredPath, Permutation, SetValuedTableau, SvtabError
+from .core import PATH_FAMILIES, ColoredPath, Permutation, SetValuedTableau, SvtabError, _json_ints
 from .enumerate import (
     count_paths,
     count_svsyt,
@@ -101,14 +102,21 @@ def _require(args: argparse.Namespace, *names: str) -> list:
     return got
 
 
+def _open_output(path: str | None):
+    """stdout, or the ``--output`` file, opened before the command runs so that
+    a path that cannot be written is a usage error, not a lost run."""
+    if path is None:
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
+
+
 def _write(args: argparse.Namespace, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    args.out.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +316,7 @@ def _read_object(kind: str, line: str, input_fmt: str):
         if kind == "tableau":
             return SetValuedTableau.from_json_dict(data)
         if kind == "perm":
-            return Permutation(tuple(int(x) for x in data))
+            return Permutation(_json_ints(data))
         if kind == "path":
             return ColoredPath(str(data))
         return Triple.from_json_dict(data)
@@ -506,7 +514,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        with _open_output(args.output) as args.out:
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

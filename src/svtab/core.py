@@ -194,6 +194,15 @@ def _as_partition(p) -> Partition:
     return Partition(tuple(p))
 
 
+def _json_ints(values) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; TypeError for any other item, a bool or a
+    float too, so JSON input is never rounded or coerced."""
+    got = tuple(values)
+    if any(type(v) is not int for v in got):
+        raise TypeError(f"expected integers, got {list(got)!r}")
+    return got
+
+
 @dataclass(frozen=True)
 class SetValuedTableau:
     """Set-valued filling of a (skew) shape; cell sets are sorted int tuples."""
@@ -247,8 +256,9 @@ class SetValuedTableau:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SetValuedTableau":
-        t = cls.from_rows(d["rows"], inner=tuple(d.get("inner", ())))
-        if tuple(t.shape.outer.parts) != tuple(d["outer"]):
+        rows = [[_json_ints(cell) for cell in row] for row in d["rows"]]
+        t = cls.from_rows(rows, inner=_json_ints(d.get("inner", ())))
+        if t.shape.outer.parts != _json_ints(d["outer"]):
             raise InvalidShape(
                 f"declared outer {d['outer']} != row lengths {t.shape.outer.parts}"
             )

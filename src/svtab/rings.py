@@ -387,17 +387,20 @@ class TSeries:
     __rmul__ = __mul__
 
     def shift_up(self, j: int) -> "TSeries":
-        """Multiply by t^j."""
+        """Multiply by t^j (j >= 0)."""
+        if j < 0:
+            raise OutOfRange(f"shift needs j >= 0, got {j}")
         return TSeries(self.ring, self.order, [self.ring.zero()] * j + self.coeffs)
 
     def shift_down(self, j: int) -> "TSeries":
-        """Divide by t^j; the dropped low-order coefficients must vanish."""
-        for n in range(j):
-            if self.coeffs[n]:
+        """Divide by t^j (j >= 0); the dropped low-order coefficients, all of
+        them when j passes the order, must vanish."""
+        if j < 0:
+            raise OutOfRange(f"shift needs j >= 0, got {j}")
+        for n, c in enumerate(self.coeffs[:j]):
+            if c:
                 raise InexactDivision(f"coefficient of t^{n} nonzero, cannot divide by t^{j}")
-        return TSeries(
-            self.ring, self.order, self.coeffs[j:] + [self.ring.zero()] * j
-        )
+        return TSeries(self.ring, self.order, self.coeffs[j:])
 
     def inverse(self) -> "TSeries":
         """Geometric inverse; needs constant term exactly 1."""

@@ -3,8 +3,10 @@
 Every closed form and identity in the package is checked here, and only here,
 against an independent computation (enumeration, a recursion, a second form).
 Checks are grouped into suites, sharded into self-contained tasks, and run
-across processes; each task reports one result row per instance so a failure
-carries its own counterexample.
+across processes.  A check yields one row per instance, so a failure carries
+its own counterexample; a check that raises keeps the rows it yielded before
+the raise, followed by one failing row naming the exception.  A task's wall
+time is the one timing record; rows carry no time.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from time import perf_counter
+from typing import Iterator
 
 from .biject import (
     ballot_path_from_tableau,
@@ -113,7 +116,6 @@ class CheckResult:
     status: str  # "pass" or "fail"
     expected: str
     actual: str
-    seconds: float
 
     @property
     def ok(self) -> bool:
@@ -143,8 +145,8 @@ def _worker_count(value: int | str, source: str) -> int:
 # ---------------------------------------------------------------------------
 # individual checks
 #
-# Each check returns rows (instance, expected, actual); a row passes when the
-# two strings are equal, so a failing row is its own counterexample.
+# Each check is an iterable of rows (instance, expected, actual); a row passes
+# when the two strings are equal, so a failing row is its own counterexample.
 
 Row = tuple[str, str, str]
 
@@ -167,19 +169,17 @@ def check_union_count(n: int) -> list[Row]:
     return [(f"n={n:02d}", str(catalan(n - 1)), str(streamed))]
 
 
-def check_two_row_counts(n: int) -> list[Row]:
+def check_two_row_counts(n: int) -> Iterator[Row]:
     """Height-indexed table row n: closed forms vs the paths without / with a D."""
-    rows: list[Row] = []
     for i in range(n + 1):
         e, f = e_count(n, i), f_count(n, i)
         words = [p.word for p in gen_ballotlike(n, i)]
         got, got_f = len(words), sum("D" in w for w in words)
         want = f"{ballot_count(n, i)},{e + f},{e},{f}"
-        rows.append((f"n={n},i={i}", want, f"{got},{got},{got - got_f},{got_f}"))
+        yield f"n={n},i={i}", want, f"{got},{got},{got - got_f},{got_f}"
     if n >= 2:
         sums = (2 ** (n - 1), binom(2 * n - 2, n - 1) - 2 ** (n - 2))
-        rows.append((f"n={n} sums", str(sums), str(row_sums(n))))
-    return rows
+        yield f"n={n} sums", str(sums), str(row_sums(n))
 
 
 @lru_cache(maxsize=None)
@@ -211,14 +211,11 @@ def check_f_recursion(nmax: int) -> list[Row]:
     ]
 
 
-def check_shape_count(b: int, top: int) -> list[Row]:
+def check_shape_count(b: int, top: int) -> Iterator[Row]:
     """Hook-length formula vs peak formula vs the ideal DP, 2-by-b, 2b+k <= top."""
-    rows: list[Row] = []
     for k in range(top - 2 * b + 1):
         oracle = count_svsyt((b, b), k)
-        want = f"{oracle},{oracle}"
-        rows.append((f"b={b},k={k}", want, f"{act_count(b, k)},{peaks_count(b, k)}"))
-    return rows
+        yield f"b={b},k={k}", f"{oracle},{oracle}", f"{act_count(b, k)},{peaks_count(b, k)}"
 
 
 def check_path_count(family: str, nmax: int) -> list[Row]:
@@ -234,19 +231,17 @@ def check_path_count(family: str, nmax: int) -> list[Row]:
     ]
 
 
-def check_more_shapes(n: int) -> list[Row]:
+def check_more_shapes(n: int) -> Iterator[Row]:
     first, second = more_shapes_counts(n)
-    rows: list[Row] = []
     alt = Fraction(3 * binom(2 * n - 2, n), n + 1)
-    rows.append((f"n={n} first two ways", str(Fraction(first)), str(alt)))
+    yield f"n={n} first two ways", str(Fraction(first)), str(alt)
     if n <= 8:
         got = 0
         for b in range((n + 1) // 2 + 1):
             k = n - 1 - 2 * b
             if k >= 0:
                 got += count_svsyt((b + 1,) if b == 0 else (b + 1, b), k)
-        rows.append((f"n={n} near-rectangles", str(first), str(got)))
-    return rows
+        yield f"n={n} near-rectangles", str(first), str(got)
 
 
 def check_avoid321_count(n: int) -> list[Row]:
@@ -255,39 +250,43 @@ def check_avoid321_count(n: int) -> list[Row]:
 
 
 def check_perm_bijection(n: int) -> list[Row]:
-    """Tableau → permutation: roundtrip, avoidance, and the two statistics."""
-    seen = set()
+    """Tableau → permutation: roundtrip, avoidance, and the two statistics.
+
+    A broken property fails the one images row; its first witness follows the
+    image count."""
+    seen, fault = set(), ""
     for t in gen_two_row_union(n):
         w = perm_from_tableau(t)
-        if not w.is_321_avoiding():
-            return [(f"n={n}", "321-avoiding", f"pattern found in {w.to_text()}")]
-        if tableau_from_perm(w) != t:
-            return [(f"n={n}", f"roundtrip of {t}", str(tableau_from_perm(w)))]
+        seen.add(w)
+        if fault:
+            continue
         top_vals = sorted(
             v for c2 in range(1, t.shape.outer.part(1) + 1) for v in t.cell(1, c2)
         )
-        if list(rl_minima(w)) != top_vals:
-            return [(f"n={n}", f"minima {top_vals}", f"differ for {t}")]
-        if len(inner_valleys(w)) != t.shape.outer.part(1) - 1:
-            return [(f"n={n}", "valleys = columns - 1", f"fails for {t}")]
-        seen.add(w)
-    return [
-        (f"n={n:02d} distinct images", str(catalan(n - 1)), str(len(seen))),
-    ]
+        if not w.is_321_avoiding():
+            fault = f"; pattern found in {w.to_text()}"
+        elif tableau_from_perm(w) != t:
+            fault = f"; roundtrip of {t} gives {tableau_from_perm(w)}"
+        elif list(rl_minima(w)) != top_vals:
+            fault = f"; minima {top_vals} differ for {t}"
+        elif len(inner_valleys(w)) != t.shape.outer.part(1) - 1:
+            fault = f"; valleys != columns - 1 for {t}"
+    return [(f"n={n:02d} distinct images", str(catalan(n - 1)), f"{len(seen)}{fault}")]
 
 
 def check_path_bijection(n: int) -> list[Row]:
-    seen = set()
+    """Tableau → motzET path and back; a fault is shown as in the perm check."""
+    seen, fault = set(), ""
     for t in gen_two_row_union(n):
         p = path_from_tableau(t)
-        if "motzET" not in path_family(p):
-            return [(f"n={n}", "image in motzET", f"{p.word} for {t}")]
-        if tableau_from_path(p) != t:
-            return [(f"n={n}", f"roundtrip of {t}", str(tableau_from_path(p)))]
         seen.add(p.word)
-    return [
-        (f"n={n:02d} distinct images", str(catalan(n - 1)), str(len(seen))),
-    ]
+        if fault:
+            continue
+        if "motzET" not in path_family(p):
+            fault = f"; image {p.word} of {t} not in motzET"
+        elif tableau_from_path(p) != t:
+            fault = f"; roundtrip of {t} gives {tableau_from_path(p)}"
+    return [(f"n={n:02d} distinct images", str(catalan(n - 1)), f"{len(seen)}{fault}")]
 
 
 def _ballot_shapes(n: int, i: int):
@@ -297,49 +296,42 @@ def _ballot_shapes(n: int, i: int):
             yield ((b,) if b == i else (b, b - i)), k
 
 
-def check_ballot_bijection(n: int) -> list[Row]:
+def check_ballot_bijection(n: int) -> Iterator[Row]:
     """Tableaux of width-difference i map onto ballotlike paths ending at i."""
-    rows: list[Row] = []
     for i in range(n + 1):
-        seen = set()
-        total = 0
+        seen, total, fault = set(), 0, ""
         for shape, k in _ballot_shapes(n, i):
             for t in gen_svsyt(shape, k):
                 total += 1
                 p = ballot_path_from_tableau(t)
-                if p.final_height != i or "ballotlike" not in path_family(p):
-                    return [(f"n={n},i={i}", "ends at i, ballotlike", p.word)]
-                if tableau_from_ballot_path(p) != t:
-                    return [(f"n={n},i={i}", f"roundtrip of {t}", "differs")]
                 seen.add(p.word)
+                if fault:
+                    continue
+                if p.final_height != i or "ballotlike" not in path_family(p):
+                    fault = f"; image {p.word} of {t} not ballotlike ending at {i}"
+                elif tableau_from_ballot_path(p) != t:
+                    fault = f"; roundtrip of {t} gives {tableau_from_ballot_path(p)}"
         want = ballot_count(n, i)
-        rows.append((f"n={n},i={i}", f"{want},{want}", f"{total},{len(seen)}"))
-    return rows
+        yield f"n={n},i={i}", f"{want},{want}", f"{total},{len(seen)}{fault}"
 
 
-def check_contract_images(n: int) -> list[Row]:
+def check_contract_images(n: int) -> Iterator[Row]:
     """Contracting drops one step and trades the two path restrictions."""
-    rows: list[Row] = []
     for src, dst in (("motzT", "motz"), ("motzET", "motzE")):
         if src == "motzET" and n < 2:
             continue
-        img = set()
+        img, fault = set(), ""
         for p in gen_paths(src, n):
             q = contract_path(p)
-            if expand_path(q).word != p.word:
-                return [(f"{src},n={n}", f"roundtrip of {p.word}", q.word)]
             img.add(q.word)
+            if not fault and expand_path(q).word != p.word:
+                fault = f"; roundtrip of {p.word} gives {expand_path(q).word}"
         want = {p.word for p in gen_paths(dst, n - 1)}
-        rows.append(
-            (
-                f"{src}->{dst},n={n}",
-                f"image of size {len(want)}",
-                f"image of size {len(img)}"
-                if img == want
-                else f"symmetric difference {sorted(img ^ want)[:3]}",
-            )
-        )
-    return rows
+        if img == want:
+            got = f"image of size {len(img)}"
+        else:
+            got = f"symmetric difference {sorted(img ^ want)[:3]}"
+        yield f"{src}->{dst},n={n}", f"image of size {len(want)}", got + fault
 
 
 def check_triple_roundtrip(n: int) -> list[Row]:
@@ -402,32 +394,28 @@ def check_marker_tally(family: str, n: int) -> list[Row]:
     return [(f"{family},n={n}", str(slot[family].coeff(n)), str(tally))]
 
 
-def check_expected_steps(n: int) -> list[Row]:
+def check_expected_steps(n: int) -> Iterator[Row]:
     if n == 2:
         eU, eu = Fraction(1), Fraction(0)
     else:
         eU = Fraction(n * n + n - 6, 4 * n - 6)
         eu = Fraction(n * n - 4 * n + 6, 4 * n - 6)
-    rows = [
-        (f"n={n:02d} E[{s}]", str(want), str(expected_steps(n, s)))
-        for s, want in (("U", eU), ("D", eU), ("u", eu), ("d", eu))
-    ]
+    for s, want in (("U", eU), ("D", eU), ("u", eu), ("d", eu)):
+        yield f"n={n:02d} E[{s}]", str(want), str(expected_steps(n, s))
     total = 2 * expected_steps(n, "U") + 2 * expected_steps(n, "u")
-    rows.append((f"n={n:02d} step total", str(Fraction(n)), str(total)))
-    return rows
+    yield f"n={n:02d} step total", str(Fraction(n)), str(total)
 
 
-def check_peaks_series(order: int) -> list[Row]:
+def check_peaks_series(order: int) -> Iterator[Row]:
     """Valley series coefficients vs Catalan row sums and exhaustive tallies."""
     table = peaks_genfun_check(order)
-    rows = [("z^3 coefficient", str(QPoly([3, 2])), str(table[3]))]
+    yield "z^3 coefficient", str(QPoly([3, 2])), str(table[3])
     for n in range(1, order + 1):
-        rows.append((f"n={n} row sum", str(catalan(n)), str(table[n](1))))
+        yield f"n={n} row sum", str(catalan(n)), str(table[n](1))
     for n in range(min(order, 8) + 1):
         tally: Counter = Counter(len(inner_valleys(w)) for w in gen_avoid321(n))
         want = QPoly([tally[e] for e in range(max(tally) + 1)])
-        rows.append((f"n={n} valley tally", str(want), str(table[n])))
-    return rows
+        yield f"n={n} valley tally", str(want), str(table[n])
 
 
 # transcribed q-polynomial tables, coefficients low degree first
@@ -474,42 +462,34 @@ def check_q_row_sum(n: int) -> list[Row]:
     return [(f"n={n}", str(set_valued_q_catalan(n)), str(total))]
 
 
-def check_q_oracle(n: int) -> list[Row]:
+def check_q_oracle(n: int) -> Iterator[Row]:
     """q-Narayana from the DP vs the comajor tally of the enumerated union, by m."""
     tallies: dict[int, Counter] = {m: Counter() for m in range(1, n + 1)}
     for t in gen_two_row_union(n + 1):
         tallies[dyck_type(t)[0]][comaj_plus_k(t)] += 1
-    rows: list[Row] = []
     for m, tally in tallies.items():
         want = QPoly([tally[c] for c in range(max(tally) + 1)])
-        rows.append((f"n={n},m={m}", str(want), str(set_valued_q_narayana(n, m))))
-    return rows
+        yield f"n={n},m={m}", str(want), str(set_valued_q_narayana(n, m))
 
 
-def check_q_at_one(catalan_nmax: int, narayana_nmax: int) -> list[Row]:
+def check_q_at_one(catalan_nmax: int, narayana_nmax: int) -> Iterator[Row]:
     """The q-analogs at q = 1 vs the Catalan and Narayana numbers."""
-    rows = [
-        (f"n={n:02d}", str(catalan(n)), str(set_valued_q_catalan(n)(1)))
-        for n in range(1, catalan_nmax + 1)
-    ]
-    return rows + [
-        (f"n={n:02d},m={m:02d}", str(narayana(n, m)), str(set_valued_q_narayana(n, m)(1)))
-        for n in range(1, narayana_nmax + 1)
-        for m in range(1, n + 1)
-    ]
+    for n in range(1, catalan_nmax + 1):
+        yield f"n={n:02d}", str(catalan(n)), str(set_valued_q_catalan(n)(1))
+    for n in range(1, narayana_nmax + 1):
+        for m in range(1, n + 1):
+            yield f"n={n:02d},m={m:02d}", str(narayana(n, m)), str(set_valued_q_narayana(n, m)(1))
 
 
-def check_kreweras_types(n: int) -> list[Row]:
+def check_kreweras_types(n: int) -> Iterator[Row]:
     """Peak-type tallies of the two-row union refine the peak counts."""
     tallies: Counter = Counter()
     for t in gen_two_row_union(n):
         m, _, mu = dyck_type(t)
         tallies[(m, tuple(sorted(mu.items())))] += 1
-    rows: list[Row] = []
     for (m, mu_items), got in sorted(tallies.items()):
         want = kreweras(n - 1, m, dict(mu_items))
-        rows.append((f"n={n},m={m},mu={dict(mu_items)}", str(want), str(got)))
-    return rows
+        yield f"n={n},m={m},mu={dict(mu_items)}", str(want), str(got)
 
 
 ROUNDTRIP_CAP = 20000  # roundtrips per (poset, k); other rows see every object
@@ -607,9 +587,8 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
     return rows
 
 
-def check_pi_permutation(nmax: int) -> list[Row]:
+def check_pi_permutation(nmax: int) -> Iterator[Row]:
     """For each n, every subset X of {0..n} makes pi(n, X, -) a permutation."""
-    rows: list[Row] = []
     for n in range(nmax + 1):
         universe = tuple(range(n + 1))
         outcomes = (
@@ -617,22 +596,17 @@ def check_pi_permutation(nmax: int) -> list[Row]:
             for r in range(n + 2)
             for xs in itertools.combinations(universe, r)
         )
-        rows.append(_count_row(f"n={n}", 2 ** (n + 1), "subsets", outcomes))
-    return rows
+        yield _count_row(f"n={n}", 2 ** (n + 1), "subsets", outcomes)
 
 
-def check_equidistribution(shape: tuple[int, ...], kmax: int) -> list[Row]:
-    rows: list[Row] = []
+def check_equidistribution(shape: tuple[int, ...], kmax: int) -> Iterator[Row]:
     for k in range(kmax + 1):
         ok, t1, t2 = equidistribution_check(shape, k)
-        rows.append(
-            (
-                f"shape={shape},k={k}",
-                f"{sum(t1.values())} tableaux, tables equal",
-                f"{sum(t2.values())} tableaux, tables {'equal' if ok else 'differ'}",
-            )
+        yield (
+            f"shape={shape},k={k}",
+            f"{sum(t1.values())} tableaux, tables equal",
+            f"{sum(t2.values())} tableaux, tables {'equal' if ok else 'differ'}",
         )
-    return rows
 
 
 _CHECKS = {
@@ -796,23 +770,21 @@ def build_tasks(
 
 
 def _run_task(task: Task) -> tuple[dict, list[CheckResult]]:
-    """The task's rows, and its time record: suite, check, the kwargs but the
-    poset, the task's wall seconds and its number of rows."""
+    """The task's rows in the order the check gives them, and its time record:
+    suite, check, the kwargs but the poset, the task's wall seconds and its
+    number of rows.  A check that raises keeps the rows it gave before the
+    raise, followed by one failing row naming the exception."""
     suite, check, kwargs = task
     args = {k: v for k, v in kwargs.items() if k != "poset"}
+    rows: list[Row] = []
     started = perf_counter()
     try:
-        rows = _CHECKS[check](**kwargs)
+        for row in _CHECKS[check](**kwargs):
+            rows.append(row)
     except (SvtabError, AssertionError) as exc:
-        rows = [
-            (
-                ",".join(f"{k}={v}" for k, v in args.items()),
-                "no exception",
-                f"{type(exc).__name__}: {exc}",
-            )
-        ]
+        instance = ",".join(f"{k}={v}" for k, v in args.items())
+        rows.append((instance, "no exception", f"{type(exc).__name__}: {exc}"))
     elapsed = perf_counter() - started
-    split = elapsed / max(len(rows), 1)
     timing = {
         "suite": suite,
         "check": check,
@@ -828,7 +800,6 @@ def _run_task(task: Task) -> tuple[dict, list[CheckResult]]:
             status="pass" if expected == actual else "fail",
             expected=expected,
             actual=actual,
-            seconds=round(split, 4),
         )
         for instance, expected, actual in rows
     ]
@@ -882,7 +853,8 @@ def report_dict(results, tasks, threads: int, wall_seconds: float, budget: str) 
     """The JSON report: totals, the run's setting, every task's time and every row.
 
     ``wall_seconds`` is the caller's wall time around the run, ``tasks`` the
-    time records of ``_run_timed`` and ``seconds`` their total.
+    time records of ``_run_timed`` and ``seconds`` their total.  The task
+    times are the only times: rows carry none.
     """
     failures = [r for r in results if not r.ok]
     return {

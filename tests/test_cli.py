@@ -226,6 +226,38 @@ class TestBiject:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: bad input line {line!r}")
 
+    def _bad_line(self, capsys, monkeypatch, bijection, payload):
+        line = json.dumps(payload)
+        self._feed(monkeypatch, line + "\n")
+        code, out, err = run(capsys, "biject", "--map", bijection, "--input", "json")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad input line {line!r}")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"outer": [2, 2], "inner": [], "rows": [[[1.0], [2.0]], [[3.0], [4.0]]]},
+            {"outer": [2, 2], "inner": [], "rows": [[[True], [2]], [[3], [4]]]},
+            {"outer": [2.0, 2], "inner": [], "rows": [[[1], [2]], [[3], [4]]]},
+            {"outer": [2, 2], "inner": [1.0], "rows": [[[1]], [[2], [3]]]},
+            {"outer": [2, 2], "inner": [True], "rows": [[[1]], [[2], [3]]]},
+        ],
+        ids=["float rows", "bool rows", "float outer", "float inner", "bool inner"],
+    )
+    def test_tableau_entries_must_be_ints(self, capsys, monkeypatch, payload):
+        self._bad_line(capsys, monkeypatch, "decompose", payload)
+
+    @pytest.mark.parametrize("payload", [[2.9, 1.2], [2, True], "21"])
+    def test_perm_entries_must_be_ints(self, capsys, monkeypatch, payload):
+        self._bad_line(capsys, monkeypatch, "alpha-inv", payload)
+
+    @pytest.mark.parametrize(
+        "cuts,picks", [([2.5], [[1, 1]]), ([1], [[1.0, 1]]), ([True], [[1, 1]])]
+    )
+    def test_triple_entries_must_be_ints(self, capsys, monkeypatch, cuts, picks):
+        base = {"outer": [2, 2], "inner": [], "rows": [[[1], [2]], [[3], [4]]]}
+        self._bad_line(capsys, monkeypatch, "compose", {"base": base, "cuts": cuts, "picks": picks})
+
 
 class TestSeriesAndExpect:
     def test_series_at_ones(self, capsys):
@@ -362,6 +394,20 @@ class TestOutputAndProcess:
         )
         assert code == 0 and out == ""
         assert target.read_text() == "42\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--family", "motz", "--n", "3"],
+            ["verify", "--suite", "counts", "--budget", "quick"],
+        ],
+        ids=["enumerate", "verify"],
+    )
+    def test_output_that_cannot_be_opened_exits_2(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {str(target)!r}: No such file or directory\n"
 
     def test_console_script(self):
         proc = subprocess.run(

@@ -132,6 +132,16 @@ class TestTSeries:
         with pytest.raises(InexactDivision):
             TSeries(QPoly, 4, [1]).shift_down(1)
 
+    def test_shifts_out_of_range(self):
+        s = TSeries(QPoly, 2, [1, 2, 3])
+        for shift in (s.shift_up, s.shift_down):
+            with pytest.raises(OutOfRange):
+                shift(-1)
+        zero = TSeries(QPoly, 2, [])
+        assert zero.shift_down(3) == zero.shift_down(4) == zero
+        with pytest.raises(InexactDivision):
+            TSeries(QPoly, 2, [0, 0, 1]).shift_down(4)
+
     def test_inverse(self):
         s = TSeries(QPoly, 6, [1, QPoly([0, 1]), 3])
         assert s * s.inverse() == TSeries(QPoly, 6, [1])

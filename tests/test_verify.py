@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import svtab
 import svtab.posets
 import svtab.verify
-from svtab.core import SvtabError
+from svtab.core import SetValuedTableau, SvtabError
 from svtab.posets import catalog, sv_linear_extensions
 from svtab.rings import QPoly
 from svtab.verify import (
@@ -112,7 +113,6 @@ def test_failure_reporting_shape():
         status="fail",
         expected="5",
         actual="6",
-        seconds=0.0,
     )
     assert not bad.ok
     text = report_text([bad])
@@ -425,7 +425,7 @@ swap = {Permutation((2, 1, 3)): Permutation((1, 2, 3))}
 v.tableau_from_perm = lambda w: real(swap.get(w, w))
 """,
         [("bijections", "check_perm_bijection", {"n": n}) for n in (3, 4, 5)],
-        {("check_perm_bijection", "n=4")},
+        {("check_perm_bijection", "n=04 distinct images")},
     ),
     "path_count_off_by_one": (
         """
@@ -480,10 +480,10 @@ b._word_from_two_row = lambda t: real(t).translate(str.maketrans("ud", "du"))
             *(("bijections", "check_ballot_bijection", {"n": n}) for n in (1, 2, 3)),
         ],
         {
-            ("check_path_bijection", "n=3"),
-            ("check_path_bijection", "n=4"),
+            ("check_path_bijection", "n=03 distinct images"),
+            ("check_path_bijection", "n=04 distinct images"),
             ("check_ballot_bijection", "n=2,i=1"),
-            ("check_ballot_bijection", "n=3,i=0"),
+            *(("check_ballot_bijection", f"n=3,i={i}") for i in (0, 1, 2)),
         },
     ),
     "comaj_off_by_one": (
@@ -548,3 +548,79 @@ def test_inexact_division_fails_its_task_only(flags):
     assert closed[0][0] == "fail"
     assert closed[0][1].startswith("InexactDivision")
     assert taylor and set(taylor) == {"pass"}
+
+
+# a check that raises mid-task keeps the rows it yielded before the raise,
+# followed by the one failing row naming the exception
+_MID_TASK_RAISE_SCRIPT = _PLANT_HEAD + """
+from svtab.core import OutOfRange
+real = v.e_count
+
+def planted(n, i):
+    if i == 2:
+        raise OutOfRange("planted at i = 2")
+    return real(n, i)
+
+v.e_count = planted
+timing, results = v._run_task(("counts", "check_two_row_counts", {"n": 4}))
+print(json.dumps([timing["rows"], [(r.instance, r.status, r.expected, r.actual) for r in results]]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_raise_mid_task_keeps_the_rows_before_it(flags):
+    src = str(Path(svtab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _MID_TASK_RAISE_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    count, rows = json.loads(proc.stdout)
+    assert count == len(rows) == 3
+    assert [(inst, status) for inst, status, _w, _g in rows[:2]] == [
+        ("n=4,i=0", "pass"),
+        ("n=4,i=1", "pass"),
+    ]
+    assert rows[2] == ["n=4", "fail", "no exception", "OutOfRange: planted at i = 2"]
+
+
+# a bijection check that finds a fault fails the row a passing run gives for
+# that instance, with the first witness after the passing actual
+
+
+def _entries_plus_one(real):
+    def planted(x):
+        t = real(x)
+        rows = [[[e + 1 for e in cell] for cell in row] for row in t.rows]
+        return SetValuedTableau.from_rows(rows, inner=t.shape.inner)
+
+    return planted
+
+
+def _one_step_longer(real):
+    return lambda q: SimpleNamespace(word=real(q).word + "U")
+
+
+BIJECTION_PLANTS = [
+    ("check_perm_bijection", {"n": 4}, "tableau_from_perm", _entries_plus_one),
+    ("check_path_bijection", {"n": 4}, "tableau_from_path", _entries_plus_one),
+    ("check_ballot_bijection", {"n": 3}, "tableau_from_ballot_path", _entries_plus_one),
+    ("check_contract_images", {"n": 4}, "expand_path", _one_step_longer),
+]
+
+
+@pytest.mark.parametrize(
+    "check,kwargs,name,plant", BIJECTION_PLANTS, ids=[c for c, *_r in BIJECTION_PLANTS]
+)
+def test_failing_bijection_check_fails_its_own_rows(monkeypatch, check, kwargs, name, plant):
+    task = ("bijections", check, kwargs)
+    passing = run_tasks([task], threads=1)
+    monkeypatch.setattr(svtab.verify, name, plant(getattr(svtab.verify, name)))
+    failing = run_tasks([task], threads=1)
+    assert [r.instance for r in failing] == [r.instance for r in passing]
+    assert all(r.ok for r in passing) and not any(r.ok for r in failing)
+    for good, bad in zip(passing, failing):
+        assert bad.expected == good.expected
+        assert bad.actual.startswith(f"{good.actual}; roundtrip of ")
