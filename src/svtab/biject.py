@@ -1,6 +1,9 @@
 """Structure-preserving maps between tableaux, permutations, and paths.
 
-Every map comes with its inverse and validates only its input; images and
+Every map comes with its inverse.  A tableau is checked once, when it is made
+(see ``core``), so a map checks only what its input type does not promise:
+the shape, the path family, 321-avoidance, pick legality.  The maps build
+their images through the trusted path, valid by construction; images and
 roundtrips are checked by ``svtab verify`` over exhaustive small ranges.  All
 functions take and return immutable values and never mutate their arguments.
 """
@@ -10,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 from .core import (
@@ -28,7 +32,6 @@ from .core import (
     SkewShape,
     _json_ints,
     path_family,
-    validate_svsyt,
 )
 from .enumerate import _cell_masks, _repack
 
@@ -59,10 +62,15 @@ def _require_two_row_rectangular(t: SetValuedTableau) -> int:
     return b1
 
 
+@lru_cache(maxsize=64)
+def _straight_shape(lengths: tuple[int, ...]) -> SkewShape:
+    return SkewShape(Partition(lengths))
+
+
 def _straight(rows: list[list[list[int]]]) -> SetValuedTableau:
-    """The straight tableau of these rows, whose cells are already sorted."""
-    shape = SkewShape(Partition(tuple(map(len, rows))))
-    return SetValuedTableau(shape, tuple(tuple(map(tuple, row)) for row in rows))
+    """The straight tableau of these rows, which form a valid filling."""
+    shape = _straight_shape(tuple(map(len, rows)))
+    return SetValuedTableau._trusted(shape, tuple(tuple(map(tuple, row)) for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -76,12 +84,10 @@ def perm_from_tableau(t: SetValuedTableau) -> Permutation:
     then the columns are read left to right, each contributing the top cell
     minus its maximum, the bottom cell, and finally the top maximum.  The
     result is a permutation of [n-1] whose right-to-left minima are exactly
-    the top-row entries.  The input checks settle the shape of the word: a
-    2-by-b shape has b >= 1, so n >= 2, and as ``validate_svsyt`` makes rows
-    and columns strictly increase, n is the last entry of the bottom-right
-    cell.
+    the top-row entries.  The shape check settles the shape of the word: a
+    2-by-b shape has b >= 1, so n >= 2, and as a tableau's rows and columns
+    strictly increase, n is the last entry of the bottom-right cell.
     """
-    validate_svsyt(t)
     _require_two_row_rectangular(t)
     top, bot = t.rows
     word: list[int] = []
@@ -152,11 +158,12 @@ def tableau_from_perm(w: Permutation) -> SetValuedTableau:
 
 def _word_from_two_row(t: SetValuedTableau) -> str:
     steps = {}
-    for (r, _c), entries in t.cells():
-        steps[entries[0]] = "U" if r == 1 else "D"
-        for e in entries[1:]:
-            steps[e] = "u" if r == 1 else "d"
-    return "".join(steps[j] for j in range(1, t.nentries + 1))
+    for row, (opens, joins) in zip(t.rows, ("Uu", "Dd")):
+        for entries in row:
+            steps[entries[0]] = opens
+            for e in entries[1:]:
+                steps[e] = joins
+    return "".join([steps[j] for j in range(1, len(steps) + 1)])
 
 
 def path_from_tableau(t: SetValuedTableau) -> ColoredPath:
@@ -165,14 +172,12 @@ def path_from_tableau(t: SetValuedTableau) -> ColoredPath:
     Position j becomes U/D when j opens a top/bottom cell and u/d when j is a
     non-minimal top/bottom entry.
     """
-    validate_svsyt(t)
     _require_two_row_rectangular(t)
     return ColoredPath(_word_from_two_row(t))
 
 
 def ballot_path_from_tableau(t: SetValuedTableau) -> ColoredPath:
     """Same encoding on shapes (b, b-i); the path ends at height i."""
-    validate_svsyt(t)
     shape = t.shape
     if not shape.is_straight or shape.outer.nrows > 2:
         raise ShapeMismatch(f"shape {tuple(shape.outer)} has more than two rows")
@@ -352,7 +357,6 @@ def decompose(t: SetValuedTableau) -> Triple:
     its elements.  The picks are cells and the base is a standard tableau of
     the same shape.
     """
-    validate_svsyt(t)
     cells = t.shape.cells()
     base, cuts, picks = _peel(list(chain.from_iterable(t.rows)))
     out = _repack(t.shape, tuple((v,) for v in base))
@@ -362,7 +366,7 @@ def decompose(t: SetValuedTableau) -> Triple:
 def compose(tr: Triple) -> SetValuedTableau:
     """Rebuild the set-valued tableau from its triple; inverse of decompose."""
     base = tr.base
-    if validate_svsyt(base) != 0:
+    if base.extras != 0:
         raise InvalidPick("base tableau must be standard (no extra entries)")
     index, _preds, succs = _cell_masks(base.shape)
     entries = [e for (e,) in chain.from_iterable(base.rows)]
@@ -381,7 +385,6 @@ def rotate_complement(t: SetValuedTableau) -> SetValuedTableau:
     twice gives back the original tableau.  The turned cells come out sorted,
     so the image is built from them and the other shape directly.
     """
-    validate_svsyt(t)
     outer, inner = t.shape.outer, t.shape.inner
     straight_ok = t.shape.is_straight and outer.nrows == 2 and (
         outer.part(1) == outer.part(2) + 1
@@ -401,5 +404,5 @@ def rotate_complement(t: SetValuedTableau) -> SetValuedTableau:
         for row in reversed(t.rows)
     )
     if straight_ok:
-        return SetValuedTableau(SkewShape(Partition((w, w)), Partition((1,))), rows)
-    return SetValuedTableau(SkewShape(Partition((w, w - 1))), rows)
+        return SetValuedTableau._trusted(SkewShape(Partition((w, w)), Partition((1,))), rows)
+    return SetValuedTableau._trusted(SkewShape(Partition((w, w - 1))), rows)

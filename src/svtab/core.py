@@ -8,6 +8,10 @@ Conventions used throughout the package:
   {1..n+k} where n is the number of cells and k the number of extra entries.
 * The order condition: whenever cell u lies weakly northwest of cell v
   (u != v), every entry of u is smaller than every entry of v.
+* A ``SetValuedTableau`` is checked once, when it is made: the dataclass,
+  ``from_rows`` and ``from_json_dict`` run ``validate_svsyt``, so every
+  tableau is valid and the maps that take one do not check it again.  Code
+  that builds a tableau valid by its construction uses ``_trusted``.
 * Path words use the four-letter step alphabet U (up), D (down), u (level,
   first color), d (level, second color); heights never go negative.
 * ``PATH_RULES`` is the one family table of the colored paths: each family's
@@ -205,10 +209,24 @@ def _json_ints(values) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SetValuedTableau:
-    """Set-valued filling of a (skew) shape; cell sets are sorted int tuples."""
+    """Set-valued filling of a (skew) shape; cell sets are sorted int tuples.
+
+    Construction runs ``validate_svsyt``, so an invalid filling never becomes
+    a tableau; only ``_trusted`` skips the check.
+    """
 
     shape: SkewShape
     rows: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def __post_init__(self):
+        validate_svsyt(self)
+
+    @classmethod
+    def _trusted(cls, shape: SkewShape, rows: tuple[tuple[tuple[int, ...], ...], ...]):
+        """The tableau of rows known to be valid, built without checks."""
+        t = object.__new__(cls)
+        t.__dict__.update(shape=shape, rows=rows)
+        return t
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Sequence[int]]], inner=()) -> "SetValuedTableau":

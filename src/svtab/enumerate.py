@@ -226,7 +226,8 @@ def _comaj_walk(preds: list[int], succs: list[int], total: int) -> QPoly:
 
 
 def _repack(shape: SkewShape, flat: tuple[tuple[int, ...], ...]) -> SetValuedTableau:
-    """The tableau of the shape whose cells, in row-major order, hold ``flat``."""
+    """The tableau of the shape whose cells, in row-major order, hold ``flat``,
+    a valid filling (it is not checked)."""
     inner = shape.inner.parts
     rows = []
     i = 0
@@ -234,7 +235,7 @@ def _repack(shape: SkewShape, flat: tuple[tuple[int, ...], ...]) -> SetValuedTab
         j = i + end - (inner[r] if r < len(inner) else 0)
         rows.append(flat[i:j])
         i = j
-    return SetValuedTableau(shape, tuple(rows))
+    return SetValuedTableau._trusted(shape, tuple(rows))
 
 
 def gen_svsyt(shape, k: int) -> Iterator[SetValuedTableau]:

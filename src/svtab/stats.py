@@ -15,13 +15,13 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import chain
+from typing import Iterator
 
 from .core import (
     NotInFamily,
     OutOfRange,
     Permutation,
     SetValuedTableau,
-    validate_svsyt,
 )
 from .enumerate import _cell_masks, _comaj_split, _comaj_walk, _two_row_shapes, as_skew
 from .rings import QPoly
@@ -42,38 +42,35 @@ __all__ = [
 def _labeled_blocks(s) -> list[tuple[int, tuple[int, ...]]]:
     """(label, entries) pairs by label: row-major cell indices or poset labels."""
     if isinstance(s, SetValuedTableau):
-        validate_svsyt(s)
-        return [(i, entries) for i, (_pos, entries) in enumerate(s.cells(), start=1)]
+        return list(enumerate(chain.from_iterable(s.rows), start=1))
     return s.labeled_blocks()
 
 
-def descent_set_plus_k(s) -> frozenset[int]:
-    """Set-valued descent set of a tableau or set-valued linear extension.
+def _descents(s) -> tuple[int, Iterator[int]]:
+    """n + k and the set-valued descents of ``s`` in increasing order, lazily.
 
     Every non-minimal entry is a descent.  An entry j with j+1 not
     non-minimal is a descent when j+1 sits at a strictly smaller label than j.
+    ``label[e]`` is the label of a minimal entry e and 0 for a non-minimal one
+    (labels start at 1), with a 0 after the last entry.
     """
     blocks = _labeled_blocks(s)
     total = sum(len(entries) for _label, entries in blocks)
-    label_of = [0] * (total + 1)  # index 0 unused; entries are 1..total
-    extra = [False] * (total + 1)
-    for label, entries in blocks:
-        for e in entries:
-            label_of[e] = label
-        for e in entries[1:]:
-            extra[e] = True
-    return frozenset(
-        j
-        for j in range(1, total + 1)
-        if extra[j]
-        or (j < total and not extra[j + 1] and label_of[j + 1] < label_of[j])
-    )
+    label = [0] * (total + 2)  # index 0 unused; entries are 1..total
+    for x, entries in blocks:
+        label[entries[0]] = x
+    pairs = enumerate(zip(label[1:], label[2:]), start=1)
+    return total, (j for j, (here, nxt) in pairs if not here or 0 < nxt < here)
+
+
+def descent_set_plus_k(s) -> frozenset[int]:
+    """Set-valued descent set of a tableau or set-valued linear extension."""
+    return frozenset(_descents(s)[1])
 
 
 def comaj_plus_k(s) -> int:
-    """Sum of (n+k - j) over the set-valued descent set."""
-    des = descent_set_plus_k(s)
-    total = s.nentries
+    """Sum of (n+k - j) over the set-valued descent set, in one pass."""
+    total, des = _descents(s)
     return sum(total - j for j in des)
 
 
@@ -119,9 +116,8 @@ def dyck_type(t: SetValuedTableau) -> tuple[int, tuple[int, ...], dict[int, int]
     consecutive gaps with the total entry count appended as sentinel, so it
     sums to n-1.  The top row must hold entry 1.
     """
-    validate_svsyt(t)
     n = t.nentries
-    tops = sorted(chain.from_iterable(t.rows[0]))
+    tops = list(chain.from_iterable(t.rows[0]))  # increasing, as rows are
     if not tops or tops[0] != 1:
         raise NotInFamily(f"entry 1 is not in the top row of {t}")
     m = len(tops)

@@ -50,7 +50,7 @@ from .closedform import (
     peaks_count,
     row_sums,
 )
-from .core import PATH_FAMILIES, SvtabError, path_family
+from .core import PATH_FAMILIES, SvtabError, path_family, validate_svsyt
 from .enumerate import (
     count_paths,
     count_svsyt,
@@ -354,6 +354,19 @@ def check_rotation(n: int) -> list[Row]:
     return [_count_row(f"n={n}", want, "involutions", outcomes)]
 
 
+def _checks_out(t, k: int) -> bool:
+    try:
+        return validate_svsyt(t) == k
+    except SvtabError:
+        return False
+
+
+def check_walker_tableaux(n: int) -> list[Row]:
+    """The walker's tableaux, made without checks, each validated here in full."""
+    outcomes = ((_checks_out(t, n - t.ncells), t) for t in gen_two_row_union(n))
+    return [_count_row(f"n={n:02d}", catalan(n - 1), "valid tableaux", outcomes)]
+
+
 def check_series_residuals(order: int) -> list[Row]:
     ctx = _shared_context(order)
     return [
@@ -625,6 +638,7 @@ _CHECKS = {
         check_contract_images,
         check_triple_roundtrip,
         check_rotation,
+        check_walker_tableaux,
         check_series_residuals,
         check_closed_form_E,
         check_series_taylor,
@@ -717,6 +731,10 @@ def build_tasks(
         tasks += [
             ("bijections", "check_rotation", {"n": n})
             for n in range(3, (7 if quick else 9) + 1)
+        ]
+        tasks += [
+            ("bijections", "check_walker_tableaux", {"n": n})
+            for n in range(2, (8 if quick else 10) + 1)
         ]
 
     if "series" in chosen:

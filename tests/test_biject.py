@@ -1,6 +1,7 @@
 """Bijections between tableaux, permutations, paths, and triples."""
 
 import itertools
+import random
 
 import pytest
 
@@ -339,7 +340,8 @@ class TestRotateComplement:
         assert out.shape.inner == Partition((1,))
 
     def test_involution_on_near_rectangles(self):
-        for b in range(1, 4):
+        # images are built without checks, so each is validated in full
+        for b in range(1, 5):
             for k in range(0, 4):
                 for t in gen_svsyt((b + 1, b), k):
                     image = rotate_complement(t)
@@ -361,3 +363,42 @@ class TestRotateComplement:
             rotate_complement(_rows([[1], [2]], [[3], [4]]))
         with pytest.raises(ShapeMismatch):
             rotate_complement(_rows([[1], [2], [3]]))
+
+
+# ---------------------------------------------------------------------------
+# the maps build their images without checks; each image is validated in full
+# here, on objects larger than the verify suites reach
+
+
+def _random_motz_et(rng: random.Random, length: int) -> ColoredPath:
+    """A random path of the length with both restrictions that ends at height 0."""
+    word, h, seen_D = [], 0, False
+    for left in range(length - 1, -1, -1):
+        steps = ["U"] if h + 1 <= left else []
+        if h > 0:
+            steps.append("D")
+        if 0 < h <= left:
+            steps.append("u")
+        if seen_D and h <= left:
+            steps.append("d")
+        step = rng.choice(steps)
+        h += {"U": 1, "D": -1}.get(step, 0)
+        seen_D = seen_D or step == "D"
+        word.append(step)
+    return ColoredPath("".join(word))
+
+
+def _long_tableaux():
+    rng = random.Random(17)
+    for _ in range(60):
+        yield tableau_from_path(_random_motz_et(rng, rng.randint(20, 50) * 2))
+
+
+def test_images_of_long_tableaux_are_valid():
+    for t in _long_tableaux():
+        assert 40 <= t.nentries <= 100
+        assert validate_svsyt(t) == t.extras
+        images = (tableau_from_perm(perm_from_tableau(t)), compose(decompose(t)))
+        for image in images:
+            assert validate_svsyt(image) == image.extras
+            assert image == t

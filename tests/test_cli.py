@@ -214,6 +214,22 @@ class TestBiject:
         assert code == 2
         assert "ShapeNotTwoRowRectangular" in err
 
+    @pytest.mark.parametrize(
+        "fmt,line",
+        [
+            ("text", "{2} / {1}"),
+            ("json", json.dumps({"outer": [2, 2], "inner": [], "rows": [[[2], [3]], [[4], [5]]]})),
+        ],
+        ids=["text column order", "json entries 2..5"],
+    )
+    def test_invalid_tableau_fails_when_read(self, capsys, monkeypatch, fmt, line):
+        # a tableau is checked when it is made, so no map ever sees this one
+        self._feed(monkeypatch, line + "\n")
+        code, out, err = run(capsys, "biject", "--map", "alpha", "--input", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad input line {line!r}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_bad_json_line(self, capsys, monkeypatch):
         self._feed(monkeypatch, "{not json}\n")
         code, _, err = run(capsys, "biject", "--map", "alpha", "--input", "json")

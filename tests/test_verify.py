@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import svtab
+import svtab.enumerate
 import svtab.posets
 import svtab.verify
 from svtab.core import SetValuedTableau, SvtabError
@@ -593,8 +594,8 @@ def test_raise_mid_task_keeps_the_rows_before_it(flags):
 def _entries_plus_one(real):
     def planted(x):
         t = real(x)
-        rows = [[[e + 1 for e in cell] for cell in row] for row in t.rows]
-        return SetValuedTableau.from_rows(rows, inner=t.shape.inner)
+        rows = tuple(tuple(tuple(e + 1 for e in cell) for cell in row) for row in t.rows)
+        return SetValuedTableau._trusted(t.shape, rows)
 
     return planted
 
@@ -624,3 +625,31 @@ def test_failing_bijection_check_fails_its_own_rows(monkeypatch, check, kwargs, 
     for good, bad in zip(passing, failing):
         assert bad.expected == good.expected
         assert bad.actual.startswith(f"{good.actual}; roundtrip of ")
+
+
+# walker tableaux are built without checks; check_walker_tableaux validates
+# each one in full.  A walker whose filling swaps entry 1 with the largest
+# entry (the first and last cells of the row-major order) gives no valid
+# tableau, and the row says so with the first one.  The real ``_repack``
+# builds the planted filling, without checks
+
+
+def _swap_first_and_last_entry(real):
+    def planted(shape, flat):
+        (one, *rest), *middle, (*init, top) = flat
+        first, last = tuple(sorted((top, *rest))), tuple(sorted((*init, one)))
+        return real(shape, (first, *middle, last))
+
+    return planted
+
+
+def test_walker_tableaux_row_fails_on_swapped_entries(monkeypatch):
+    task = ("bijections", "check_walker_tableaux", {"n": 6})
+    (passing,) = run_tasks([task], threads=1)
+    assert passing.ok and passing.actual == "42 valid tableaux"
+    real = svtab.enumerate._repack
+    monkeypatch.setattr(svtab.enumerate, "_repack", _swap_first_and_last_entry(real))
+    (failing,) = run_tasks([task], threads=1)
+    assert (failing.instance, failing.expected) == (passing.instance, passing.expected)
+    assert not failing.ok
+    assert failing.actual == "0 valid tableaux; fails at {2,3,4,5,6} / {1}"
