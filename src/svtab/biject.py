@@ -67,6 +67,11 @@ def _straight_shape(lengths: tuple[int, ...]) -> SkewShape:
     return SkewShape(Partition(lengths))
 
 
+@lru_cache(maxsize=64)
+def _notched_shape(w: int) -> SkewShape:
+    return SkewShape(Partition((w, w)), Partition((1,)))
+
+
 def _straight(rows: list[list[list[int]]]) -> SetValuedTableau:
     """The straight tableau of these rows, which form a valid filling."""
     shape = _straight_shape(tuple(map(len, rows)))
@@ -385,24 +390,20 @@ def rotate_complement(t: SetValuedTableau) -> SetValuedTableau:
     twice gives back the original tableau.  The turned cells come out sorted,
     so the image is built from them and the other shape directly.
     """
-    outer, inner = t.shape.outer, t.shape.inner
-    straight_ok = t.shape.is_straight and outer.nrows == 2 and (
-        outer.part(1) == outer.part(2) + 1
-    )
-    skew_ok = (
-        outer.nrows == 2
-        and outer.part(1) == outer.part(2) >= 2
-        and tuple(inner) == (1,)
-    )
-    if not (straight_ok or skew_ok):
+    shape = t.shape
+    w = shape.outer.part(1)
+    if w >= 2 and shape == _straight_shape((w, w - 1)):
+        image = _notched_shape(w)
+    elif w >= 2 and shape == _notched_shape(w):
+        image = _straight_shape((w, w - 1))
+    else:
         raise ShapeMismatch(
-            f"expected (b+1,b) or (b+1,b+1)/(1), got {tuple(outer)}/{tuple(inner)}"
+            "expected (b+1,b) or (b+1,b+1)/(1), got "
+            f"{tuple(shape.outer)}/{tuple(shape.inner)}"
         )
-    total, w = t.nentries, outer.part(1)
+    total = t.nentries
     rows = tuple(
         tuple(tuple(total + 1 - v for v in reversed(cell)) for cell in reversed(row))
         for row in reversed(t.rows)
     )
-    if straight_ok:
-        return SetValuedTableau._trusted(SkewShape(Partition((w, w)), Partition((1,))), rows)
-    return SetValuedTableau._trusted(SkewShape(Partition((w, w - 1))), rows)
+    return SetValuedTableau._trusted(image, rows)

@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Subcommands: ``enumerate`` streams objects, ``count`` evaluates closed forms
-against optional independent oracles (enumeration, or the counting dynamic
-programs of ``enumerate``), ``table``/``qtable`` emit golden-file
-CSV tables, ``biject`` maps stdin objects through the named bijections,
-``series``/``expect`` expose the generating-function layer, and ``verify``
-runs the re-derivation suites.  Exit codes: 0 success, 1 identity violation,
-2 usage error.
+Subcommands: ``enumerate`` streams objects, ``count`` evaluates a closed form
+or counting DP, optionally against its independent oracle, both looked up in
+``verify.COUNT_ORACLES`` (this module holds no cross-check of its own),
+``table``/``qtable`` emit golden-file CSV tables, ``biject`` maps stdin
+objects through the named bijections, ``series``/``expect`` expose the
+generating-function layer, and ``verify`` runs the re-derivation suites.
+Exit codes: 0 success, 1 identity violation, 2 usage error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from functools import partial
 from time import perf_counter
 from typing import Callable
 
@@ -30,21 +29,9 @@ from .biject import (
     tableau_from_perm,
     Triple,
 )
-from .closedform import (
-    act_count,
-    ballot_count,
-    catalan,
-    e_count,
-    f_count,
-    narayana,
-    path_family_count,
-    peaks_count,
-)
+from .closedform import e_count, f_count
 from .core import PATH_FAMILIES, ColoredPath, Permutation, SetValuedTableau, SvtabError, _json_ints
 from .enumerate import (
-    count_paths,
-    count_svsyt,
-    count_two_row_union,
     gen_avoid321,
     gen_ballotlike,
     gen_paths,
@@ -52,8 +39,9 @@ from .enumerate import (
     gen_two_row_union,
 )
 from .series import SeriesContext, expected_steps
-from .stats import dyck_type, set_valued_q_catalan, set_valued_q_narayana
+from .stats import set_valued_q_catalan, set_valued_q_narayana
 from .verify import (
+    COUNT_ORACLES,
     SUITES,
     available_threads,
     build_tasks,
@@ -71,12 +59,13 @@ class UsageError(SvtabError):
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
+    """The ``--shape`` argument type; argparse turns a bad shape into exit 2."""
     try:
         parts = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise UsageError(f"bad shape {text!r}; expected like 3,3") from None
+        raise argparse.ArgumentTypeError(f"bad shape {text!r}; expected like 3,3") from None
     if not parts or any(p < 0 for p in parts):
-        raise UsageError(f"bad shape {text!r}")
+        raise argparse.ArgumentTypeError(f"bad shape {text!r}")
     return parts
 
 
@@ -167,7 +156,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     family = args.family
     if family == "svsyt":
         (shape,) = _require(args, "shape")
-        stream = gen_svsyt(_parse_shape(shape), args.k)
+        stream = gen_svsyt(shape, args.k)
     elif family == "two-row-union":
         (n,) = _require(args, "n")
         stream = gen_two_row_union(n)
@@ -194,64 +183,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-_FORMULAS: dict[str, tuple[tuple[str, ...], Callable, Callable | None]] = {
-    # name -> (parameter names, closed form, independent oracle or None)
-    "ballot": (
-        ("n", "i"),
-        ballot_count,
-        lambda n, i: sum(1 for _ in gen_ballotlike(n, i)),
-    ),
-    "e": (("n", "i"), e_count, None),
-    "f": (("n", "i"), f_count, None),
-    "act": (("b", "k"), act_count, lambda b, k: count_svsyt((b, b), k)),
-    "peaks": (("b", "k"), peaks_count, lambda b, k: count_svsyt((b, b), k)),
-    "catalan": (("n",), catalan, lambda n: sum(1 for _ in gen_avoid321(n))),
-    "narayana": (
-        ("n", "m"),
-        narayana,
-        lambda n, m: sum(1 for t in gen_two_row_union(n + 1) if dyck_type(t)[0] == m),
-    ),
-}
-
-_FAMILY_COUNTS: dict[str, tuple[tuple[str, ...], Callable, Callable]] = {
-    "two-row-union": (
-        ("n",),
-        count_two_row_union,
-        lambda n: sum(1 for _ in gen_two_row_union(n)),
-    ),
-    "svsyt": (
-        ("shape", "k"),
-        lambda shape, k: count_svsyt(_parse_shape(shape), k),
-        lambda shape, k: sum(1 for _ in gen_svsyt(_parse_shape(shape), k)),
-    ),
-    "avoid321": (("n",), catalan, lambda n: sum(1 for _ in gen_avoid321(n))),
-    **{
-        fam: (
-            ("n",),
-            partial(path_family_count, fam),
-            partial(count_paths, fam),
-        )
-        for fam in PATH_FAMILIES
-    },
-}
-
-
 def cmd_count(args: argparse.Namespace) -> int:
-    if (args.formula is None) == (args.family is None):
-        raise UsageError("give exactly one of --formula / --family")
-    table = _FORMULAS if args.formula else _FAMILY_COUNTS
-    key = args.formula or args.family
-    if key not in table:
-        raise UsageError(f"unknown {'formula' if args.formula else 'family'} {key!r}")
-    names, value_fn, oracle_fn = table[key]
-    params = dict(zip(names, _require(args, *names)))
-    value = value_fn(**params)
+    kind = "formula" if args.formula else "family"
+    names, value_fn, oracle_fn = COUNT_ORACLES[kind][args.formula or args.family]
+    params = _require(args, *names)
+    value = value_fn(*params)
     if not args.oracle:
         _write(args, str(value))
         return 0
-    if oracle_fn is None:
-        raise UsageError(f"no independent oracle for --formula {key}")
-    oracle = oracle_fn(**params)
+    oracle = oracle_fn(*params)
     agree = value == oracle
     _write(args, f"{value},{oracle},{'ok' if agree else 'MISMATCH'}")
     return 0 if agree else 1
@@ -429,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("svsyt", "two-row-union", "avoid321") + PATH_FAMILIES,
     )
-    p.add_argument("--shape", help="comma-separated partition, e.g. 3,3")
+    p.add_argument("--shape", type=_parse_shape, help="comma-separated partition, e.g. 3,3")
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--n", type=int)
     p.add_argument("--i", type=int)
@@ -437,14 +377,15 @@ def _build_parser() -> argparse.ArgumentParser:
     add_output(p)
 
     p = sub.add_parser("count", help="closed form, optionally against an oracle")
-    p.add_argument("--formula", choices=sorted(_FORMULAS))
-    p.add_argument("--family", choices=sorted(_FAMILY_COUNTS))
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--formula", choices=sorted(COUNT_ORACLES["formula"]))
+    which.add_argument("--family", choices=sorted(COUNT_ORACLES["family"]))
     p.add_argument("--n", type=int)
     p.add_argument("--i", type=int)
     p.add_argument("--b", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--shape")
+    p.add_argument("--shape", type=_parse_shape)
     p.add_argument("--oracle", action="store_true")
     add_output(p)
 

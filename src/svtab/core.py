@@ -211,7 +211,8 @@ def _json_ints(values) -> tuple[int, ...]:
 class SetValuedTableau:
     """Set-valued filling of a (skew) shape; cell sets are sorted int tuples.
 
-    Construction runs ``validate_svsyt``, so an invalid filling never becomes
+    Construction stores the rows as nested tuples, as given (cells are not
+    sorted), and runs ``validate_svsyt``, so an invalid filling never becomes
     a tableau; only ``_trusted`` skips the check.
     """
 
@@ -219,6 +220,9 @@ class SetValuedTableau:
     rows: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(
+            self, "rows", tuple(tuple(map(tuple, row)) for row in self.rows)
+        )
         validate_svsyt(self)
 
     @classmethod
@@ -234,10 +238,7 @@ class SetValuedTableau:
         offs = inner_p.parts + (0,) * len(rows)
         outer = Partition(tuple(off + len(row) for off, row in zip(offs, rows)))
         shape = SkewShape(outer, inner_p)
-        packed = tuple(
-            tuple(tuple(sorted(cell)) for cell in row) for row in rows
-        )
-        return cls(shape, packed)
+        return cls(shape, [[sorted(cell) for cell in row] for row in rows])
 
     def cell(self, r: int, c: int) -> tuple[int, ...]:
         if not self.shape.contains(r, c):

@@ -140,11 +140,6 @@ class Poset:
         """Element x -> its index x-1 in block lists and bitmasks."""
         return {x: x - 1 for x in self.elements}
 
-    @property
-    def natural(self) -> bool:
-        """Always true: construction rejects label-decreasing edges."""
-        return all(a < b for a, b in self.covers)
-
 
 def chain(n: int) -> Poset:
     return Poset(n, tuple((i, i + 1) for i in range(1, n)))

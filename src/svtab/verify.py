@@ -2,6 +2,8 @@
 
 Every closed form and identity in the package is checked here, and only here,
 against an independent computation (enumeration, a recursion, a second form).
+``COUNT_ORACLES`` is the one table of counts and their oracles: ``svtab count
+--oracle`` reads it, and the count checks call the same oracle functions.
 Checks are grouped into suites, sharded into self-contained tasks, and run
 across processes.  A check yields one row per instance, so a failure carries
 its own counterexample; a check that raises keeps the rows it yielded before
@@ -19,9 +21,9 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 from time import perf_counter
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .biject import (
     ballot_path_from_tableau,
@@ -54,6 +56,7 @@ from .core import PATH_FAMILIES, SvtabError, path_family, validate_svsyt
 from .enumerate import (
     count_paths,
     count_svsyt,
+    count_two_row_union,
     gen_avoid321,
     gen_ballotlike,
     gen_paths,
@@ -97,6 +100,7 @@ from .stats import (
 
 __all__ = [
     "SUITES",
+    "COUNT_ORACLES",
     "CheckResult",
     "available_threads",
     "build_tasks",
@@ -143,6 +147,72 @@ def _worker_count(value: int | str, source: str) -> int:
 
 
 # ---------------------------------------------------------------------------
+# count oracles
+
+
+def _tally(gen: Callable[..., Iterator]) -> Callable[..., int]:
+    """The oracle that counts the objects ``gen`` streams."""
+    return lambda *params: sum(1 for _ in gen(*params))
+
+
+_avoid321_tally = _tally(gen_avoid321)
+_union_tally = _tally(gen_two_row_union)
+
+
+def _f_row(n: int) -> list[int]:
+    """f(n, 0..n) by the step recursion, row by row from f(0, 0) = 0: the last
+    step into (m, i) is U, u (not at height 0), d, or a D after any path."""
+    row = [0]
+    for m in range(1, n + 1):
+        prev = row + [0, 0]  # f(m - 1, i) for i <= m + 1
+        row = [prev[0] + prev[1] + e_count(m - 1, 1)] + [
+            prev[i - 1] + 2 * prev[i] + prev[i + 1] + e_count(m - 1, i + 1)
+            for i in range(1, m + 1)
+        ]
+    return row
+
+
+def _f_rec(n: int, i: int) -> int:
+    return _f_row(n)[i] if 0 <= i <= n else 0
+
+
+def _rectangle_dp(b: int, k: int) -> int:
+    """Tableaux of the 2-by-b rectangle with k extra entries, by the ideal DP."""
+    return count_svsyt((b, b), k)
+
+
+COUNT_ORACLES: dict[str, dict[str, tuple[tuple[str, ...], Callable, Callable]]] = {
+    # kind -> name -> (parameter names, closed form or DP, independent oracle)
+    "formula": {
+        "ballot": (("n", "i"), ballot_count, _tally(gen_ballotlike)),
+        "e": (
+            ("n", "i"),
+            e_count,
+            lambda n, i: sum("D" not in p.word for p in gen_ballotlike(n, i)),
+        ),
+        "f": (("n", "i"), f_count, _f_rec),
+        "act": (("b", "k"), act_count, _rectangle_dp),
+        "peaks": (("b", "k"), peaks_count, _rectangle_dp),
+        "catalan": (("n",), catalan, _avoid321_tally),
+        "narayana": (
+            ("n", "m"),
+            narayana,
+            lambda n, m: sum(1 for t in gen_two_row_union(n + 1) if dyck_type(t)[0] == m),
+        ),
+    },
+    "family": {
+        "two-row-union": (("n",), count_two_row_union, _union_tally),
+        "svsyt": (("shape", "k"), count_svsyt, _tally(gen_svsyt)),
+        "avoid321": (("n",), catalan, _avoid321_tally),
+        **{
+            fam: (("n",), partial(path_family_count, fam), partial(count_paths, fam))
+            for fam in PATH_FAMILIES
+        },
+    },
+}
+
+
+# ---------------------------------------------------------------------------
 # individual checks
 #
 # Each check is an iterable of rows (instance, expected, actual); a row passes
@@ -165,8 +235,7 @@ def _count_row(instance: str, want: int, noun: str, outcomes) -> Row:
 
 def check_union_count(n: int) -> list[Row]:
     """Two-row tableaux with n total entries, streamed and counted."""
-    streamed = sum(1 for _ in gen_two_row_union(n))
-    return [(f"n={n:02d}", str(catalan(n - 1)), str(streamed))]
+    return [(f"n={n:02d}", str(catalan(n - 1)), str(_union_tally(n)))]
 
 
 def check_two_row_counts(n: int) -> Iterator[Row]:
@@ -182,29 +251,12 @@ def check_two_row_counts(n: int) -> Iterator[Row]:
         yield f"n={n} sums", str(sums), str(row_sums(n))
 
 
-@lru_cache(maxsize=None)
-def _f_rec(n: int, i: int) -> int:
-    # recursion: reach (n, i) by U / u / d / D, the D possibly being the first
-    if i < 0 or i > n or n == 0 or i == n:
-        return 0
-    if i == 0:
-        if n == 1:
-            return 0
-        return _f_rec(n - 1, 0) + _f_rec(n - 1, 1) + e_count(n - 1, 1)
-    return (
-        _f_rec(n - 1, i - 1)
-        + 2 * _f_rec(n - 1, i)
-        + _f_rec(n - 1, i + 1)
-        + e_count(n - 1, i + 1)
-    )
-
-
 def check_f_recursion(nmax: int) -> list[Row]:
     """Closed-form f against the step recursion, past the enumeration ceiling."""
     return [
         (
             f"n={n:02d}",
-            str([_f_rec(n, i) for i in range(n + 1)]),
+            str(_f_row(n)),
             str([f_count(n, i) for i in range(n + 1)]),
         )
         for n in range(nmax + 1)
@@ -214,7 +266,7 @@ def check_f_recursion(nmax: int) -> list[Row]:
 def check_shape_count(b: int, top: int) -> Iterator[Row]:
     """Hook-length formula vs peak formula vs the ideal DP, 2-by-b, 2b+k <= top."""
     for k in range(top - 2 * b + 1):
-        oracle = count_svsyt((b, b), k)
+        oracle = _rectangle_dp(b, k)
         yield f"b={b},k={k}", f"{oracle},{oracle}", f"{act_count(b, k)},{peaks_count(b, k)}"
 
 
@@ -245,8 +297,7 @@ def check_more_shapes(n: int) -> Iterator[Row]:
 
 
 def check_avoid321_count(n: int) -> list[Row]:
-    got = sum(1 for _ in gen_avoid321(n))
-    return [(f"n={n}", str(catalan(n)), str(got))]
+    return [(f"n={n}", str(catalan(n)), str(_avoid321_tally(n)))]
 
 
 def check_perm_bijection(n: int) -> list[Row]:

@@ -9,8 +9,9 @@ import time
 
 import pytest
 
+import svtab.verify
 from svtab.cli import main
-from svtab.verify import build_tasks
+from svtab.verify import COUNT_ORACLES, build_tasks, check_shape_count
 
 
 def run(capsys, *argv):
@@ -90,13 +91,36 @@ class TestCount:
         )
         assert (code, out.strip()) == (0, "6,6,ok")
 
+    # a small instance of every parameter a count takes
+    SMALL = {"n": "4", "i": "1", "b": "2", "k": "1", "m": "2", "shape": "2,1"}
+
+    @pytest.mark.parametrize(
+        "kind,key",
+        [(kind, key) for kind, table in COUNT_ORACLES.items() for key in sorted(table)],
+    )
+    def test_every_count_has_an_oracle(self, capsys, kind, key):
+        names = COUNT_ORACLES[kind][key][0]
+        argv = [arg for name in names for arg in (f"--{name}", self.SMALL[name])]
+        code, out, _ = run(capsys, "count", f"--{kind}", key, *argv, "--oracle")
+        value, oracle, verdict = out.strip().split(",")
+        assert (code, oracle, verdict) == (0, value, "ok")
+
+    def test_planted_rectangle_dp_fails_the_cli_and_verify(self, capsys, monkeypatch):
+        real = svtab.verify.count_svsyt
+        monkeypatch.setattr(
+            svtab.verify, "count_svsyt", lambda shape, k: real(shape, k) + 1
+        )
+        code, out, _ = run(
+            capsys, "count", "--formula", "act", "--b", "2", "--k", "3", "--oracle"
+        )
+        assert (code, out.strip()) == (1, "84,85,MISMATCH")
+        rows = list(check_shape_count(2, 7))
+        assert len(rows) == 4 and all(want != got for _, want, got in rows)
+
     def test_usage_errors(self, capsys):
         assert run(capsys, "count", "--formula", "nosuch", "--n", "3")[0] == 2
-        # e has no independent enumeration oracle
-        code, _, err = run(
-            capsys, "count", "--formula", "e", "--n", "3", "--i", "1", "--oracle"
-        )
-        assert code == 2 and "oracle" in err
+        bad_shape = ("count", "--family", "svsyt", "--shape", "3,x", "--k", "0")
+        assert run(capsys, *bad_shape)[0] == 2
         # exactly one of --formula/--family
         assert run(capsys, "count", "--n", "3")[0] == 2
         assert (

@@ -81,6 +81,16 @@ class TestSetValuedTableau:
         with pytest.raises(InvalidShape):
             SetValuedTableau.from_json_dict(d)
 
+    def test_dataclass_rows_become_tuples(self):
+        shape = SkewShape(Partition((1,)))
+        t = SetValuedTableau(shape, [[[1]]])
+        assert t == SetValuedTableau.from_rows([[[1]]])
+        assert hash(t) == hash(SetValuedTableau.from_rows([[[1]]]))
+        assert t.rows == (((1,),),)
+        # cells are not sorted on the way in
+        with pytest.raises(NotAPartitionOfRange):
+            SetValuedTableau(shape, [[[2, 1]]])
+
     def test_validate_returns_extras(self):
         t = SetValuedTableau.from_rows([[[1, 2, 3], [4]], [[5], [6, 7]]])
         assert validate_svsyt(t) == 3

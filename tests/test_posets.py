@@ -468,7 +468,7 @@ class TestCatalog:
 
     def test_entries_are_natural_and_small(self):
         for _name, poset in catalog():
-            assert poset.natural
+            assert all(a < b for a, b in poset.covers)
             assert 1 <= poset.n <= 6
 
     def test_families_present(self):

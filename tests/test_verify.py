@@ -1,5 +1,6 @@
 """Self-check harness plumbing: task building, execution, reporting."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import svtab
 import svtab.enumerate
 import svtab.posets
 import svtab.verify
+from svtab.closedform import f_count
 from svtab.core import SetValuedTableau, SvtabError
 from svtab.posets import catalog, sv_linear_extensions
 from svtab.rings import QPoly
@@ -25,12 +27,25 @@ from svtab.verify import (
     report_dict,
     report_text,
     run_tasks,
+    _f_rec,
     _run_timed,
 )
 
 
 def test_suites_constant():
     assert SUITES == ("counts", "bijections", "series", "qstats", "posets")
+
+
+def test_f_oracle_needs_no_deep_recursion():
+    """The f recursion goes row by row, so ``count --formula f --oracle`` at a
+    large n stays within the interpreter's stack."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        got = _f_rec(120, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == f_count(120, 3)
 
 
 def test_available_threads_env(monkeypatch):
