@@ -360,9 +360,11 @@ def count_paths(family: str, n: int) -> int:
 
 
 def gen_ballotlike(n: int, i: int) -> Iterator[ColoredPath]:
-    """Ballot-like paths of length n ending at height i."""
-    if not 0 <= i <= n:
-        raise OutOfRange(f"need 0 <= i <= n, got {(n, i)}")
+    """Ballot-like paths of length n ending at height i; none when i > n."""
+    if n < 0 or i < 0:
+        raise OutOfRange(f"need n, i >= 0, got {(n, i)}")
+    if i > n:
+        return
     r1, r2, _ends_at_0 = PATH_RULES["ballotlike"]
     for w in _gen_path_words(n, r1, r2, i):
         yield ColoredPath(w)

@@ -364,17 +364,15 @@ def vartheta(ext: tuple[int, ...], cuts: tuple[int, ...]) -> QPoly:
 
 
 def qbinom(a: int, b: int) -> QPoly:
-    """Gaussian binomial coefficient; exact polynomial division throughout."""
+    """Gaussian binomial coefficient [a over b]_q, row by row by the q-Pascal
+    rule [m, j] = [m - 1, j - 1] + q^j [m - 1, j]: no division."""
     if not 0 <= b <= a:
         raise OutOfRange(f"need 0 <= b <= a, got {(a, b)}")
-
-    def qfact(m: int) -> QPoly:
-        out = QPoly.one()
-        for i in range(1, m + 1):
-            out = out * QPoly([1] * i)
-        return out
-
-    return qfact(a).divexact(qfact(b) * qfact(a - b))
+    row = [QPoly.one()] + [QPoly.zero()] * b  # [m, j] for j <= b, from m = 0
+    for m in range(1, a + 1):
+        for j in range(min(m, b), 0, -1):
+            row[j] = row[j - 1] + QPoly.monomial(j) * row[j]
+    return row[b]
 
 
 def _cut_weight_sum(poset: Poset, k: int, picks: bool) -> QPoly:

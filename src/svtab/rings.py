@@ -2,9 +2,12 @@
 
 Everything here is integer-exact: no floats, and a division that leaves a
 remainder raises ``InexactDivision`` (an ``SvtabError``).
-Coefficient rings (QPoly, MultiPoly) share a small duck-typed protocol so
-TSeries can be generic over either: ``zero()``/``one()``/``from_int()``
-classmethods, ring ops, and ``divexact_int``.
+QPoly, MultiPoly and TSeries share one base, ``_Ring``: each class states its
+own ``+``, unary ``-``, ``*`` and ``_of_int`` (an int as an element of that
+ring), and the base derives subtraction and the reflected operators from
+them, so an int on either side is coerced through ``_of_int``.  TSeries is
+generic over the coefficient rings QPoly and MultiPoly, which also give
+``zero()``/``one()``/``from_int()`` classmethods and ``divexact_int``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,29 @@ class TruncationMismatch(SvtabError):
     """Two power series truncated at different orders were combined."""
 
 
-class QPoly:
+class _Ring:
+    """Subtraction and the reflected operators, from ``+``, unary ``-``, ``*``
+    and ``_of_int`` of the subclass."""
+
+    __slots__ = ()  # empty, so the subclasses' instances keep no __dict__
+
+    def _coerce(self, other):
+        return self._of_int(other) if isinstance(other, int) else other
+
+    def __radd__(self, other: int):
+        return self + other
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other: int):
+        return self._of_int(other) - self
+
+    def __rmul__(self, other: int):
+        return self * other
+
+
+class QPoly(_Ring):
     """Univariate polynomial in q with int coefficients, immutable."""
 
     __slots__ = ("coeffs",)
@@ -45,29 +70,24 @@ class QPoly:
     def from_int(cls, c: int) -> "QPoly":
         return cls((c,))
 
+    _of_int = from_int
+
     @classmethod
     def monomial(cls, exp: int, c: int = 1) -> "QPoly":
         return cls((0,) * exp + (c,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = QPoly.from_int(other)
+        other = self._coerce(other)
         return isinstance(other, QPoly) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
     def __add__(self, other: "QPoly | int") -> "QPoly":
-        if isinstance(other, int):
-            other = QPoly.from_int(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.coeffs, self._coerce(other).coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -75,18 +95,8 @@ class QPoly:
             out[i] += c
         return QPoly(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "QPoly":
         return QPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "QPoly | int") -> "QPoly":
-        if isinstance(other, int):
-            other = QPoly.from_int(other)
-        return self + (-other)
-
-    def __rsub__(self, other: int) -> "QPoly":
-        return QPoly.from_int(other) - self
 
     def __mul__(self, other: "QPoly | int") -> "QPoly":
         if isinstance(other, int):
@@ -101,38 +111,11 @@ class QPoly:
                     out[i + j] += ca * cb
         return QPoly(out)
 
-    __rmul__ = __mul__
-
     def divexact_int(self, d: int) -> "QPoly":
         for c in self.coeffs:
             if c % d:
                 raise InexactDivision(f"{c} not divisible by {d}")
         return QPoly(tuple(c // d for c in self.coeffs))
-
-    def divexact(self, other: "QPoly") -> "QPoly":
-        """Exact polynomial division; raises InexactDivision on any remainder."""
-        if not other:
-            raise ZeroDivisionError
-        rem = list(self.coeffs)
-        dvs = other.coeffs
-        lead = dvs[-1]
-        if len(rem) < len(dvs):
-            if any(rem):
-                raise InexactDivision("degree of dividend below divisor")
-            return QPoly()
-        quot = [0] * (len(rem) - len(dvs) + 1)
-        for k in range(len(quot) - 1, -1, -1):
-            c = rem[k + len(dvs) - 1]
-            if c % lead:
-                raise InexactDivision(f"leading term {c} not divisible by {lead}")
-            f = c // lead
-            quot[k] = f
-            if f:
-                for j, cd in enumerate(dvs):
-                    rem[k + j] -= f * cd
-        if any(rem):
-            raise InexactDivision("nonzero remainder")
-        return QPoly(quot)
 
     def __call__(self, q: int) -> int:
         acc = 0
@@ -165,7 +148,7 @@ class QPoly:
 MARKERS = ("U", "D", "u", "d")
 
 
-class MultiPoly:
+class MultiPoly(_Ring):
     """Polynomial in the four step markers U, D, u, d with int coefficients.
 
     Keys are exponent 4-tuples (eU, eD, eu, ed); zero coefficients are never
@@ -189,6 +172,8 @@ class MultiPoly:
     def from_int(cls, c: int) -> "MultiPoly":
         return cls({(0, 0, 0, 0): c})
 
+    _of_int = from_int
+
     @classmethod
     def gen(cls, marker: str) -> "MultiPoly":
         exp = [0, 0, 0, 0]
@@ -207,33 +192,20 @@ class MultiPoly:
         return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = MultiPoly.from_int(other)
+        other = self._coerce(other)
         return isinstance(other, MultiPoly) and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "MultiPoly | int") -> "MultiPoly":
-        if isinstance(other, int):
-            other = MultiPoly.from_int(other)
         out = dict(self.terms)
-        for k, v in other.terms.items():
+        for k, v in self._coerce(other).terms.items():
             out[k] = out.get(k, 0) + v
         return MultiPoly(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "MultiPoly":
         return MultiPoly({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "MultiPoly | int") -> "MultiPoly":
-        if isinstance(other, int):
-            other = MultiPoly.from_int(other)
-        return self + (-other)
-
-    def __rsub__(self, other: int) -> "MultiPoly":
-        return MultiPoly.from_int(other) - self
 
     def __mul__(self, other: "MultiPoly | int") -> "MultiPoly":
         if isinstance(other, int):
@@ -244,8 +216,6 @@ class MultiPoly:
                 k = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2], ka[3] + kb[3])
                 out[k] = out.get(k, 0) + va * vb
         return MultiPoly(out)
-
-    __rmul__ = __mul__
 
     def divexact_int(self, d: int) -> "MultiPoly":
         out = {}
@@ -305,7 +275,7 @@ class MultiPoly:
         return " + ".join(parts)
 
 
-class TSeries:
+class TSeries(_Ring):
     """Power series in t truncated at order N, coefficients in QPoly or MultiPoly.
 
     ``coeffs[n]`` is the coefficient of t^n; the list always has length N+1.
@@ -329,6 +299,9 @@ class TSeries:
     def const(cls, ring, order: int, c) -> "TSeries":
         return cls(ring, order, [c])
 
+    def _of_int(self, c: int) -> "TSeries":
+        return TSeries.const(self.ring, self.order, c)
+
     def coeff(self, n: int):
         if not 0 <= n <= self.order:
             raise OutOfRange(f"coefficient t^{n} beyond truncation {self.order}")
@@ -348,25 +321,14 @@ class TSeries:
         return self.coeffs == other.coeffs
 
     def __add__(self, other: "TSeries | int"):
-        if isinstance(other, int):
-            other = TSeries.const(self.ring, self.order, other)
+        other = self._coerce(other)
         self._same_order(other)
         return TSeries(
             self.ring, self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
-    __radd__ = __add__
-
     def __neg__(self) -> "TSeries":
         return TSeries(self.ring, self.order, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "TSeries | int") -> "TSeries":
-        if isinstance(other, int):
-            other = TSeries.const(self.ring, self.order, other)
-        return self + (-other)
-
-    def __rsub__(self, other: int) -> "TSeries":
-        return TSeries.const(self.ring, self.order, other) - self
 
     def __mul__(self, other):
         if isinstance(other, TSeries):
@@ -383,8 +345,6 @@ class TSeries:
             return TSeries(self.ring, n, out)
         c = self._lift(other)
         return TSeries(self.ring, self.order, [a * c for a in self.coeffs])
-
-    __rmul__ = __mul__
 
     def shift_up(self, j: int) -> "TSeries":
         """Multiply by t^j (j >= 0)."""

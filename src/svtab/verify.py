@@ -161,14 +161,16 @@ _union_tally = _tally(gen_two_row_union)
 
 def _f_row(n: int) -> list[int]:
     """f(n, 0..n) by the step recursion, row by row from f(0, 0) = 0: the last
-    step into (m, i) is U, u (not at height 0), d, or a D after any path."""
-    row = [0]
+    step into (m, i) is U, u (not at height 0), d, or a D after any path.
+    The D-free counts e(m, ·) ride along by Pascal's rule, e(m, 0) = 0 for
+    m >= 1 and e(m, i) = e(m - 1, i - 1) + e(m - 1, i) for i >= 1."""
+    row, e = [0], [1]
     for m in range(1, n + 1):
-        prev = row + [0, 0]  # f(m - 1, i) for i <= m + 1
-        row = [prev[0] + prev[1] + e_count(m - 1, 1)] + [
-            prev[i - 1] + 2 * prev[i] + prev[i + 1] + e_count(m - 1, i + 1)
-            for i in range(1, m + 1)
+        prev, ep = row + [0, 0], e + [0, 0]  # f and e at m - 1, for i <= m + 1
+        row = [prev[0] + prev[1] + ep[1]] + [
+            prev[i - 1] + 2 * prev[i] + prev[i + 1] + ep[i + 1] for i in range(1, m + 1)
         ]
+        e = [0] + [ep[i - 1] + ep[i] for i in range(1, m + 1)]
     return row
 
 

@@ -105,6 +105,13 @@ class TestCount:
         value, oracle, verdict = out.strip().split(",")
         assert (code, oracle, verdict) == (0, value, "ok")
 
+    @pytest.mark.parametrize("key", ["ballot", "e", "f"])
+    def test_heights_past_n_count_zero_on_both_sides(self, capsys, key):
+        code, out, _ = run(
+            capsys, "count", "--formula", key, "--n", "1", "--i", "2", "--oracle"
+        )
+        assert (code, out.strip()) == (0, "0,0,ok")
+
     def test_planted_rectangle_dp_fails_the_cli_and_verify(self, capsys, monkeypatch):
         real = svtab.verify.count_svsyt
         monkeypatch.setattr(

@@ -217,6 +217,13 @@ class TestBallotlike:
             stacked = [p.word for i in range(n + 1) for p in gen_ballotlike(n, i)]
             assert sorted(stacked) == sorted(p.word for p in gen_paths("ballotlike", n))
 
+    def test_heights_past_n_are_empty_and_negatives_raise(self):
+        assert list(gen_ballotlike(1, 2)) == []
+        assert list(gen_ballotlike(0, 1)) == []
+        for n, i in ((2, -1), (-1, 0)):
+            with pytest.raises(OutOfRange):
+                list(gen_ballotlike(n, i))
+
 
 # ---------------------------------------------------------------------------
 # the counting DPs agree with enumeration, and reach past the ceiling

@@ -369,6 +369,17 @@ class TestQBinom:
             for b in range(a + 1):
                 assert qbinom(a, b) == qbinom(a, a - b)
 
+    def test_product_formula_at_integer_q(self):
+        """[a over b]_q times prod (q^(i+1) - 1) is prod (q^(a-i) - 1), i < b."""
+        for q in (2, 3, 5):
+            for a in range(21):
+                for b in range(a + 1):
+                    den = num = 1
+                    for i in range(b):
+                        den *= q ** (i + 1) - 1
+                        num *= q ** (a - i) - 1
+                    assert qbinom(a, b)(q) * den == num, (q, a, b)
+
 
 class TestIdentities:
     POSETS = [

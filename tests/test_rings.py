@@ -42,20 +42,6 @@ class TestQPoly:
         assert a + QPoly.zero() == a
         assert a * QPoly.one() == a
 
-    @given(qpolys, qpolys)
-    def test_divexact_inverts_multiplication(self, a, b):
-        if b == QPoly.zero():
-            return
-        assert (a * b).divexact(b) == a
-
-    def test_divexact_failures(self):
-        with pytest.raises(InexactDivision):
-            QPoly([1]).divexact(QPoly([0, 1]))
-        with pytest.raises(InexactDivision):
-            QPoly([1, 1]).divexact(QPoly([2]))
-        with pytest.raises(ZeroDivisionError):
-            QPoly([1]).divexact(QPoly.zero())
-
     def test_monomial_and_evaluation(self):
         p = QPoly.monomial(3, 2)
         assert p.coeffs == (0, 0, 0, 2)
@@ -176,6 +162,24 @@ class TestTSeries:
         assert s * inv == expect
 
 
+@pytest.mark.parametrize(
+    "x",
+    [
+        QPoly([2, 0, -1]),
+        MultiPoly.from_word("Uu") * 3 + MultiPoly.gen("d"),
+        TSeries(QPoly, 4, [1, QPoly([0, 1]), -2]),
+        TSeries(MultiPoly, 4, [MultiPoly.gen("U"), 0, MultiPoly.from_word("Dd")]),
+    ],
+    ids=["QPoly", "MultiPoly", "TSeries-QPoly", "TSeries-MultiPoly"],
+)
+def test_base_derives_the_int_and_reflected_operators(x):
+    assert 3 - x == -(x - 3)
+    assert 0 + x == x
+    assert 2 * x == x + x
+    assert not (x - x)
+    assert not hasattr(x, "__dict__")
+
+
 # ---------------------------------------------------------------------------
 # input checks hold in an interpreter that strips asserts
 
@@ -190,7 +194,7 @@ _ORDERS_2_AND_4 = (
     [
         ("svtab.series.solve_E(4).coeff(-1)", "OutOfRange"),
         ("svtab.series.solve_E(4).coeff(5)", "OutOfRange"),
-        *((_ORDERS_2_AND_4.format(op), "TruncationMismatch") for op in ("+", "*", "==")),
+        *((_ORDERS_2_AND_4.format(op), "TruncationMismatch") for op in ("+", "-", "*", "==")),
     ],
 )
 def test_series_checks_hold_under_O(raised_under_O, call, raised):

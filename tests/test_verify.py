@@ -28,6 +28,7 @@ from svtab.verify import (
     report_text,
     run_tasks,
     _f_rec,
+    _f_row,
     _run_timed,
 )
 
@@ -46,6 +47,10 @@ def test_f_oracle_needs_no_deep_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert got == f_count(120, 3)
+
+
+def test_f_row_matches_the_closed_form_at_300():
+    assert _f_row(300) == [f_count(300, i) for i in range(301)]
 
 
 def test_available_threads_env(monkeypatch):
