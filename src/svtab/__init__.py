@@ -81,6 +81,7 @@ from .posets import (
     antichain,
     chain,
     compose_extension,
+    compose_extensions,
     decompose_extension,
     equidistribution_check,
     expected_ddeg,

@@ -312,6 +312,26 @@ def _peel(blocks: Sequence[Sequence[int]]) -> tuple[list[int], list[int], list[i
     return [b[0] - bisect_left(xs, b[0]) for b in blocks], cuts, picks
 
 
+def _frame(base: list[int], cuts: tuple[int, ...], low: int):
+    """The part of ``_insert`` that depends only on (base, cuts).
+
+    Raises unless the cuts weakly increase within low..n.  Returns the
+    elements in base-entry order, the prefix ideals (``ideal[t]`` is the
+    bitmask of elements whose base entry is at most t) and every element's
+    base entry v shifted up to v + #{i : cuts[i-1] < v}, as a 1-tuple.
+    """
+    n = len(base)
+    if cuts and not (low <= min(cuts) and max(cuts) <= n):
+        raise InvalidPick(f"cuts out of range {low}..{n}: {cuts}")
+    if sorted(cuts) != list(cuts):
+        raise InvalidPick(f"cuts must weakly increase: {cuts}")
+    order = sorted(range(n), key=base.__getitem__)
+    ideal = [0] * (n + 1)
+    for t, y in enumerate(order, start=1):
+        ideal[t] = ideal[t - 1] | 1 << y
+    return order, ideal, [(v + bisect_left(cuts, v),) for v in base]
+
+
 def _insert(
     base: list[int],
     succs: list[int],
@@ -326,22 +346,14 @@ def _insert(
     of 1..n) and ``succs`` the bitmask of its upper covers; ``index`` maps a
     pick (a ``noun`` such as a cell) to its element.  Pick i must be a maximal
     element of the ideal of elements whose base entry is at most cuts[i-1].
-    Larger entries shift up to make room, so base entry v ends at
+    Larger entries shift up to make room (``_frame``), so base entry v ends at
     v + #{i : cuts[i-1] < v} and the i-th extra entry is cuts[i-1] + i.
     Returns every element's entries, increasing: a pick's base entry is at
     most its cut, so it ends below the extra entries it takes.
     """
-    n = len(base)
     if len(picks) != len(cuts):
         raise InvalidPick("cuts and picks must have equal length")
-    if cuts and not (1 <= min(cuts) and max(cuts) <= n):
-        raise InvalidPick(f"cuts out of range 1..{n}: {cuts}")
-    if sorted(cuts) != list(cuts):
-        raise InvalidPick(f"cuts must weakly increase: {cuts}")
-    ideal = [0] * (n + 1)  # ideal[t]: elements with base entry <= t
-    for t, y in enumerate(sorted(range(n), key=base.__getitem__), start=1):
-        ideal[t] = ideal[t - 1] | 1 << y
-    blocks = [(v + bisect_left(cuts, v),) for v in base]
+    _order, ideal, blocks = _frame(base, cuts, 1)
     for i, (cut, p) in enumerate(zip(cuts, picks), start=1):
         x = index.get(p)
         if x is None:
@@ -352,6 +364,40 @@ def _insert(
             raise InvalidPick(f"{noun} {p} is not maximal for cut {cut}")
         blocks[x] += (cut + i,)
     return tuple(blocks)
+
+
+def _insert_all(
+    base: list[int], succs: list[int], cuts: tuple[int, ...], names: Sequence
+):
+    """``_insert`` for every legal pick vector of these cuts at once.
+
+    Yields (picks, blocks), a pick of element x named ``names[x]``: pick i
+    ranges over the maximal elements of the ideal of cut i in base-entry
+    order, and the vectors come in ``itertools.product`` order.  The frame is
+    built once and the vectors grow stage by stage, so each extra entry is
+    added once per prefix of picks; the blocks of every vector of these cuts
+    are held at once.  A cut of 0 has an empty ideal, hence no legal pick, so
+    nothing is yielded; cuts out of 0..n or not weakly increasing raise as in
+    ``_insert``.
+    """
+    order, ideal, frame = _frame(base, cuts, 0)
+    grown = [((), frame)]  # every pick vector of the stages so far, with its blocks
+    for i, cut in enumerate(cuts, start=1):
+        pool = [x for x in order[:cut] if not succs[x] & ideal[cut]]
+        grown = [
+            (picks + (names[x],), _with_entry(blocks, x, cut + i))
+            for picks, blocks in grown
+            for x in pool
+        ]
+    for picks, blocks in grown:
+        yield picks, tuple(blocks)
+
+
+def _with_entry(blocks: list[tuple[int, ...]], x: int, entry: int) -> list:
+    """A copy of ``blocks`` with ``entry`` appended to block x."""
+    out = blocks.copy()
+    out[x] += (entry,)
+    return out
 
 
 def decompose(t: SetValuedTableau) -> Triple:

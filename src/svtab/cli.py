@@ -179,7 +179,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             lines.append(json.dumps(_obj_json(obj)))
         else:
             lines.append(_obj_text(obj))
-    _write(args, "\n".join(lines) if lines else "")
+    if lines:  # an empty stream writes nothing, not an empty line
+        _write(args, "\n".join(lines))
     return 0
 
 

@@ -5,9 +5,11 @@ A poset here always carries labels 1..n with every cover increasing the label
 extensions by letting each element absorb extra entries.  Both are walks up
 the lattice of order ideals, so both come from the walker in ``enumerate``
 driven by the poset's cover bitmasks, and the cut-and-pick triple codec is the
-one in ``biject``.  The cut-weight machinery expresses the comajor generating
-polynomial through ordinary linear extensions; each quantity is computed one
-way here, and ``verify`` compares the routes.
+one in ``biject``: ``compose_extension`` builds one object from its triple, and
+``compose_extensions`` every object of one (extension, cuts) pair at once.
+The cut-weight machinery expresses the comajor generating polynomial through
+ordinary linear extensions; each quantity is computed one way here, and
+``verify`` compares the routes.
 
 The cut rule.  An extension with k weakly increasing cuts in {0..n} is a walk
 of n + k steps, each opening an element as ``_Moves`` does or cutting at time
@@ -24,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 
-from .biject import _insert, _peel
+from .biject import _insert, _insert_all, _peel
 from .core import (
     EmptyCell,
     InvalidPick,
@@ -54,6 +56,7 @@ __all__ = [
     "sv_linear_extensions",
     "decompose_extension",
     "compose_extension",
+    "compose_extensions",
     "pi_perm",
     "vartheta",
     "qbinom",
@@ -252,6 +255,20 @@ def _check_blocks(poset: Poset, blocks: tuple[tuple[int, ...], ...]) -> None:
             raise OrderViolation(f"block of {a} must finish before block of {b} starts")
 
 
+def _extension_times(poset: Poset, ext: tuple[int, ...]) -> list[int]:
+    """The time of every element in ext (element x at index x-1); raises
+    unless ext lists each element once and every cover in order."""
+    if sorted(ext) != list(poset.elements):
+        raise InvalidPick(f"{ext} is not a linear extension listing")
+    time_of = [0] * poset.n
+    for j, x in enumerate(ext, start=1):
+        time_of[x - 1] = j
+    for x, y in poset._cover_pairs:
+        if time_of[y - 1] < time_of[x - 1]:
+            raise InvalidPick(f"{ext} lists {y} before {x}")
+    return time_of
+
+
 def compose_extension(
     poset: Poset,
     ext: tuple[int, ...],
@@ -265,19 +282,30 @@ def compose_extension(
     by the first cuts[i-1] elements of ext.  The codec is ``biject._insert``,
     with element x at index x-1.
     """
-    if sorted(ext) != list(poset.elements):
-        raise InvalidPick(f"{ext} is not a linear extension listing")
-    time_of = [0] * poset.n
-    for j, x in enumerate(ext, start=1):
-        time_of[x - 1] = j
-    for x, y in poset._cover_pairs:
-        if time_of[y - 1] < time_of[x - 1]:
-            raise InvalidPick(f"{ext} lists {y} before {x}")
+    time_of = _extension_times(poset, ext)
     blocks = _insert(
         time_of, poset._cover_masks[1], cuts, picks, poset._index, "element"
     )
     _check_blocks(poset, blocks)  # the blocks are sorted, so not sorted again
     return SetValuedLinearExtension._trusted(poset, blocks)
+
+
+def compose_extensions(poset: Poset, ext: tuple[int, ...], cuts: tuple[int, ...]):
+    """Every object of one (ext, cuts), with its picks: ``compose_extension``
+    for every legal pick vector at once.
+
+    Yields (picks, object), pick i ranging over the maximal elements of the
+    first cuts[i-1] elements of ext in the order ext lists them, the vectors
+    in ``itertools.product`` order.  The extension is checked once and the
+    shifted base built once (``biject._insert_all``); every object is still
+    checked.  A cut of 0 leaves no legal pick, so nothing is yielded.
+    """
+    time_of = _extension_times(poset, ext)
+    trusted = SetValuedLinearExtension._trusted
+    succs = poset._cover_masks[1]
+    for picks, blocks in _insert_all(time_of, succs, cuts, poset.elements):
+        _check_blocks(poset, blocks)
+        yield picks, trusted(poset, blocks)
 
 
 def decompose_extension(

@@ -315,6 +315,7 @@ class TSeries(_Ring):
         return any(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
+        other = self._coerce(other)
         if not isinstance(other, TSeries):
             return NotImplemented
         self._same_order(other)

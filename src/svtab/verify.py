@@ -69,7 +69,7 @@ from .posets import (
     Poset,
     SetValuedLinearExtension,
     catalog,
-    compose_extension,
+    compose_extensions,
     decompose_extension,
     equidistribution_check,
     expected_ddeg,
@@ -576,18 +576,23 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
 
     One pass over every linear extension and cut vector in {0..n} sums
     ``vartheta``, times the pick pool sizes for the numerator: the ``oracle``
-    of ``expected_ddeg``.  Each triple is composed once; its object gives a
-    key (``_entry_word``) for the route check and, for the first
-    ``ROUNDTRIP_CAP`` triples, a decompose roundtrip.  The walker's objects,
-    streamed once, must give the same keys; with the roundtrips this makes
-    decompose and compose inverse on them.  The ``expected_ddeg`` numerator
-    is compared with the comajor DP (``enumerate._comaj_walk``).  For n <= 4
-    each composed object's comajor weight is compared with its ``vartheta``
-    and summed against the numerator, and the DP with the streamed tally.
-    Only the composed objects are validated; the walker's are valid by
-    construction, so a walker object that is not valid shows as "not
-    composed" in the routes row.  Each object is dropped once its key is
-    taken, so the route check holds keys, not objects.
+    of ``expected_ddeg``.  Each triple is composed once, by one
+    ``compose_extensions`` generator per (extension, cuts) pair, which yields
+    every legal pick vector with its object.  The pools are the loop's own,
+    so the expected sides of the ``oracle`` and ``weights`` rows do not come
+    from the generator.  Each object gives a key (``_entry_word``) for the
+    route check and, for the first ``ROUNDTRIP_CAP`` triples, a decompose
+    roundtrip.  The walker's objects, streamed once, must give the same keys,
+    as many as were composed, so an object composed twice shows; with the
+    roundtrips this makes decompose and compose inverse on them.  The
+    ``expected_ddeg`` numerator is compared with the comajor DP
+    (``enumerate._comaj_walk``).  For n <= 4 each composed object's comajor
+    weight is compared with its ``vartheta`` and summed against the
+    numerator, and the DP with the streamed tally.  Only the composed objects
+    are validated; the walker's are valid by construction, so a walker object
+    that is not valid shows as "not composed" in the routes row.  Each object
+    is dropped once its key is taken, so the route check holds keys, not
+    objects.
     """
     tag = f"{name},k={k}"
     lhs, rhs = sum_identity_check(poset, k)
@@ -598,7 +603,7 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
     comaj_sum = QPoly.zero()
     dens, nums = Counter(), Counter()  # vartheta -> its terms, their pick products
     mismatch = ""
-    tried = 0
+    made = tried = 0
     bad = []
     for ext in linear_extensions(poset):
         for cuts in itertools.combinations_with_replacement(range(poset.n + 1), k):
@@ -606,8 +611,8 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
             pools = [_maximal_in_prefix(poset, ext, t) for t in cuts]
             dens[weight] += 1
             nums[weight] += math.prod(map(len, pools))
-            for picks in itertools.product(*pools):
-                s = compose_extension(poset, ext, cuts, picks)
+            for picks, s in compose_extensions(poset, ext, cuts):
+                made += 1
                 if tried < ROUNDTRIP_CAP:
                     tried += 1
                     if decompose_extension(s) != (ext, cuts, picks):
@@ -623,7 +628,6 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
         rows.append((f"{tag} weights", str(num), f"{comaj_sum}{mismatch}"))
 
     # one pass over the walker; matched keys leave ``composed``
-    wanted = len(composed)
     walked = extra = 0
     tally: Counter = Counter()
     for s in sv_linear_extensions(poset, k):
@@ -638,7 +642,7 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
     routes = f"{walked} objects"
     if extra or composed:
         routes += f", {extra} not composed, {len(composed)} not walked"
-    rows.append((f"{tag} routes", f"{wanted} objects", routes))
+    rows.append((f"{tag} routes", f"{made} objects", routes))
 
     dp = _comaj_walk(*poset._cover_masks, poset.n + k)
     if small:

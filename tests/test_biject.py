@@ -8,6 +8,7 @@ import pytest
 from svtab.biject import (
     Triple,
     _insert,
+    _insert_all,
     _peel,
     ballot_path_from_tableau,
     compose,
@@ -318,6 +319,34 @@ class TestTriples:
         base, succs, index = self.CHAIN3
         with pytest.raises(InvalidPick) as info:
             _insert(base, succs, cuts, picks, index, "letter")
+        assert str(info.value) == message
+
+    def test_insert_all_is_insert_at_every_legal_pick(self):
+        base, succs, index = self.CHAIN3
+        names = sorted(index, key=index.get)
+        for k in range(3):
+            for cuts in itertools.combinations_with_replacement(range(4), k):
+                want = []
+                for picks in itertools.product(names, repeat=k):
+                    try:
+                        blocks = _insert(base, succs, cuts, picks, index, "letter")
+                    except InvalidPick:
+                        continue
+                    want.append((picks, blocks))
+                assert list(_insert_all(base, succs, cuts, names)) == want
+
+    @pytest.mark.parametrize(
+        "cuts,message",
+        [
+            ((4,), "cuts out of range 0..3: (4,)"),
+            ((-1, 2), "cuts out of range 0..3: (-1, 2)"),
+            ((2, 0), "cuts must weakly increase: (2, 0)"),
+        ],
+    )
+    def test_insert_all_errors(self, cuts, message):
+        base, succs, index = self.CHAIN3
+        with pytest.raises(InvalidPick) as info:
+            list(_insert_all(base, succs, cuts, "abc"))
         assert str(info.value) == message
 
     def test_compose_names_the_cell(self):

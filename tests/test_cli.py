@@ -60,6 +60,17 @@ class TestEnumerate:
         assert len(out.splitlines()) == 6
 
 
+    def test_empty_stream_writes_nothing(self, capsys):
+        code, out, _ = run(
+            capsys, "enumerate", "--family", "ballotlike", "--n", "1", "--i", "2"
+        )
+        assert (code, out) == (0, "")
+
+    def test_one_object_stream_writes_one_line(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--family", "svsyt", "--shape", "1")
+        assert (code, out) == (0, "{1}\n")
+
+
 class TestCount:
     def test_family_count(self, capsys):
         assert run(capsys, "count", "--family", "two-row-union", "--n", "6")[:2] == (

@@ -22,6 +22,7 @@ from svtab.posets import (
     catalog,
     chain,
     compose_extension,
+    compose_extensions,
     comaj,
     decompose_extension,
     descent_positions,
@@ -248,6 +249,40 @@ class TestTripleCodec:
             compose_extension(chain(2), (1, 2), (1,), (2,))
         with pytest.raises(InvalidPick):
             compose_extension(antichain(2), (1, 2), (0,), (1,))
+
+
+class TestComposeExtensions:
+    def test_matches_compose_extension_pick_by_pick(self):
+        for _name, poset in catalog():
+            if poset.n > 5:
+                continue
+            for ext, k in itertools.product(linear_extensions(poset), range(3)):
+                for cuts in itertools.combinations_with_replacement(
+                    range(poset.n + 1), k
+                ):
+                    pools = [_maximal_in_prefix(poset, ext, t) for t in cuts]
+                    want = [
+                        (picks, compose_extension(poset, ext, cuts, picks))
+                        for picks in itertools.product(*pools)
+                    ]
+                    assert list(compose_extensions(poset, ext, cuts)) == want
+
+    @pytest.mark.parametrize("ext", [(1, 1), (2, 1)])
+    def test_non_extension_raises_as_compose_extension(self, ext):
+        with pytest.raises(InvalidPick) as want:
+            compose_extension(chain(2), ext, (1,), (1,))
+        with pytest.raises(InvalidPick) as got:
+            list(compose_extensions(chain(2), ext, (1,)))
+        assert str(got.value) == str(want.value)
+
+    def test_cut_zero_yields_nothing(self):
+        for cuts in [(0,), (0, 0), (0, 2), (0, 1, 2)]:
+            assert list(compose_extensions(antichain(2), (1, 2), cuts)) == []
+
+    def test_no_cuts_yield_the_extension_itself(self):
+        (item,) = compose_extensions(VEE, (2, 1, 3), ())
+        assert item == ((), compose_extension(VEE, (2, 1, 3), (), ()))
+        assert str(item[1]) == "1:{2} 2:{1} 3:{3}"
 
 
 class TestVartheta:

@@ -110,6 +110,23 @@ class TestTSeries:
         with pytest.raises(TruncationMismatch):
             s + TSeries(QPoly, 3, [1])
 
+    @pytest.mark.parametrize("ring", [QPoly, MultiPoly])
+    def test_equality_coerces_ints(self, ring):
+        two = TSeries.const(ring, 2, 2)
+        assert two == 2 and 2 == two
+        assert two != 1 and TSeries(ring, 2, [2, 1]) != 2
+        assert TSeries.const(ring, 2, 1) == 1 == ring.one()
+
+    def test_equality_with_a_non_series_is_not_implemented(self):
+        s = TSeries.const(QPoly, 2, 1)
+        assert s.__eq__("1") is NotImplemented
+        assert s.__eq__(QPoly.one()) is NotImplemented
+        assert s != "1"
+
+    def test_equality_across_orders_raises(self):
+        with pytest.raises(TruncationMismatch):
+            TSeries.const(QPoly, 2, 1) == TSeries.const(QPoly, 3, 1)
+
     def test_shifts(self):
         s = TSeries(QPoly, 4, [0, 0, 1, 5])
         down = s.shift_down(2)

@@ -217,6 +217,21 @@ def _plant_comaj_dp(monkeypatch):
     )
 
 
+def _plant_composer(monkeypatch):
+    # the first object composed in the run is dropped, with its picks
+    real = svtab.verify.compose_extensions
+    dropped = []
+
+    def planted(poset, ext, cuts):
+        for item in real(poset, ext, cuts):
+            if dropped:
+                yield item
+            else:
+                dropped.append(item)
+
+    monkeypatch.setattr(svtab.verify, "compose_extensions", planted)
+
+
 def _plant_codec(monkeypatch):
     real = svtab.verify.decompose_extension
     monkeypatch.setattr(svtab.verify, "decompose_extension", _previous_triple(real))
@@ -228,6 +243,7 @@ PLANTS = [
     (_plant_walker, {"routes", "comaj tally"}),
     (_plant_multichain, {"expectation", "oracle"}),
     (_plant_comaj_dp, {"expectation", "comaj tally"}),
+    (_plant_composer, {"weights", "routes"}),
     (_plant_codec, {"roundtrips"}),
 ]
 
@@ -242,6 +258,20 @@ def test_poset_rows_pass_on_small_poset():
 def test_poset_row_fails_when_one_side_is_planted(monkeypatch, plant, fails):
     plant(monkeypatch)
     assert _failing(check_poset_identities(*VEE_K2)) == fails
+
+
+def test_object_composed_twice_fails_routes_past_n_4(monkeypatch):
+    # chain5 has no weights row, so the routes row alone must see the repeat
+    real = svtab.verify.compose_extensions
+
+    def twice(poset, ext, cuts):
+        for item in real(poset, ext, cuts):
+            yield item
+            yield item
+
+    monkeypatch.setattr(svtab.verify, "compose_extensions", twice)
+    rows = check_poset_identities("chain5", dict(catalog())["chain5"], 1)
+    assert _failing(rows) == {"routes"}
 
 
 def test_every_poset_row_can_fail():
@@ -274,16 +304,17 @@ v.sv_linear_extensions = dropped
 _MISCOMPOSE_SCRIPT = """
 import json
 import svtab.verify as v
-from svtab.posets import catalog, sv_linear_extensions
+from svtab.posets import catalog, compose_extension
 
-real = v.compose_extension
+real = v.compose_extensions
 
-def planted(poset, ext, cuts, picks):
-    if (ext, cuts, picks) == ((1, 3, 2), (3,), (2,)):
-        ext = (1, 2, 3)
-    return real(poset, ext, cuts, picks)
+def planted(poset, ext, cuts):
+    for picks, s in real(poset, ext, cuts):
+        if (ext, cuts, picks) == ((1, 3, 2), (3,), (2,)):
+            s = compose_extension(poset, (1, 2, 3), cuts, picks)
+        yield picks, s
 
-v.compose_extension = planted
+v.compose_extensions = planted
 """ + _VEE_K1_RUN
 
 
@@ -366,10 +397,14 @@ def test_wrong_comaj_dp_fails_its_two_rows(flags):
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
 def test_miscomposed_object_fails_routes_row(flags):
-    status = _run_vee_k1(_MISCOMPOSE_SCRIPT, flags)
-    assert status["vee,k=1 routes"] == "fail"
-    assert status["vee,k=1 weight sum"] == "pass"
-    assert status["vee,k=1 expectation"] == "pass"
+    # the key set holds the doubly composed object once, so none is "not walked"
+    rows = _vee_k1_rows(_MISCOMPOSE_SCRIPT, flags)
+    failed = {inst: got for inst, status, _want, got in rows if status == "fail"}
+    assert failed == {
+        "vee,k=1 routes": "8 objects, 1 not composed, 0 not walked",
+        "vee,k=1 weights": "q^3 + 2*q^2 + 2*q + 3; 1 at (1, 3, 2),(3,),(2,)",
+        "vee,k=1 roundtrips": "7 roundtrips; 1:{1} 2:{2,4} 3:{3} differs",
+    }
 
 
 def test_poset_identities_sharded_per_k():
