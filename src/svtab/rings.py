@@ -1,18 +1,26 @@
 """Exact polynomial and truncated power-series arithmetic.
 
 Everything here is integer-exact: no floats, and a division that leaves a
-remainder raises ``InexactDivision`` (an ``SvtabError``).
+remainder, or divides by zero, raises ``InexactDivision`` (an ``SvtabError``).
 QPoly, MultiPoly and TSeries share one base, ``_Ring``: each class states its
 own ``+``, unary ``-``, ``*`` and ``_of_int`` (an int as an element of that
 ring), and the base derives subtraction and the reflected operators from
 them, so an int on either side is coerced through ``_of_int``.  TSeries is
 generic over the coefficient rings QPoly and MultiPoly, which also give
-``zero()``/``one()``/``from_int()`` classmethods and ``divexact_int``.
+``zero()``/``one()``/``from_int()`` classmethods, ``divexact_int`` and
+``_dot(pairs)``, the sum of a*b over (a, b) pairs: each coefficient of a TSeries
+product, inverse or square root is one ``_dot``.  MultiPoly's, which is also its
+``*``, is the one product kernel: a term's key is one int, the exponents of U,
+D, u, d in 32-bit fields (eU most significant), so a monomial product is one
+int addition into one dict; an operand exponent >= 2**31 raises ``OutOfRange``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from functools import reduce
+from operator import or_
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .core import OutOfRange, SvtabError
 
@@ -23,6 +31,11 @@ class InexactDivision(SvtabError, ArithmeticError):
 
 class TruncationMismatch(SvtabError):
     """Two power series truncated at different orders were combined."""
+
+
+def _divisor(d: int) -> None:
+    if not d:
+        raise InexactDivision(f"cannot divide exactly by the divisor {d}")
 
 
 class _Ring:
@@ -45,6 +58,10 @@ class _Ring:
 
     def __rmul__(self, other: int):
         return self * other
+
+    @classmethod
+    def _dot(cls, pairs: Iterable[tuple]):
+        return sum((a * b for a, b in pairs), cls.zero())
 
 
 class QPoly(_Ring):
@@ -84,7 +101,7 @@ class QPoly(_Ring):
         return isinstance(other, QPoly) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash(self.coeffs if len(self.coeffs) > 1 else self(0))
 
     def __add__(self, other: "QPoly | int") -> "QPoly":
         a, b = self.coeffs, self._coerce(other).coeffs
@@ -112,6 +129,7 @@ class QPoly(_Ring):
         return QPoly(out)
 
     def divexact_int(self, d: int) -> "QPoly":
+        _divisor(d)
         for c in self.coeffs:
             if c % d:
                 raise InexactDivision(f"{c} not divisible by {d}")
@@ -146,19 +164,39 @@ class QPoly(_Ring):
 
 
 MARKERS = ("U", "D", "u", "d")
+_MASK = 0xFFFFFFFF
+_HIGH = 0x80000000_80000000_80000000_80000000  # bit 31 of every field
+
+
+def _pack(exp: tuple[int, int, int, int]) -> int:
+    if not (isinstance(exp, tuple) and len(exp) == 4 and all(0 <= e < 1 << 31 for e in exp)):
+        raise OutOfRange(f"a MultiPoly key is 4 exponents in [0, 2**31), got {exp!r}")
+    return exp[0] << 96 | exp[1] << 64 | exp[2] << 32 | exp[3]
 
 
 class MultiPoly(_Ring):
     """Polynomial in the four step markers U, D, u, d with int coefficients.
 
-    Keys are exponent 4-tuples (eU, eD, eu, ed); zero coefficients are never
-    stored.  Treated as immutable: all ops return fresh instances.
+    Keys are exponent 4-tuples (eU, eD, eu, ed), held packed; zero coefficients
+    are never stored.  Treated as immutable: all ops return fresh instances.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[tuple[int, int, int, int], int] | None = None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+        terms = terms or {}
+        self._terms = {k: v for k, v in zip(map(_pack, terms), terms.values()) if v}
+
+    @classmethod
+    def _packed(cls, terms: dict[int, int]) -> "MultiPoly":  # keeps the dict
+        out = cls.__new__(cls)
+        out._terms = {k: v for k, v in terms.items() if v} if 0 in terms.values() else terms
+        return out
+
+    @property
+    def terms(self) -> Mapping[tuple[int, int, int, int], int]:
+        exps = ((k >> 96, k >> 64 & _MASK, k >> 32 & _MASK, k & _MASK) for k in self._terms)
+        return MappingProxyType(dict(zip(exps, self._terms.values())))
 
     @classmethod
     def zero(cls) -> "MultiPoly":
@@ -189,43 +227,56 @@ class MultiPoly(_Ring):
         return cls({tuple(exp): 1})
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
         other = self._coerce(other)
-        return isinstance(other, MultiPoly) and self.terms == other.terms
+        return isinstance(other, MultiPoly) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        t = self._terms
+        return hash(frozenset(t.items()) if t.keys() - {0} else t.get(0, 0))
 
     def __add__(self, other: "MultiPoly | int") -> "MultiPoly":
-        out = dict(self.terms)
-        for k, v in self._coerce(other).terms.items():
+        out = dict(self._terms)
+        for k, v in self._coerce(other)._terms.items():
             out[k] = out.get(k, 0) + v
-        return MultiPoly(out)
+        return MultiPoly._packed(out)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly({k: -v for k, v in self.terms.items()})
+        return MultiPoly._packed({k: -v for k, v in self._terms.items()})
 
     def __mul__(self, other: "MultiPoly | int") -> "MultiPoly":
         if isinstance(other, int):
-            return MultiPoly({k: v * other for k, v in self.terms.items()})
-        out: dict[tuple[int, int, int, int], int] = {}
-        for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
-                k = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2], ka[3] + kb[3])
-                out[k] = out.get(k, 0) + va * vb
-        return MultiPoly(out)
+            return MultiPoly._packed({k: v * other for k, v in self._terms.items()})
+        return MultiPoly._dot(((self, other),))
+
+    @classmethod
+    def _dot(cls, pairs: Iterable[tuple["MultiPoly", "MultiPoly"]]) -> "MultiPoly":
+        """Sum of a*b over the (a, b) pairs; exponents < 2**31 in, so no field carries."""
+        out: dict[int, int] = {}
+        get = out.get
+        for a, b in pairs:
+            ta, tb = sorted((a._terms, b._terms), key=len)
+            if (reduce(or_, ta, 0) | reduce(or_, tb, 0)) & _HIGH:
+                raise OutOfRange("a MultiPoly product operand has an exponent >= 2**31")
+            for ka, va in ta.items():
+                for kb, vb in tb.items():
+                    k = ka + kb
+                    out[k] = get(k, 0) + va * vb
+        return cls._packed(out)
 
     def divexact_int(self, d: int) -> "MultiPoly":
+        _divisor(d)
         out = {}
-        for k, v in self.terms.items():
+        for k, v in self._terms.items():
             if v % d:
                 raise InexactDivision(f"{v} not divisible by {d}")
             out[k] = v // d
-        return MultiPoly(out)
+        return MultiPoly._packed(out)
 
     def divexact_monomial(self, c: int, exp: tuple[int, int, int, int]) -> "MultiPoly":
+        _divisor(c)
         out = {}
         for k, v in self.terms.items():
             nk = tuple(a - b for a, b in zip(k, exp))
@@ -236,21 +287,17 @@ class MultiPoly(_Ring):
 
     def at_ones(self) -> int:
         """Specialize every marker to 1."""
-        return sum(self.terms.values())
+        return sum(self._terms.values())
 
     def weighted_exponent_sum(self, marker: str) -> int:
         """Sum of coeff * exponent-of-marker over all terms (= d/dX at all ones)."""
-        i = MARKERS.index(marker)
-        return sum(v * k[i] for k, v in self.terms.items())
+        shift = 32 * (3 - MARKERS.index(marker))
+        return sum(v * (k >> shift & _MASK) for k, v in self._terms.items())
 
     def swap(self, a: str, b: str) -> "MultiPoly":
         i, j = MARKERS.index(a), MARKERS.index(b)
-        out = {}
-        for k, v in self.terms.items():
-            nk = list(k)
-            nk[i], nk[j] = nk[j], nk[i]
-            out[tuple(nk)] = v
-        return MultiPoly(out)
+        perm = [j if x == i else i if x == j else x for x in range(4)]
+        return MultiPoly({tuple(k[x] for x in perm): v for k, v in self.terms.items()})
 
     def sorted_terms(self) -> list[tuple[tuple[int, int, int, int], int]]:
         return sorted(self.terms.items())
@@ -259,7 +306,7 @@ class MultiPoly(_Ring):
         return f"MultiPoly({dict(self.sorted_terms())})"
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = []
         for k, v in self.sorted_terms():
@@ -334,16 +381,8 @@ class TSeries(_Ring):
     def __mul__(self, other):
         if isinstance(other, TSeries):
             self._same_order(other)
-            n = self.order
-            out = [self.ring.zero() for _ in range(n + 1)]
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j in range(0, n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-            return TSeries(self.ring, n, out)
+            a, b, dot = self.coeffs, other.coeffs, self.ring._dot
+            return TSeries(self.ring, self.order, [dot(zip(a, b[m::-1])) for m in range(len(a))])
         c = self._lift(other)
         return TSeries(self.ring, self.order, [a * c for a in self.coeffs])
 
@@ -368,29 +407,23 @@ class TSeries(_Ring):
         one = self.ring.one()
         if self.coeffs[0] != one:
             raise InexactDivision("inverse needs constant term 1")
-        n = self.order
-        inv = [one] + [self.ring.zero()] * n
-        for m in range(1, n + 1):
-            acc = self.ring.zero()
-            for j in range(1, m + 1):
-                if self.coeffs[j]:
-                    acc = acc + self.coeffs[j] * inv[m - j]
-            inv[m] = -acc
-        return TSeries(self.ring, n, inv)
+        c, inv = self.coeffs, [one]
+        for _ in range(self.order):
+            inv.append(-self.ring._dot(zip(c[1:], reversed(inv))))
+        return TSeries(self.ring, self.order, inv)
 
     def sqrt(self) -> "TSeries":
         """Termwise square root with constant term 1; each halving must be exact."""
         if self.coeffs[0] != self.ring.one():
             raise InexactDivision("sqrt needs constant term 1")
-        n = self.order
-        s = [self.ring.one()] + [self.ring.zero()] * n
-        for m in range(1, n + 1):
-            acc = self.coeffs[m]
-            for j in range(1, m):
-                if s[j]:
-                    acc = acc - s[j] * s[m - j]
-            s[m] = acc.divexact_int(2)
-        return TSeries(self.ring, n, s)
+        s, twice = [self.coeffs[0]], [self.coeffs[0] * 2]
+        for m, c in enumerate(self.coeffs[1:], 1):  # [t^m]s² has s_j·s_(m-j) twice, j < m/2
+            pairs = list(zip(s[1 : (m + 1) // 2], reversed(twice)))
+            if m % 2 == 0:
+                pairs.append((s[m // 2], s[m // 2]))
+            s.append((c - self.ring._dot(pairs)).divexact_int(2))
+            twice.append(s[-1] * 2)
+        return TSeries(self.ring, self.order, s)
 
     def divexact_int(self, d: int) -> "TSeries":
         return TSeries(self.ring, self.order, [c.divexact_int(d) for c in self.coeffs])

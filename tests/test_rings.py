@@ -26,6 +26,12 @@ multipolys = st.builds(
 )
 
 
+wide_terms = st.lists(
+    st.tuples(st.tuples(*(st.integers(0, 40) for _ in MARKERS)), st.integers(-5, 5)),
+    max_size=8,
+)
+
+
 class TestQPoly:
     def test_trailing_zeros_trimmed(self):
         assert QPoly([1, 2, 0, 0]) == QPoly([1, 2])
@@ -93,6 +99,95 @@ class TestMultiPoly:
         assert q == MultiPoly.from_word("UD") * 2
         with pytest.raises(InexactDivision):
             MultiPoly.gen("U").divexact_monomial(1, (0, 1, 0, 0))
+
+
+class TestPackedKeys:
+    """The packed-key kernel against the tuple-keyed arithmetic it replaced."""
+
+    @given(wide_terms, wide_terms, wide_terms)
+    @settings(max_examples=150)
+    def test_sum_product_and_text_match_tuple_keys(self, xs, ys, zs):
+        a, b, c = map(_both, (xs, ys, zs))
+        for packed, ref in (a, b, c, _add(a, b), _mul(a, b), _add(_mul(a, b), _mul(b, c))):
+            assert packed.sorted_terms() == ref.sorted_terms()
+            assert str(packed) == str(ref)
+            assert packed.terms == ref.terms
+        assert MultiPoly._dot([(a[0], b[0]), (b[0], c[0])]) == a[0] * b[0] + b[0] * c[0]
+
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(wide_terms, min_size=n, max_size=n))
+        ),
+        st.lists(wide_terms, max_size=6),
+    )
+    @settings(max_examples=80)
+    def test_series_match_tuple_keys(self, drawn, other_tail):
+        order, tail = drawn
+        unit = [_both([((0, 0, 0, 0), 1)])] + [_both(t) for t in tail]
+        other = [_both(t) for t in other_tail][: order + 1]
+        s, ref_s = TSeries(MultiPoly, order, [c[0] for c in unit]), [c[1] for c in unit]
+        t = TSeries(MultiPoly, order, [c[0] for c in other])
+        ref_t = [c[1] for c in other] + [_TupleMultiPoly()] * (order + 1 - len(other))
+        ref_sq = _ref_series_mul(ref_s, ref_s, order)
+        _same_series(s * t, _ref_series_mul(ref_s, ref_t, order))
+        _same_series(s * s, ref_sq)
+        _same_series(s.inverse(), _ref_inverse(ref_s, order))
+        _same_series((s * s).sqrt(), _ref_sqrt(ref_sq, order))
+        try:
+            want = _ref_sqrt(ref_s, order)
+        except InexactDivision:
+            with pytest.raises(InexactDivision):
+                s.sqrt()
+        else:
+            _same_series(s.sqrt(), want)
+
+    def test_exponents_reach_2_to_the_31_and_no_further(self):
+        p = MultiPoly.gen("U")
+        for _ in range(31):
+            p = p * p
+        assert p.sorted_terms() == [((2**31, 0, 0, 0), 1)]
+        assert dict(p.terms) == {(2**31, 0, 0, 0): 1} and str(p) == f"U^{2**31}"
+        with pytest.raises(OutOfRange):
+            p * p
+        with pytest.raises(OutOfRange):
+            MultiPoly.gen("d") * p
+
+    @pytest.mark.parametrize("key", [(-1, 0, 0, 0), (0, 0, 2**31, 0), (0, 0, 0), (0,) * 5])
+    def test_constructor_rejects_keys_outside_the_fields(self, key):
+        for c in (1, 0):
+            with pytest.raises(OutOfRange):
+                MultiPoly({key: c})
+        assert MultiPoly({(2**31 - 1, 0, 0, 0): 1}).sorted_terms() == [((2**31 - 1, 0, 0, 0), 1)]
+
+    def test_terms_is_a_read_only_tuple_keyed_view(self):
+        p = MultiPoly.from_word("UUd") * 3
+        assert dict(p.terms) == {(2, 0, 0, 1): 3}
+        with pytest.raises(TypeError):
+            p.terms[(0, 0, 0, 0)] = 1
+
+
+class TestEqualMeansEqualHash:
+    @pytest.mark.parametrize("ring", [QPoly, MultiPoly])
+    def test_constants_hash_as_their_int(self, ring):
+        for c in (0, 3, -7):
+            p = ring.from_int(c)
+            assert p == c and hash(p) == hash(c)
+            assert len({p, c}) == 1
+        assert hash(ring.zero()) == hash(0) and len({ring.zero(), 0}) == 1
+        x = QPoly.monomial(1) if ring is QPoly else MultiPoly.gen("u")
+        for p in (x, x + 3):
+            assert p != 3 and len({p, 3}) == 2
+
+
+@pytest.mark.parametrize(
+    "x",
+    [QPoly([2, 4]), QPoly.zero(), MultiPoly.from_word("Uu") * 2, MultiPoly.zero(),
+     TSeries(QPoly, 2, [2, 4]), TSeries(MultiPoly, 2, [])],
+    ids=["QPoly", "QPoly-0", "MultiPoly", "MultiPoly-0", "TSeries-QPoly", "TSeries-0"],
+)
+def test_exact_division_by_zero_names_the_divisor(x):
+    with pytest.raises(InexactDivision, match="divisor 0"):
+        x.divexact_int(0)
 
 
 class TestTSeries:
@@ -212,7 +307,130 @@ _ORDERS_2_AND_4 = (
         ("svtab.series.solve_E(4).coeff(-1)", "OutOfRange"),
         ("svtab.series.solve_E(4).coeff(5)", "OutOfRange"),
         *((_ORDERS_2_AND_4.format(op), "TruncationMismatch") for op in ("+", "-", "*", "==")),
+        ("svtab.rings.MultiPoly({(0, 0, 0): 1})", "OutOfRange"),
+        ("svtab.rings.MultiPoly({(0, -1, 0, 0): 1})", "OutOfRange"),
+        (
+            "svtab.rings.MultiPoly({(2**31 - 1, 0, 0, 0): 1})"
+            " * svtab.rings.MultiPoly.gen('U') * svtab.rings.MultiPoly.gen('U')",
+            "OutOfRange",
+        ),
+        ("svtab.rings.QPoly([1]).divexact_int(0)", "InexactDivision"),
     ],
 )
 def test_series_checks_hold_under_O(raised_under_O, call, raised):
     assert raised_under_O(call) == raised
+
+
+# ---------------------------------------------------------------------------
+# the tuple-keyed arithmetic the packed kernel replaced, kept verbatim as the
+# reference for TestPackedKeys
+
+
+class _TupleMultiPoly:
+    def __init__(self, terms=None):
+        self.terms = {k: v for k, v in (terms or {}).items() if v}
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out.get(k, 0) + v
+        return _TupleMultiPoly(out)
+
+    def __neg__(self):
+        return _TupleMultiPoly({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for ka, va in self.terms.items():
+            for kb, vb in other.terms.items():
+                k = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2], ka[3] + kb[3])
+                out[k] = out.get(k, 0) + va * vb
+        return _TupleMultiPoly(out)
+
+    def divexact_int(self, d):
+        out = {}
+        for k, v in self.terms.items():
+            if v % d:
+                raise InexactDivision(f"{v} not divisible by {d}")
+            out[k] = v // d
+        return _TupleMultiPoly(out)
+
+    def sorted_terms(self):
+        return sorted(self.terms.items())
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for k, v in self.sorted_terms():
+            mono = "*".join(
+                f"{m}^{e}" if e > 1 else m for m, e in zip(MARKERS, k) if e
+            )
+            if not mono:
+                parts.append(str(v))
+            elif v == 1:
+                parts.append(mono)
+            else:
+                parts.append(f"{v}*{mono}")
+        return " + ".join(parts)
+
+
+def _ref_series_mul(a, b, n):
+    out = [_TupleMultiPoly() for _ in range(n + 1)]
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j in range(0, n + 1 - i):
+            y = b[j]
+            if y:
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _ref_inverse(c, n):
+    inv = [_TupleMultiPoly({(0, 0, 0, 0): 1})] + [_TupleMultiPoly()] * n
+    for m in range(1, n + 1):
+        acc = _TupleMultiPoly()
+        for j in range(1, m + 1):
+            if c[j]:
+                acc = acc + c[j] * inv[m - j]
+        inv[m] = -acc
+    return inv
+
+
+def _ref_sqrt(c, n):
+    s = [_TupleMultiPoly({(0, 0, 0, 0): 1})] + [_TupleMultiPoly()] * n
+    for m in range(1, n + 1):
+        acc = c[m]
+        for j in range(1, m):
+            if s[j]:
+                acc = acc - s[j] * s[m - j]
+        s[m] = acc.divexact_int(2)
+    return s
+
+
+def _both(terms):
+    """One polynomial as (MultiPoly, _TupleMultiPoly), summed term by term."""
+    packed, ref = MultiPoly.zero(), _TupleMultiPoly()
+    for exp, c in terms:
+        packed, ref = packed + MultiPoly({exp: c}), ref + _TupleMultiPoly({exp: c})
+    return packed, ref
+
+
+def _add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _mul(a, b):
+    return a[0] * b[0], a[1] * b[1]
+
+
+def _same_series(series, ref_coeffs):
+    assert [str(c) for c in series.coeffs] == [str(c) for c in ref_coeffs]
+    assert [c.sorted_terms() for c in series.coeffs] == [c.sorted_terms() for c in ref_coeffs]
