@@ -296,8 +296,12 @@ class MultiPoly(_Ring):
 
     def swap(self, a: str, b: str) -> "MultiPoly":
         i, j = MARKERS.index(a), MARKERS.index(b)
-        perm = [j if x == i else i if x == j else x for x in range(4)]
-        return MultiPoly({tuple(k[x] for x in perm): v for k, v in self.terms.items()})
+        out = {}
+        for k, v in self.terms.items():
+            nk = list(k)
+            nk[i], nk[j] = nk[j], nk[i]
+            out[tuple(nk)] = v
+        return MultiPoly(out)
 
     def sorted_terms(self) -> list[tuple[tuple[int, int, int, int], int]]:
         return sorted(self.terms.items())
