@@ -9,15 +9,16 @@ them, so an int on either side is coerced through ``_of_int``.  TSeries is
 generic over the coefficient rings QPoly and MultiPoly, which also give
 ``zero()``/``one()``/``from_int()`` classmethods, ``divexact_int`` and
 ``_dot(pairs)``, the sum of a*b over (a, b) pairs: each coefficient of a TSeries
-product, inverse or square root is one ``_dot``.  MultiPoly's, which is also its
-``*``, is the one product kernel: a term's key is one int, the exponents of U,
-D, u, d in 32-bit fields (eU most significant), so a monomial product is one
-int addition into one dict; an operand exponent >= 2**31 raises ``OutOfRange``.
+product, inverse or square root is one ``_dot``; one helper, ``square_pairs``,
+pairs each cross product of a square once (``s * s``, ``sqrt``, ``solve_E``).
+MultiPoly's ``_dot``, its ``*`` too, is the one product kernel: a term's key is
+one int, the exponents of U, D, u, d in 32-bit fields (eU most significant), so
+a monomial product is one int addition; exponents >= 2**31 raise ``OutOfRange``.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
 from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -36,6 +37,13 @@ class TruncationMismatch(SvtabError):
 def _divisor(d: int) -> None:
     if not d:
         raise InexactDivision(f"cannot divide exactly by the divisor {d}")
+
+
+def square_pairs(a: list, twice: list, m: int, start: int = 0) -> list:
+    """Pairs whose ``_dot`` is [t^m](Σ a_j·t^j)² less its terms with j or m - j < start:
+    (a_j, twice[m-j] = 2·a_(m-j)) for j < m/2, then (a_(m/2), a_(m/2)) for even m."""
+    middle = [(a[m // 2], a[m // 2])] if m % 2 == 0 else []
+    return [*zip(a[start : (m + 1) // 2], twice[m - start :: -1]), *middle]
 
 
 class _Ring:
@@ -386,6 +394,9 @@ class TSeries(_Ring):
         if isinstance(other, TSeries):
             self._same_order(other)
             a, b, dot = self.coeffs, other.coeffs, self.ring._dot
+            if other is self:  # a square: each cross product once, as CPython squares a long
+                pairs = partial(square_pairs, a, [c * 2 for c in a])
+                return TSeries(self.ring, self.order, [dot(pairs(m)) for m in range(len(a))])
             return TSeries(self.ring, self.order, [dot(zip(a, b[m::-1])) for m in range(len(a))])
         c = self._lift(other)
         return TSeries(self.ring, self.order, [a * c for a in self.coeffs])
@@ -421,11 +432,8 @@ class TSeries(_Ring):
         if self.coeffs[0] != self.ring.one():
             raise InexactDivision("sqrt needs constant term 1")
         s, twice = [self.coeffs[0]], [self.coeffs[0] * 2]
-        for m, c in enumerate(self.coeffs[1:], 1):  # [t^m]s² has s_j·s_(m-j) twice, j < m/2
-            pairs = list(zip(s[1 : (m + 1) // 2], reversed(twice)))
-            if m % 2 == 0:
-                pairs.append((s[m // 2], s[m // 2]))
-            s.append((c - self.ring._dot(pairs)).divexact_int(2))
+        for m, c in enumerate(self.coeffs[1:], 1):  # [t^m]s² = 2·s_m + the pairs from j = 1
+            s.append((c - self.ring._dot(square_pairs(s, twice, m, 1))).divexact_int(2))
             twice.append(s[-1] * 2)
         return TSeries(self.ring, self.order, s)
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 import threading
 
 from .core import OutOfRange
-from .rings import MARKERS, MultiPoly, QPoly, TSeries
+from .rings import MARKERS, MultiPoly, QPoly, TSeries, square_pairs
 
 __all__ = [
     "SeriesContext",
@@ -46,18 +46,17 @@ def _excursion_block(e: TSeries) -> TSeries:
 def solve_E(order: int) -> TSeries:
     """Solve E = 1 + (u+d)·t·E + U·D·t²·E² one coefficient at a time.
 
-    Reading off t^n gives [t^n]E = (u+d)·[t^(n-1)]E + U·D·Σ_{i+j=n-2} [t^i]E·[t^j]E,
-    whose right side needs only lower coefficients.
+    Reading off t^n gives [t^n]E = (u+d)·[t^(n-1)]E + U·D·[t^(n-2)]E², one
+    ``MultiPoly._dot`` of lower coefficients, where [t^(n-2)]E² is the ``_dot``
+    of ``square_pairs``, so each cross product of E² is formed once.
     """
     if order < 0:
         raise OutOfRange(f"need order >= 0, got {order}")
-    level, block = _u + _d, _U * _D
-    e = [MultiPoly.one()]
+    level, block, dot = _u + _d, _U * _D, MultiPoly._dot
+    e, twice = [MultiPoly.one()], [MultiPoly.from_int(2)]
     for n in range(1, order + 1):
-        pairs = MultiPoly.zero()
-        for i in range(n - 1):
-            pairs = pairs + e[i] * e[n - 2 - i]
-        e.append(level * e[n - 1] + block * pairs)
+        e.append(dot(((level, e[n - 1]), (block, dot(square_pairs(e, twice, n - 2))))))
+        twice.append(e[-1] * 2)
     return TSeries(MultiPoly, order, e)
 
 
@@ -67,14 +66,15 @@ def derived_series(e: TSeries) -> tuple[TSeries, TSeries, TSeries]:
     E1 inverts 1 - (U·D·t²·E + d·t): a low level carries d steps and
     excursions but never u.  E2 inverts 1 - (u·t + U·D·t²·E): before the
     first D only u steps and excursions occur, so no early d is possible.
-    E12 stacks one excursion factor over both restricted levels.
+    E12 stacks one excursion factor over both restricted levels.  E2 is read
+    off E1 through the swap σ of u and d, which is exact: E's equation depends
+    on u + d only, so σ fixes E; σ maps 1 - (block + d·t) to 1 - (u·t + block);
+    and inversion commutes with the ring automorphism σ.
     """
     order = e.order
     block = _excursion_block(e)
-    t_u = TSeries(MultiPoly, order, [0, _u])
-    t_d = TSeries(MultiPoly, order, [0, _d])
-    e1 = (1 - (block + t_d)).inverse()
-    e2 = (1 - (t_u + block)).inverse()
+    e1 = (1 - (block + TSeries(MultiPoly, order, [0, _d]))).inverse()
+    e2 = TSeries(MultiPoly, order, [c.swap("u", "d") for c in e1.coeffs])
     e12 = ((e1 * e2) * (_U * _D)).shift_up(2)
     return e1, e2, e12
 
@@ -172,7 +172,8 @@ def peaks_genfun_check(order: int) -> dict[int, QPoly]:
     q = QPoly.monomial(1)
     radicand = TSeries(QPoly, big, [1, -4, 4 - q * 4])
     root = radicand.sqrt()
-    numer = (1 - root) * (1 - root)
+    lower = 1 - root
+    numer = lower * lower
     den = TSeries(QPoly, big, [1, (q - 1) * 2, (q - 1) * (q - 1)])
     g_big = 1 + numer.divexact_int(4).shift_down(1) * den.inverse()
     return {n: g_big.coeff(n) for n in range(order + 1)}

@@ -348,6 +348,28 @@ class TestSeriesAndExpect:
     def test_expect_bad_range(self, capsys):
         assert run(capsys, "expect", "--step", "U", "--n", "7..4")[0] == 2
 
+    def test_expect_builds_the_series_once(self, capsys, monkeypatch):
+        import svtab.series as series
+
+        real, orders = series.SeriesContext.build.__func__, []
+
+        def counted(cls, order):
+            orders.append(order)
+            return real(cls, order)
+
+        monkeypatch.setattr(series, "_CTX", None)
+        monkeypatch.setattr(series.SeriesContext, "build", classmethod(counted))
+        code, out, _ = run(capsys, "expect", "--step", "U", "--n", "3..20")
+        assert (code, orders) == (0, [20])
+        # the bytes of the former loop, one n at a time in order from a fresh context
+        monkeypatch.setattr(series, "_CTX", None)
+        want = "".join(f"{n},{series.expected_steps(n, 'U')}\n" for n in range(3, 21))
+        assert out == want and len(orders) > 1
+
+    def test_expect_error_names_the_lowest_n(self, capsys):
+        code, _, err = run(capsys, "expect", "--step", "U", "--n", "0..5")
+        assert code == 2 and "got 0" in err
+
 
 class TestVerifyCommand:
     def test_quick_suite_passes(self, capsys):

@@ -166,6 +166,37 @@ class TestPackedKeys:
             p.terms[(0, 0, 0, 0)] = 1
 
 
+def _series(ring, order, draws):
+    coeffs = [QPoly(c) if ring is QPoly else _both(c)[0] for c in draws]
+    return TSeries(ring, order, coeffs)
+
+
+class TestPairedSquare:
+    """``s * s`` forms each cross product once; ``s`` times an equal copy does not."""
+
+    @pytest.mark.parametrize("ring", [QPoly, MultiPoly])
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_square_equals_the_general_product(self, ring, data):
+        order = data.draw(st.integers(0, 7), label="order")
+        coeff = st.lists(st.integers(-9, 9), max_size=4) if ring is QPoly else wide_terms
+        s = _series(ring, order, data.draw(st.lists(coeff, max_size=order + 1), label="coeffs"))
+        copy = TSeries(ring, order, list(s.coeffs))
+        assert copy is not s and s * s == s * copy
+        shifted = s.shift_up(1)  # a zero constant term
+        assert shifted * shifted == shifted * TSeries(ring, order, list(shifted.coeffs))
+
+    def test_square_has_the_exponent_guard_of_the_product(self):
+        big = MultiPoly.gen("U")
+        for _ in range(31):
+            big = big * big
+        s = TSeries(MultiPoly, 2, [1, big])
+        with pytest.raises(OutOfRange):
+            s * TSeries(MultiPoly, 2, [1, big])
+        with pytest.raises(OutOfRange):
+            s * s
+
+
 class TestEqualMeansEqualHash:
     @pytest.mark.parametrize("ring", [QPoly, MultiPoly])
     def test_constants_hash_as_their_int(self, ring):

@@ -161,6 +161,33 @@ class TestPeaksGenfun:
             assert poly(1) == catalan(n)
 
 
+def _solve_E_by_partial_sums(order):
+    """The accumulate loop solve_E ran before it read the pairing helper, verbatim."""
+    level, block = MultiPoly.gen("u") + MultiPoly.gen("d"), MultiPoly.gen("U") * MultiPoly.gen("D")
+    e = [MultiPoly.one()]
+    for n in range(1, order + 1):
+        pairs = MultiPoly.zero()
+        for i in range(n - 1):
+            pairs = pairs + e[i] * e[n - 2 - i]
+        e.append(level * e[n - 1] + block * pairs)
+    return TSeries(MultiPoly, order, e)
+
+
+def test_solve_E_matches_the_partial_sum_loop_through_order_24():
+    want = _solve_E_by_partial_sums(24).coeffs
+    for order in range(25):
+        assert solve_E(order).coeffs == want[: order + 1], order
+
+
+def test_E2_equals_its_own_inverse_at_order_20():
+    # derived_series reads E2 off E1 through the u <-> d swap, so the swap test
+    # above holds by construction; this pins E2 to its defining inverse instead
+    ctx = SeriesContext.build(20)
+    block = (ctx.E * (MultiPoly.gen("U") * MultiPoly.gen("D"))).shift_up(2)
+    t_u = TSeries(MultiPoly, 20, [0, MultiPoly.gen("u")])
+    assert ctx.E2 == (1 - (t_u + block)).inverse()
+
+
 def test_recurrence_matches_closed_form_through_order_20():
     for order in range(21):
         assert solve_E(order) == closed_form_E(order)
