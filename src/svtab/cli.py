@@ -173,12 +173,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.emit == "count":
         _write(args, str(sum(1 for _ in stream)))
         return 0
-    lines = []
-    for obj in stream:
-        if args.emit == "json":
-            lines.append(json.dumps(_obj_json(obj)))
-        else:
-            lines.append(_obj_text(obj))
+    lines = [json.dumps(_obj_json(o)) if args.emit == "json" else _obj_text(o) for o in stream]
     if lines:  # an empty stream writes nothing, not an empty line
         _write(args, "\n".join(lines))
     return 0
@@ -201,6 +196,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.name != "ef":
         raise UsageError(f"unknown table {args.name!r}")
+    if args.max_n < 0:
+        raise UsageError(f"need --max-n >= 0, got {args.max_n}")
     rows = [("n", "i", "e", "f", "total")]
     for n in range(args.max_n + 1):
         for i in range(n + 1):
@@ -210,16 +207,13 @@ def cmd_table(args: argparse.Namespace) -> int:
         _write(args, "\n".join(",".join(r) for r in rows))
     else:
         widths = [max(len(r[j]) for r in rows) for j in range(5)]
-        _write(
-            args,
-            "\n".join(
-                "  ".join(x.rjust(w) for x, w in zip(r, widths)) for r in rows
-            ),
-        )
+        _write(args, "\n".join("  ".join(x.rjust(w) for x, w in zip(r, widths)) for r in rows))
     return 0
 
 
 def cmd_qtable(args: argparse.Namespace) -> int:
+    if args.max_n < 1:
+        raise UsageError(f"need --max-n >= 1, got {args.max_n}")
     if args.stat == "catalan":
         polys = {
             str(n): set_valued_q_catalan(n) for n in range(1, args.max_n + 1)
@@ -283,12 +277,10 @@ def cmd_biject(args: argparse.Namespace) -> int:
             raise UsageError(f"bad input line {line!r}: {exc}") from None
         image = fn(obj)
         if args.input == "json":
-            lines_out.append(
-                json.dumps({"input": _obj_json(obj), "output": _obj_json(image)})
-            )
+            lines_out.append(json.dumps({"input": _obj_json(obj), "output": _obj_json(image)}))
         else:
             lines_out.append(f"{_obj_text(obj)} => {_obj_text(image)}")
-    _write(args, "\n".join(lines_out) if lines_out else "")
+    _write(args, "\n".join(lines_out))
     return 0
 
 
@@ -300,12 +292,8 @@ def cmd_series(args: argparse.Namespace) -> int:
         coeff = series.coeff(n)
         values[str(n)] = coeff.at_ones() if args.spec == "all-ones" else str(coeff)
     if args.format == "json":
-        _write(
-            args,
-            json.dumps(
-                {"which": args.which, "order": args.order, "values": values}, indent=2
-            ),
-        )
+        doc = {"which": args.which, "order": args.order, "values": values}
+        _write(args, json.dumps(doc, indent=2))
     else:
         _write(args, "\n".join(f"{n},{v}" for n, v in values.items()))
     return 0
@@ -316,13 +304,8 @@ def cmd_expect(args: argparse.Namespace) -> int:
     got = {n: expected_steps(n, args.step) for n in [n for n in ns if n < 2] or ns[::-1]}
     values = {str(n): got[n] for n in ns}
     if args.format == "json":
-        _write(
-            args,
-            json.dumps(
-                {"step": args.step, "values": {k: str(v) for k, v in values.items()}},
-                indent=2,
-            ),
-        )
+        doc = {"step": args.step, "values": {k: str(v) for k, v in values.items()}}
+        _write(args, json.dumps(doc, indent=2))
     else:
         _write(args, "\n".join(f"{n},{v}" for n, v in values.items()))
     return 0

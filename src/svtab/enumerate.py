@@ -21,10 +21,10 @@ ideal after each entry for ``count_svsyt`` and the height and whether a D was
 seen for ``count_paths``.  ``_comaj_walk`` tallies the walker's objects by
 their set-valued comajor index over states that also record the cell the last
 entry opened, each state's tally packed into one int that the ``_Moves``
-invariant keeps free of carries; ``_comaj_split`` further splits the tally by
-the number of entries in a given set of cells.  The set-valued q-Catalan and
-q-Narayana polynomials of ``stats`` come from these DPs, and ``verify`` holds
-the enumeration tally they are checked against.
+invariant keeps free of carries.  The posets read it, and ``verify`` sums it
+over the two-row rectangles as the oracle of the set-valued q-Catalan and
+q-Narayana polynomials, which ``stats`` computes by one ``_forward`` pass over
+``_path_steps``.
 """
 
 from __future__ import annotations
@@ -186,43 +186,34 @@ def _count_walk(preds: list[int], succs: list[int], total: int) -> int:
     return sum(_forward(0, step, total).values())
 
 
-def _comaj_split(preds: list[int], succs: list[int], total: int, marked: int) -> dict[int, QPoly]:
-    """j -> the comajor tally of ``_walk``'s leaves with j entries in the
-    cells of the bitmask ``marked``, without visiting the leaves.
+def _comaj_walk(preds: list[int], succs: list[int], total: int) -> QPoly:
+    """The comajor tally of ``_walk``'s leaves, without visiting them.
 
     Cells are labeled by index.  A descent j adds total - j to
     ``comaj_plus_k``, and the move that places entry j or j + 1 settles it:
     an appended entry e is a descent (total - e), and an entry e that opens
     cell i makes e - 1 a descent (total - e + 1) when e - 1 opened a cell of
     larger index.  So ``_count_walk``'s state gains the cell the last entry
-    opened (-1 after an append and before entry 1) and the marked count.
+    opened (-1 after an append and before entry 1).
 
     A state's tally {comaj so far: walks} is packed into one int, the count of
     q^c in bits [cB, (c+1)B), so raising the comaj by c is a shift by cB.  B
     bits suffice: every walk ends in a leaf (``_Moves``), so no count in any
-    layer exceeds the leaf count and no carry crosses a slot.
+    layer exceeds the leaf count and no carry crosses a slot.  B is at least 1,
+    so a walk with no leaves decodes to zero.
     """
     moves = _Moves(preds, succs)
-    width = _count_walk(preds, succs, total).bit_length()
+    width = max(1, _count_walk(preds, succs, total).bit_length())
 
-    def step(state: tuple[int, int, int], left: int) -> Iterator[tuple[tuple[int, int, int], int]]:
-        ideal, last, marks = state
+    def step(state: tuple[int, int], left: int) -> Iterator[tuple[tuple[int, int], int]]:
+        ideal, last = state
         for i, up in moves.legal(ideal, left):
-            j = marks + (marked >> i & 1)
             if up == ideal:
-                yield (up, -1, j), width * left
+                yield (up, -1), width * left
             else:
-                yield (up, i, j), width * (left + 1) if i < last else 0
+                yield (up, i), width * (left + 1) if i < last else 0
 
-    packed: dict[int, int] = {}
-    for (_ideal, _last, marks), w in _forward((0, -1, 0), step, total).items():
-        packed[marks] = packed.get(marks, 0) + w
-    return {marks: _unpack(w, width) for marks, w in sorted(packed.items())}
-
-
-def _comaj_walk(preds: list[int], succs: list[int], total: int) -> QPoly:
-    """The comajor tally of ``_walk``'s leaves (``_comaj_split`` unmarked)."""
-    return _comaj_split(preds, succs, total, 0).get(0, QPoly.zero())
+    return _unpack(sum(_forward((0, -1), step, total).values()), width)
 
 
 def _repack(shape: SkewShape, flat: tuple[tuple[int, ...], ...]) -> SetValuedTableau:

@@ -15,7 +15,7 @@ The cut rule.  An extension with k weakly increasing cuts in {0..n} is a walk
 of n + k steps, each opening an element as ``_Moves`` does or cutting at time
 j = |ideal| after c = n + k - 1 - left - j cuts (``left`` steps follow).  In
 ``vartheta`` an uncut descent is worth (n - j) + (k - c) = left + 1, as in
-``_comaj_split``, and a cut n - j + c = 2(n - j) + k - 1 - left; a cut needs
+``_comaj_walk``, and a cut n - j + c = 2(n - j) + k - 1 - left; a cut needs
 left >= n - j (the append rule), and one per append weighs it by ddeg(ideal).
 """
 

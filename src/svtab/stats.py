@@ -5,9 +5,9 @@ an entry j is a natural descent when j+1 lives at a smaller label (and both
 survive the removal of the non-minimal entries), or when j itself is one of
 the non-minimal entries.
 
-The set-valued q-Catalan and q-Narayana polynomials come from the comajor
-ideal DP of ``enumerate`` over the two-row rectangles, without building a
-tableau; the enumeration tally they must equal is an oracle in ``verify``.
+The set-valued q-Catalan and q-Narayana polynomials come from one pass over
+the motzET paths (``_q_narayana_row``), without building a tableau; the ideal
+DP and the enumeration tally they must equal are oracles in ``verify``.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ from itertools import chain
 from typing import Iterator
 
 from .core import (
+    PATH_RULES,
     NotInFamily,
     OutOfRange,
     Permutation,
     SetValuedTableau,
 )
-from .enumerate import _cell_masks, _comaj_split, _comaj_walk, _two_row_shapes, as_skew
+from .enumerate import _forward, _path_steps, _unpack, count_paths
 from .rings import QPoly
 
 __all__ = [
@@ -128,30 +129,46 @@ def dyck_type(t: SetValuedTableau) -> tuple[int, tuple[int, ...], dict[int, int]
 
 
 def set_valued_q_catalan(n: int) -> QPoly:
-    """Comajor-index generating polynomial over the (n+1)-entry two-row union.
-
-    The comajor ideal DP summed over the 2-by-b rectangles; no tableau is built.
-    """
+    """Comajor-index generating polynomial over the (n+1)-entry two-row union."""
     if n < 1:
         raise OutOfRange(f"need n >= 1, got {n}")
-    masks = (_cell_masks(as_skew(lam))[1:] for lam in _two_row_shapes(n + 1))
-    return sum((_comaj_walk(preds, succs, n + 1) for preds, succs in masks), QPoly.zero())
+    return sum(_q_narayana_row(n).values(), QPoly.zero())
 
 
 @lru_cache(maxsize=1)
 def _q_narayana_row(n: int) -> dict[int, QPoly]:
-    """m -> q-Narayana(n, m): the same DP, split by the entries in the top row.
+    """m -> q-Narayana(n, m), by one ``_forward`` pass over the motzET paths
+    of length N = n + 1; callers go n by n, so one cached row serves every m.
 
-    Cells are row-major, so the top row of a 2-by-b rectangle is its first b
-    cells.  Callers go n by n, so the one cached row serves every m of an n.
+    ``tableau_from_path`` makes U or D the least entry of a top or bottom cell
+    and u or d any other entry.  Every non-least entry is a descent, and in a
+    2-by-b rectangle every top label is below every bottom label, so only a D
+    followed by a U is a descent among least entries.  So the comajor of
+    ``tableau_from_path(w)`` is the sum of N - j over every j with w_j in
+    {u, d} or w_j w_{j+1} = DU, and m, the top-row entry count, is #U + #u.
+
+    A state (height, D seen, last step was D, m) packs its tally {comaj:
+    paths} into one int, B bits per power of q.  No step goes above height
+    ``left``, and a prefix at height h <= left closes with h D steps and then
+    d steps (past the first step, height 0 means a D was seen).  So a live
+    state holds prefixes of distinct paths, and no count needs more than B,
+    the bit length of the number of paths.
     """
-    row: dict[int, QPoly] = {}
-    for lam in _two_row_shapes(n + 1):
-        _, preds, succs = _cell_masks(as_skew(lam))
-        top = (1 << lam.parts[0]) - 1
-        for m, poly in _comaj_split(preds, succs, n + 1, top).items():
-            row[m] = row.get(m, QPoly.zero()) + poly
-    return row
+    total = n + 1
+    r1, r2, _ends_at_0 = PATH_RULES["motzET"]
+    width = count_paths("motzET", total).bit_length()
+
+    def step(state: tuple[int, bool, bool, int], left: int) -> Iterator[tuple[tuple, int]]:
+        h, seen_D, after_D, m = state
+        for ch, nh, nD in _path_steps(h, seen_D, r1, r2):
+            if nh <= left:
+                shift = left if ch in "ud" else left + 1 if ch == "U" and after_D else 0
+                yield (nh, nD, ch == "D", m + (ch in "Uu")), width * shift
+
+    packed: dict[int, int] = {}
+    for (_h, _seen_D, _after_D, m), w in _forward((0, False, False, 0), step, total).items():
+        packed[m] = packed.get(m, 0) + w
+    return {m: _unpack(w, width) for m, w in sorted(packed.items())}
 
 
 def set_valued_q_narayana(n: int, m: int) -> QPoly:

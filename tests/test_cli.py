@@ -173,6 +173,22 @@ class TestTableAndQtable:
     def test_unknown_table(self, capsys):
         assert run(capsys, "table", "--name", "zz", "--max-n", "2")[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--name", "ef", "--max-n", "-1"),
+            *(
+                ("qtable", "--stat", stat, "--max-n", n)
+                for stat in ("catalan", "narayana")
+                for n in ("0", "-2")
+            ),
+        ],
+    )
+    def test_max_n_below_the_first_row_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: need --max-n >= ")
+
     def test_qtable_catalan(self, capsys):
         code, out, _ = run(capsys, "qtable", "--stat", "catalan", "--max-n", "5")
         assert code == 0

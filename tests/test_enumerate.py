@@ -21,7 +21,6 @@ from svtab.core import (
 from svtab.enumerate import (
     _Moves,
     _cell_masks,
-    _comaj_split,
     _comaj_walk,
     _count_walk,
     _path_steps,
@@ -287,8 +286,8 @@ def test_comaj_dp_matches_streamed_tally_on_posets(name):
 
 
 def test_comaj_dp_over_two_row_shapes_is_the_q_catalan():
-    # set_valued_q_catalan sums this same DP, so check each rectangle's term
-    # against the tally of the tableaux themselves
+    # verify sums this DP over the rectangles as the oracle of the q-Catalan,
+    # so check each rectangle's term against the tally of the tableaux themselves
     for n in range(1, 9):
         for b in range(1, (n + 1) // 2 + 1):
             _cells, preds, succs = _cell_masks(as_skew((b, b)))
@@ -308,8 +307,8 @@ def test_packed_comaj_tally_sums_to_the_leaf_count():
             total = poset.n + k
             masks = poset._cover_masks
             assert _comaj_walk(*masks, total)(1) == _count_walk(*masks, total), (name, k)
-    # a DP with no leaves decodes to no split at all
-    assert _comaj_split(*Poset(0, ())._cover_masks, 1, 0) == {}
+    # a DP with no leaves decodes to zero
+    assert _comaj_walk(*Poset(0, ())._cover_masks, 1) == QPoly.zero()
 
 
 def test_move_table_lists_appends_and_opens_in_cell_order():
@@ -339,21 +338,3 @@ def test_path_steps_list_the_legal_steps_in_letter_order():
         ("u", 0, False),
         ("d", 0, False),
     )
-
-
-TINY_POSETS = {name: p for name, p in catalog() if p.n <= 4}
-
-
-@pytest.mark.parametrize("name", sorted(TINY_POSETS))
-def test_comaj_split_matches_streamed_tally_by_marked_entries(name):
-    poset = TINY_POSETS[name]
-    for k in range(3):
-        objects = list(sv_linear_extensions(poset, k))
-        for marked in range(1 << poset.n):
-            by_marks = {}
-            for s in objects:
-                j = sum(len(b) for i, b in enumerate(s.blocks) if marked >> i & 1)
-                by_marks.setdefault(j, []).append(s)
-            want = {j: _streamed_tally(objs) for j, objs in sorted(by_marks.items())}
-            got = _comaj_split(*poset._cover_masks, poset.n + k, marked)
-            assert got == want, (name, k, marked)

@@ -108,7 +108,10 @@ class TestPackedKeys:
     @settings(max_examples=150)
     def test_sum_product_and_text_match_tuple_keys(self, xs, ys, zs):
         a, b, c = map(_both, (xs, ys, zs))
-        for packed, ref in (a, b, c, _add(a, b), _mul(a, b), _add(_mul(a, b), _mul(b, c))):
+        swaps = [
+            (x[0].swap(m, n), x[1].swap(m, n)) for x in (a, b) for m in MARKERS for n in MARKERS
+        ]
+        for packed, ref in (a, b, c, _add(a, b), _mul(a, b), _add(_mul(a, b), _mul(b, c)), *swaps):
             assert packed.sorted_terms() == ref.sorted_terms()
             assert str(packed) == str(ref)
             assert packed.terms == ref.terms
@@ -382,6 +385,15 @@ class _TupleMultiPoly:
             for kb, vb in other.terms.items():
                 k = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2], ka[3] + kb[3])
                 out[k] = out.get(k, 0) + va * vb
+        return _TupleMultiPoly(out)
+
+    def swap(self, a, b):
+        i, j = MARKERS.index(a), MARKERS.index(b)
+        out = {}
+        for k, v in self.terms.items():
+            nk = list(k)
+            nk[i], nk[j] = nk[j], nk[i]
+            out[tuple(nk)] = v
         return _TupleMultiPoly(out)
 
     def divexact_int(self, d):

@@ -6,7 +6,14 @@ import pytest
 
 from svtab.closedform import catalan, kreweras, narayana
 from svtab.core import NotInFamily, OutOfRange, Permutation, SetValuedTableau
-from svtab.enumerate import gen_svsyt, gen_two_row_union
+from svtab.enumerate import (
+    _cell_masks,
+    _comaj_walk,
+    _two_row_shapes,
+    as_skew,
+    gen_svsyt,
+    gen_two_row_union,
+)
 from svtab.rings import QPoly
 from svtab.stats import (
     comaj_plus_k,
@@ -18,6 +25,7 @@ from svtab.stats import (
     rl_minima,
     set_valued_q_catalan,
     set_valued_q_narayana,
+    _q_narayana_row,
 )
 from svtab.posets import antichain, chain
 
@@ -179,6 +187,16 @@ class TestQPolynomials:
     def test_q_one_specializes_to_counts(self):
         for n in range(1, 7):
             assert set_valued_q_catalan(n)(1) == catalan(n)
+
+    def test_path_pass_matches_the_rectangle_ideal_dp(self):
+        # the row packs each state's tally into B-bit slots; a B too narrow
+        # carries across slots and changes the sum from n = 3 on
+        for n in range(1, 25):
+            masks = (_cell_masks(as_skew(lam))[1:] for lam in _two_row_shapes(n + 1))
+            want = sum((_comaj_walk(p, s, n + 1) for p, s in masks), QPoly.zero())
+            assert sum(_q_narayana_row(n).values(), QPoly.zero()) == want, n
+        for n in range(1, 41):
+            assert set_valued_q_catalan(n)(1) == catalan(n), n
 
     def test_tableau_tally_reproduces_rows(self):
         # the q-polynomials tally comaj over the size-(n+1) union

@@ -512,8 +512,8 @@ v.solve_E = planted
     "q_dp_marks_one_too_many": (
         """
 import svtab.stats as st
-real = st._comaj_split
-st._comaj_split = lambda p, s, t, marked: {j + 1: q for j, q in real(p, s, t, marked).items()}
+real = st._q_narayana_row
+st._q_narayana_row = lambda n: {m + 1: q for m, q in real(n).items()}
 """,
         [
             ("qstats", "check_q_catalan", {}),
