@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from time import perf_counter
@@ -41,6 +42,7 @@ from .enumerate import (
 from .series import SeriesContext, expected_steps
 from .stats import set_valued_q_catalan, set_valued_q_narayana
 from .verify import (
+    BUDGETS,
     COUNT_ORACLES,
     SUITES,
     available_threads,
@@ -93,18 +95,24 @@ def _require(args: argparse.Namespace, *names: str) -> list:
 
 def _open_output(path: str | None):
     """stdout, or the ``--output`` file, opened before the command runs so that
-    a path that cannot be written is a usage error, not a lost run."""
+    a path that cannot be written is a usage error, not a lost run.  The file
+    is opened for appending and emptied by ``_write``, so a command that stops
+    on a usage error leaves it as it was."""
     if path is None:
         return nullcontext(sys.stdout)
     try:
-        return open(path, "w", encoding="utf-8")
+        return open(path, "a", encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
+    """The command's one write.  A regular ``--output`` file is emptied first;
+    a device such as ``/dev/null`` cannot be truncated and needs no emptying."""
     if not text.endswith("\n"):
         text += "\n"
+    if args.output is not None and os.path.isfile(args.output):
+        args.out.truncate(0)
     args.out.write(text)
 
 
@@ -313,13 +321,7 @@ def cmd_expect(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     suites = SUITES if args.suite == "all" else (args.suite,)
-    tasks = build_tasks(
-        suites,
-        budget=args.budget,
-        series_order=args.order,
-        max_elements=args.max_elements,
-        max_k=args.max_k,
-    )
+    tasks = build_tasks(suites, budget=args.budget)
     if args.parallel is None:
         threads = available_threads()
     else:
@@ -407,10 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the re-derivation suites")
     p.add_argument("--suite", choices=("all",) + SUITES, default="all")
-    p.add_argument("--budget", choices=("desk", "quick"), default="desk")
-    p.add_argument("--order", type=int)
-    p.add_argument("--max-elements", type=int)
-    p.add_argument("--max-k", type=int)
+    p.add_argument("--budget", choices=BUDGETS, default="desk")
     p.add_argument("--report", choices=("text", "json"), default="text")
     p.add_argument(
         "--parallel",

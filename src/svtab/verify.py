@@ -5,10 +5,12 @@ against an independent computation (enumeration, a recursion, a second form).
 ``COUNT_ORACLES`` is the one table of counts and their oracles: ``svtab count
 --oracle`` reads it, and the count checks call the same oracle functions.
 Checks are grouped into suites, sharded into self-contained tasks, and run
-across processes.  A check yields one row per instance, so a failure carries
-its own counterexample; a check that raises keeps the rows it yielded before
-the raise, followed by one failing row naming the exception.  A task's wall
-time is the one timing record; rows carry no time.
+across processes.  ``_SIZES`` is the one table of task sizes, one column per
+budget of ``BUDGETS``; ``build_tasks`` reads every size from it.  A check
+yields one row per instance, so a failure carries its own counterexample; a
+check that raises keeps the rows it yielded before the raise, followed by one
+failing row naming the exception.  A task's wall time is the one timing
+record; rows carry no time.
 """
 
 from __future__ import annotations
@@ -103,6 +105,7 @@ from .stats import (
 
 __all__ = [
     "SUITES",
+    "BUDGETS",
     "COUNT_ORACLES",
     "CheckResult",
     "available_threads",
@@ -542,12 +545,15 @@ def check_q_oracle(n: int) -> Iterator[Row]:
 
 
 def check_q_at_one(catalan_nmax: int, narayana_nmax: int) -> Iterator[Row]:
-    """The q-analogs at q = 1 vs the Catalan and Narayana numbers."""
-    for n in range(1, catalan_nmax + 1):
-        yield f"n={n:02d}", str(catalan(n)), str(set_valued_q_catalan(n)(1))
-    for n in range(1, narayana_nmax + 1):
-        for m in range(1, n + 1):
-            yield f"n={n:02d},m={m:02d}", str(narayana(n, m)), str(set_valued_q_narayana(n, m)(1))
+    """The q-analogs at q = 1 vs the Catalan and Narayana numbers, n by n, so
+    that the one cached q-Narayana row serves the q-Catalan and every m."""
+    for n in range(1, max(catalan_nmax, narayana_nmax) + 1):
+        if n <= catalan_nmax:
+            yield f"n={n:02d}", str(catalan(n)), str(set_valued_q_catalan(n)(1))
+        if n <= narayana_nmax:
+            for m in range(1, n + 1):
+                got = set_valued_q_narayana(n, m)(1)
+                yield f"n={n:02d},m={m:02d}", str(narayana(n, m)), str(got)
 
 
 def check_kreweras_types(n: int) -> Iterator[Row]:
@@ -724,126 +730,117 @@ _CHECKS = {
 Task = tuple[str, str, dict]
 
 
-def build_tasks(
-    suites,
-    budget: str = "desk",
-    series_order: int | None = None,
-    max_elements: int | None = None,
-    max_k: int | None = None,
-) -> list[Task]:
-    """Expand suite names into sharded (suite, check, kwargs) tasks."""
-    if budget not in ("desk", "quick"):
+BUDGETS = ("quick", "desk")
+
+# Every task size, one column per budget in BUDGETS: a new budget is one more
+# column.  The shape, path and q-analog sizes are DPs, so desk runs them past
+# the enumeration ceiling.
+_SIZES = {
+    "union_n": (9, 12),
+    "two_row_n": (6, 8),
+    "f_nmax": (12, 30),
+    "shape_top": (9, 24),
+    "path_nmax": (8, 30),
+    "more_shapes_n": (8, 15),
+    "avoid321_n": (8, 8),
+    "perm_path_n": (8, 10),
+    "ballot_n": (6, 8),
+    "contract_n": (7, 9),
+    "triple_n": (8, 10),
+    "rotation_n": (7, 9),
+    "walker_n": (8, 10),
+    "series_order": (6, 10),
+    "marker_n": (6, 8),
+    "expected_n": (8, 12),
+    "peaks_order": (6, 8),
+    "q_row_sum_n": (6, 20),
+    "q_oracle_n": (6, 9),
+    "catalan_nmax": (12, 20),
+    "narayana_nmax": (8, 14),
+    "kreweras_n": (7, 9),
+    "poset_n": (4, 6),
+    "poset_k": (2, 3),
+    "pi_nmax": (6, 8),
+    "shape_total": (4, 5),
+}
+
+
+def build_tasks(suites, budget: str = "desk") -> list[Task]:
+    """Expand suite names into sharded (suite, check, kwargs) tasks, sized by
+    the ``budget`` column of ``_SIZES``."""
+    if budget not in BUDGETS:
         raise SvtabError(f"unknown budget {budget!r}")
-    limits = {"series_order": series_order, "max_elements": max_elements, "max_k": max_k}
-    for key, value in limits.items():
-        if value is not None and value < 0:
-            raise SvtabError(f"need {key} >= 0, got {value}")
-    quick = budget == "quick"
     chosen = tuple(suites)
     for s in chosen:
         if s not in SUITES:
             raise SvtabError(f"unknown suite {s!r}; choose from {SUITES}")
-    tasks: list[Task] = []
+    column = BUDGETS.index(budget)
+    size = {name: row[column] for name, row in _SIZES.items()}
 
+    def per_n(suite: str, check: str, first: int, last: str) -> list[Task]:
+        """One task per n from ``first`` to the size named ``last``."""
+        return [(suite, check, {"n": n}) for n in range(first, size[last] + 1)]
+
+    tasks: list[Task] = []
     if "counts" in chosen:
-        top = 9 if quick else 12
-        tasks += [("counts", "check_union_count", {"n": n}) for n in range(2, top + 1)]
+        tasks += per_n("counts", "check_union_count", 2, "union_n")
+        tasks += per_n("counts", "check_two_row_counts", 0, "two_row_n")
+        tasks.append(("counts", "check_f_recursion", {"nmax": size["f_nmax"]}))
         tasks += [
-            ("counts", "check_two_row_counts", {"n": n})
-            for n in range(0, (6 if quick else 8) + 1)
-        ]
-        tasks.append(("counts", "check_f_recursion", {"nmax": 12 if quick else 30}))
-        # the shape and path counts are DPs, so desk runs them past the ceiling
-        shape_top = 9 if quick else 24
-        tasks += [
-            ("counts", "check_shape_count", {"b": b, "top": shape_top})
-            for b in range(1, shape_top // 2 + 1)
+            ("counts", "check_shape_count", {"b": b, "top": size["shape_top"]})
+            for b in range(1, size["shape_top"] // 2 + 1)
         ]
         tasks += [
-            ("counts", "check_path_count", {"family": fam, "nmax": 8 if quick else 30})
+            ("counts", "check_path_count", {"family": fam, "nmax": size["path_nmax"]})
             for fam in sorted(PATH_FAMILIES)
         ]
-        tasks += [
-            ("counts", "check_more_shapes", {"n": n})
-            for n in range(3, (8 if quick else 15) + 1)
-        ]
-        tasks += [
-            ("counts", "check_avoid321_count", {"n": n}) for n in range(0, 9)
-        ]
+        tasks += per_n("counts", "check_more_shapes", 3, "more_shapes_n")
+        tasks += per_n("counts", "check_avoid321_count", 0, "avoid321_n")
 
     if "bijections" in chosen:
-        top = 8 if quick else 10
-        for n in range(2, top + 1):
+        for n in range(2, size["perm_path_n"] + 1):
             tasks.append(("bijections", "check_perm_bijection", {"n": n}))
             tasks.append(("bijections", "check_path_bijection", {"n": n}))
-        tasks += [
-            ("bijections", "check_ballot_bijection", {"n": n})
-            for n in range(1, (6 if quick else 8) + 1)
-        ]
-        tasks += [
-            ("bijections", "check_contract_images", {"n": n})
-            for n in range(1, (7 if quick else 9) + 1)
-        ]
-        tasks += [
-            ("bijections", "check_triple_roundtrip", {"n": n})
-            for n in range(2, (8 if quick else 10) + 1)
-        ]
-        tasks += [
-            ("bijections", "check_rotation", {"n": n})
-            for n in range(3, (7 if quick else 9) + 1)
-        ]
-        tasks += [
-            ("bijections", "check_walker_tableaux", {"n": n})
-            for n in range(2, (8 if quick else 10) + 1)
-        ]
+        tasks += per_n("bijections", "check_ballot_bijection", 1, "ballot_n")
+        tasks += per_n("bijections", "check_contract_images", 1, "contract_n")
+        tasks += per_n("bijections", "check_triple_roundtrip", 2, "triple_n")
+        tasks += per_n("bijections", "check_rotation", 3, "rotation_n")
+        tasks += per_n("bijections", "check_walker_tableaux", 2, "walker_n")
 
     if "series" in chosen:
-        order = series_order if series_order is not None else (6 if quick else 10)
-        tasks.append(("series", "check_series_residuals", {"order": order}))
-        tasks.append(("series", "check_closed_form_E", {"order": order}))
+        tasks.append(("series", "check_series_residuals", {"order": size["series_order"]}))
+        tasks.append(("series", "check_closed_form_E", {"order": size["series_order"]}))
         tasks.append(("series", "check_series_taylor", {}))
         for fam in ("motz", "motzE", "motzET", "motzT"):
             lo = 0 if fam != "motzET" else 1
-            for n in range(lo, (6 if quick else 8) + 1):
+            for n in range(lo, size["marker_n"] + 1):
                 tasks.append(("series", "check_marker_tally", {"family": fam, "n": n}))
-        tasks += [
-            ("series", "check_expected_steps", {"n": n})
-            for n in range(2, (8 if quick else 12) + 1)
-        ]
-        tasks.append(("series", "check_peaks_series", {"order": 6 if quick else 8}))
+        tasks += per_n("series", "check_expected_steps", 2, "expected_n")
+        tasks.append(("series", "check_peaks_series", {"order": size["peaks_order"]}))
 
     if "qstats" in chosen:
         tasks.append(("qstats", "check_q_catalan", {}))
         tasks.append(("qstats", "check_q_narayana", {}))
-        # the q-analogs are DPs, so desk checks them past the enumeration ceiling
-        tasks += [("qstats", "check_q_row_sum", {"n": n}) for n in range(1, (6 if quick else 20) + 1)]
-        tasks += [("qstats", "check_q_oracle", {"n": n}) for n in range(1, (6 if quick else 9) + 1)]
-        at_one = {"catalan_nmax": 12 if quick else 20, "narayana_nmax": 8 if quick else 14}
+        tasks += per_n("qstats", "check_q_row_sum", 1, "q_row_sum_n")
+        tasks += per_n("qstats", "check_q_oracle", 1, "q_oracle_n")
+        at_one = {key: size[key] for key in ("catalan_nmax", "narayana_nmax")}
         tasks.append(("qstats", "check_q_at_one", at_one))
-        tasks += [
-            ("qstats", "check_kreweras_types", {"n": n})
-            for n in range(2, (7 if quick else 9) + 1)
-        ]
+        tasks += per_n("qstats", "check_kreweras_types", 2, "kreweras_n")
 
     if "posets" in chosen:
-        cap_n = max_elements if max_elements is not None else (4 if quick else 6)
-        cap_k = max_k if max_k is not None else (2 if quick else 3)
         tasks += [
             ("posets", "check_poset_identities", {"name": name, "poset": poset, "k": k})
             for name, poset in catalog()
-            if poset.n <= cap_n
-            for k in range(cap_k + 1)
+            if poset.n <= size["poset_n"]
+            for k in range(size["poset_k"] + 1)
         ]
-        tasks.append(("posets", "check_pi_permutation", {"nmax": 6 if quick else 8}))
-        for total in range(1, (4 if quick else 5) + 1):
-            for shape in _partitions(total):
-                tasks.append(
-                    (
-                        "posets",
-                        "check_equidistribution",
-                        {"shape": shape, "kmax": min(cap_k, 2)},
-                    )
-                )
+        tasks.append(("posets", "check_pi_permutation", {"nmax": size["pi_nmax"]}))
+        kmax = min(size["poset_k"], 2)
+        tasks += [
+            ("posets", "check_equidistribution", {"shape": shape, "kmax": kmax})
+            for total in range(1, size["shape_total"] + 1)
+            for shape in _partitions(total)
+        ]
     return tasks
 
 

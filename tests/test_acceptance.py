@@ -253,7 +253,7 @@ def test_10_cut_weight_identities_full_catalog():
         (name, p.n) for name, p in entries
     ]
 
-    tasks = build_tasks(("posets",), budget="desk", max_elements=6, max_k=3)
+    tasks = build_tasks(("posets",), budget="desk")
     results = run_tasks(tasks, threads=available_threads())
     bad = [r for r in results if not r.ok]
     assert not bad, bad[:5]

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 import svtab.verify
 from svtab.cli import main
-from svtab.verify import COUNT_ORACLES, build_tasks, check_shape_count
+from svtab.verify import BUDGETS, COUNT_ORACLES, build_tasks, check_shape_count
 
 
 def run(capsys, *argv):
@@ -464,15 +465,16 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert "SVTAB_THREADS must be a positive integer, got 'abc'" in err
 
-    @pytest.mark.parametrize(
-        "flag,suite",
-        [("--max-k", "posets"), ("--max-elements", "posets"), ("--order", "series")],
-    )
-    def test_negative_cap_exits_2(self, capsys, flag, suite):
-        code, out, err = run(capsys, "verify", "--suite", suite, flag, "-1")
-        assert code == 2
-        assert "passed" not in out
-        assert ">= 0, got -1" in err
+    def test_unknown_budget_names_the_budgets(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "qstats", "--budget", "deep")
+        assert (code, out) == (2, "")
+        assert all(name in err for name in BUDGETS)
+
+    @pytest.mark.parametrize("flag", ["--order", "--max-elements", "--max-k"])
+    def test_the_budget_is_the_only_size_option(self, capsys, flag):
+        code, out, err = run(capsys, "verify", "--suite", "qstats", flag, "1")
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag} 1" in err
 
 
 class TestOutputAndProcess:
@@ -490,6 +492,26 @@ class TestOutputAndProcess:
         )
         assert code == 0 and out == ""
         assert target.read_text() == "42\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["table", "--name", "zz"], ["qtable", "--stat", "catalan", "--max-n", "0"]],
+        ids=["table", "qtable"],
+    )
+    def test_usage_error_leaves_the_output_file_as_it_was(self, capsys, tmp_path, argv):
+        target = tmp_path / "kept.txt"
+        target.write_text("an earlier run\n")
+        code, out, _ = run(capsys, *argv, "--output", str(target))
+        assert (code, out) == (2, "")
+        assert target.read_text() == "an earlier run\n"
+
+    def test_output_replaces_a_longer_file_and_writes_to_a_device(self, capsys, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("a longer line from an earlier run\n")
+        argv = ["count", "--family", "two-row-union", "--n", "6", "--output"]
+        assert run(capsys, *argv, str(target))[:2] == (0, "")
+        assert target.read_text() == "42\n"
+        assert run(capsys, *argv, os.devnull)[:2] == (0, "")
 
     @pytest.mark.parametrize(
         "argv",

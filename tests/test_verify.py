@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,6 +15,7 @@ import pytest
 import svtab
 import svtab.enumerate
 import svtab.posets
+import svtab.stats
 import svtab.verify
 from svtab.closedform import f_count
 from svtab.core import SetValuedTableau, SvtabError
@@ -24,6 +27,7 @@ from svtab.verify import (
     available_threads,
     build_tasks,
     check_poset_identities,
+    check_q_at_one,
     report_dict,
     report_text,
     run_tasks,
@@ -67,7 +71,7 @@ def test_available_threads_env(monkeypatch):
 def test_build_tasks_budgets():
     quick = build_tasks(SUITES, budget="quick")
     desk = build_tasks(SUITES, budget="desk")
-    assert len(quick) < len(desk)
+    assert (len(quick), len(desk)) == (229, 413)
     suites_seen = {suite for suite, _check, _kw in quick}
     assert suites_seen == set(SUITES)
     assert all(check.startswith("check_") for _s, check, _kw in desk)
@@ -78,6 +82,22 @@ def test_build_tasks_filters():
     assert {s for s, _c, _k in only} == {"qstats"}
     with pytest.raises(SvtabError):
         build_tasks(("nosuch",))
+    with pytest.raises(SvtabError, match="unknown budget 'deep'"):
+        build_tasks(SUITES, budget="deep")
+
+
+def test_q_at_one_builds_each_q_narayana_row_once(monkeypatch):
+    built = Counter()
+    row = svtab.stats._q_narayana_row.__wrapped__
+
+    def counted(n):
+        built[n] += 1
+        return row(n)
+
+    monkeypatch.setattr(svtab.stats, "_q_narayana_row", lru_cache(maxsize=1)(counted))
+    rows = list(check_q_at_one(catalan_nmax=8, narayana_nmax=6))
+    assert built == Counter(range(1, 9))
+    assert len(rows) == 8 + 6 * 7 // 2 and all(want == got for _i, want, got in rows)
 
 
 def test_run_tasks_serial_and_parallel_agree():
@@ -101,7 +121,11 @@ def test_posets_rows_agree_at_two_workers():
 
 
 def test_longest_first_hands_out_big_poset_tasks_first():
-    tasks = build_tasks(("counts", "posets"), budget="quick", max_elements=3)
+    tasks = [
+        t
+        for t in build_tasks(("counts", "posets"), budget="quick")
+        if t[1] != "check_poset_identities" or t[2]["poset"].n <= 3
+    ]
     order = svtab.verify._longest_first(tasks)
     assert sorted(map(repr, order)) == sorted(map(repr, tasks))
     npos = sum(check == "check_poset_identities" for _s, check, _kw in tasks)
@@ -408,11 +432,10 @@ def test_miscomposed_object_fails_routes_row(flags):
 
 
 def test_poset_identities_sharded_per_k():
-    tasks = build_tasks(("posets",), budget="quick", max_elements=2, max_k=1)
     shards = [
         (kw["name"], kw["k"])
-        for _s, check, kw in tasks
-        if check == "check_poset_identities"
+        for _s, check, kw in build_tasks(("posets",), budget="quick")
+        if check == "check_poset_identities" and kw["poset"].n <= 2 and kw["k"] <= 1
     ]
     names = [name for name, p in catalog() if p.n <= 2]
     assert shards == [(name, k) for name in names for k in (0, 1)]
