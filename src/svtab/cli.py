@@ -6,6 +6,9 @@ or counting DP, optionally against its independent oracle, both looked up in
 ``table``/``qtable`` emit golden-file CSV tables, ``biject`` maps stdin
 objects through the named bijections, ``series``/``expect`` expose the
 generating-function layer, and ``verify`` runs the re-derivation suites.
+Each command maps the parsed arguments to its exit code and text and touches
+no file; ``main`` checks an ``--output`` path before the command runs and
+writes the text once, to stdout or in place of the file's content.
 Exit codes: 0 success, 1 identity violation, 2 usage error.
 """
 
@@ -93,27 +96,13 @@ def _require(args: argparse.Namespace, *names: str) -> list:
     return got
 
 
-def _open_output(path: str | None):
-    """stdout, or the ``--output`` file, opened before the command runs so that
-    a path that cannot be written is a usage error, not a lost run.  The file
-    is opened for appending and emptied by ``_write``, so a command that stops
-    on a usage error leaves it as it was."""
-    if path is None:
-        return nullcontext(sys.stdout)
+def _open(path: str, mode: str):
+    """The ``--output`` file opened with ``mode``; a path that cannot be
+    written is a usage error."""
     try:
-        return open(path, "a", encoding="utf-8")
+        return open(path, mode, encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
-
-
-def _write(args: argparse.Namespace, text: str) -> None:
-    """The command's one write.  A regular ``--output`` file is emptied first;
-    a device such as ``/dev/null`` cannot be truncated and needs no emptying."""
-    if not text.endswith("\n"):
-        text += "\n"
-    if args.output is not None and os.path.isfile(args.output):
-        args.out.truncate(0)
-    args.out.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +149,7 @@ def _obj_json(obj):
 # subcommands
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> tuple[int, str]:
     family = args.family
     if family == "svsyt":
         (shape,) = _require(args, "shape")
@@ -179,29 +168,25 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         stream = gen_paths(family, n)
 
     if args.emit == "count":
-        _write(args, str(sum(1 for _ in stream)))
-        return 0
-    lines = [json.dumps(_obj_json(o)) if args.emit == "json" else _obj_text(o) for o in stream]
-    if lines:  # an empty stream writes nothing, not an empty line
-        _write(args, "\n".join(lines))
-    return 0
+        return 0, str(sum(1 for _ in stream))
+    return 0, "\n".join(
+        json.dumps(_obj_json(o)) if args.emit == "json" else _obj_text(o) for o in stream
+    )
 
 
-def cmd_count(args: argparse.Namespace) -> int:
+def cmd_count(args: argparse.Namespace) -> tuple[int, str]:
     kind = "formula" if args.formula else "family"
     names, value_fn, oracle_fn = COUNT_ORACLES[kind][args.formula or args.family]
     params = _require(args, *names)
     value = value_fn(*params)
     if not args.oracle:
-        _write(args, str(value))
-        return 0
+        return 0, str(value)
     oracle = oracle_fn(*params)
     agree = value == oracle
-    _write(args, f"{value},{oracle},{'ok' if agree else 'MISMATCH'}")
-    return 0 if agree else 1
+    return (0 if agree else 1), f"{value},{oracle},{'ok' if agree else 'MISMATCH'}"
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
     if args.name != "ef":
         raise UsageError(f"unknown table {args.name!r}")
     if args.max_n < 0:
@@ -212,14 +197,12 @@ def cmd_table(args: argparse.Namespace) -> int:
             e, f = e_count(n, i), f_count(n, i)
             rows.append((str(n), str(i), str(e), str(f), str(e + f)))
     if args.format == "csv":
-        _write(args, "\n".join(",".join(r) for r in rows))
-    else:
-        widths = [max(len(r[j]) for r in rows) for j in range(5)]
-        _write(args, "\n".join("  ".join(x.rjust(w) for x, w in zip(r, widths)) for r in rows))
-    return 0
+        return 0, "\n".join(",".join(r) for r in rows)
+    widths = [max(len(r[j]) for r in rows) for j in range(5)]
+    return 0, "\n".join("  ".join(x.rjust(w) for x, w in zip(r, widths)) for r in rows)
 
 
-def cmd_qtable(args: argparse.Namespace) -> int:
+def cmd_qtable(args: argparse.Namespace) -> tuple[int, str]:
     if args.max_n < 1:
         raise UsageError(f"need --max-n >= 1, got {args.max_n}")
     if args.stat == "catalan":
@@ -233,11 +216,8 @@ def cmd_qtable(args: argparse.Namespace) -> int:
             for m in range(1, n + 1)
         }
     if args.format == "json":
-        text = json.dumps({key: list(p.coeffs) for key, p in polys.items()}, indent=2)
-    else:
-        text = "\n".join(",".join(map(str, p.coeffs)) for p in polys.values())
-    _write(args, text)
-    return 0
+        return 0, json.dumps({key: list(p.coeffs) for key, p in polys.items()}, indent=2)
+    return 0, "\n".join(",".join(map(str, p.coeffs)) for p in polys.values())
 
 
 _BIJECTIONS: dict[str, tuple[str, Callable]] = {
@@ -272,7 +252,7 @@ def _read_object(kind: str, line: str, input_fmt: str):
     raise UsageError("triples are JSON-only; use --input json")
 
 
-def cmd_biject(args: argparse.Namespace) -> int:
+def cmd_biject(args: argparse.Namespace) -> tuple[int, str]:
     kind, fn = _BIJECTIONS[args.map]
     lines_out = []
     for raw in sys.stdin:
@@ -288,11 +268,10 @@ def cmd_biject(args: argparse.Namespace) -> int:
             lines_out.append(json.dumps({"input": _obj_json(obj), "output": _obj_json(image)}))
         else:
             lines_out.append(f"{_obj_text(obj)} => {_obj_text(image)}")
-    _write(args, "\n".join(lines_out))
-    return 0
+    return 0, "\n".join(lines_out)
 
 
-def cmd_series(args: argparse.Namespace) -> int:
+def cmd_series(args: argparse.Namespace) -> tuple[int, str]:
     ctx = SeriesContext.build(args.order)
     series = {"E": ctx.E, "E1": ctx.E1, "E2": ctx.E2, "E12": ctx.E12}[args.which]
     values = {}
@@ -301,25 +280,21 @@ def cmd_series(args: argparse.Namespace) -> int:
         values[str(n)] = coeff.at_ones() if args.spec == "all-ones" else str(coeff)
     if args.format == "json":
         doc = {"which": args.which, "order": args.order, "values": values}
-        _write(args, json.dumps(doc, indent=2))
-    else:
-        _write(args, "\n".join(f"{n},{v}" for n, v in values.items()))
-    return 0
+        return 0, json.dumps(doc, indent=2)
+    return 0, "\n".join(f"{n},{v}" for n, v in values.items())
 
 
-def cmd_expect(args: argparse.Namespace) -> int:
+def cmd_expect(args: argparse.Namespace) -> tuple[int, str]:
     ns = _parse_range(args.n)  # top order first: one series build; n < 2 fails in order
     got = {n: expected_steps(n, args.step) for n in [n for n in ns if n < 2] or ns[::-1]}
     values = {str(n): got[n] for n in ns}
     if args.format == "json":
         doc = {"step": args.step, "values": {k: str(v) for k, v in values.items()}}
-        _write(args, json.dumps(doc, indent=2))
-    else:
-        _write(args, "\n".join(f"{n},{v}" for n, v in values.items()))
-    return 0
+        return 0, json.dumps(doc, indent=2)
+    return 0, "\n".join(f"{n},{v}" for n, v in values.items())
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     suites = SUITES if args.suite == "all" else (args.suite,)
     tasks = build_tasks(suites, budget=args.budget)
     if args.parallel is None:
@@ -329,12 +304,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     started = perf_counter()
     results, timings = _run_timed(tasks, threads=threads)
     wall = perf_counter() - started
+    code = 0 if all(r.ok for r in results) else 1
     if args.report == "json":
         report = report_dict(results, timings, threads, wall, args.budget)
-        _write(args, json.dumps(report, indent=2))
-    else:
-        _write(args, report_text(results))
-    return 0 if all(r.ok for r in results) else 1
+        return code, json.dumps(report, indent=2)
+    return code, report_text(results)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +414,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        with _open_output(args.output) as args.out:
-            return _COMMANDS[args.command](args)
+        if args.output is not None:  # checked before any work; the check creates nothing
+            existed = os.path.lexists(args.output)
+            _open(args.output, "a").close()
+            if not existed:
+                os.remove(args.output)
+        code, text = _COMMANDS[args.command](args)
+        if text and not text.endswith("\n"):
+            text += "\n"
+        with nullcontext(sys.stdout) if args.output is None else _open(args.output, "w") as out:
+            out.write(text)  # the run's one write; an empty text empties the file
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

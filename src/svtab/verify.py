@@ -6,11 +6,13 @@ against an independent computation (enumeration, a recursion, a second form).
 --oracle`` reads it, and the count checks call the same oracle functions.
 Checks are grouped into suites, sharded into self-contained tasks, and run
 across processes.  ``_SIZES`` is the one table of task sizes, one column per
-budget of ``BUDGETS``; ``build_tasks`` reads every size from it.  A check
-yields one row per instance, so a failure carries its own counterexample; a
-check that raises keeps the rows it yielded before the raise, followed by one
-failing row naming the exception.  A task's wall time is the one timing
-record; rows carry no time.
+budget of ``BUDGETS``; ``build_tasks`` reads every size from it.  Every
+``check_*`` function is a generator that yields one row per instance, so a
+failure carries its own counterexample; ``_CHECKS`` collects them by that
+prefix.  A check that raises, any exception, keeps the rows it yielded before
+the raise, followed by one failing row naming the exception: it fails its
+task, not the run.  A task's wall time is the one timing record; rows carry
+no time.
 """
 
 from __future__ import annotations
@@ -223,7 +225,7 @@ COUNT_ORACLES: dict[str, dict[str, tuple[tuple[str, ...], Callable, Callable]]] 
 # ---------------------------------------------------------------------------
 # individual checks
 #
-# Each check is an iterable of rows (instance, expected, actual); a row passes
+# Each check is a generator of rows (instance, expected, actual); a row passes
 # when the two strings are equal, so a failing row is its own counterexample.
 
 Row = tuple[str, str, str]
@@ -241,9 +243,9 @@ def _count_row(instance: str, want: int, noun: str, outcomes) -> Row:
     return instance, f"{want} {noun}", f"{done} {noun}{bad}"
 
 
-def check_union_count(n: int) -> list[Row]:
+def check_union_count(n: int) -> Iterator[Row]:
     """Two-row tableaux with n total entries, streamed and counted."""
-    return [(f"n={n:02d}", str(catalan(n - 1)), str(_union_tally(n)))]
+    yield f"n={n:02d}", str(catalan(n - 1)), str(_union_tally(n))
 
 
 def check_two_row_counts(n: int) -> Iterator[Row]:
@@ -259,16 +261,10 @@ def check_two_row_counts(n: int) -> Iterator[Row]:
         yield f"n={n} sums", str(sums), str(row_sums(n))
 
 
-def check_f_recursion(nmax: int) -> list[Row]:
+def check_f_recursion(nmax: int) -> Iterator[Row]:
     """Closed-form f against the step recursion, past the enumeration ceiling."""
-    return [
-        (
-            f"n={n:02d}",
-            str(_f_row(n)),
-            str([f_count(n, i) for i in range(n + 1)]),
-        )
-        for n in range(nmax + 1)
-    ]
+    for n in range(nmax + 1):
+        yield f"n={n:02d}", str(_f_row(n)), str([f_count(n, i) for i in range(n + 1)])
 
 
 def check_shape_count(b: int, top: int) -> Iterator[Row]:
@@ -278,17 +274,11 @@ def check_shape_count(b: int, top: int) -> Iterator[Row]:
         yield f"b={b},k={k}", f"{oracle},{oracle}", f"{act_count(b, k)},{peaks_count(b, k)}"
 
 
-def check_path_count(family: str, nmax: int) -> list[Row]:
+def check_path_count(family: str, nmax: int) -> Iterator[Row]:
     """Closed-form family count vs the step DP, one row per length n <= nmax."""
     lo = 2 if family == "motzET" else 0  # motzET below n = 2 is a convention
-    return [
-        (
-            f"{family},n={n:02d}",
-            str(path_family_count(family, n)),
-            str(count_paths(family, n)),
-        )
-        for n in range(lo, nmax + 1)
-    ]
+    for n in range(lo, nmax + 1):
+        yield f"{family},n={n:02d}", str(path_family_count(family, n)), str(count_paths(family, n))
 
 
 def check_more_shapes(n: int) -> Iterator[Row]:
@@ -304,11 +294,11 @@ def check_more_shapes(n: int) -> Iterator[Row]:
         yield f"n={n} near-rectangles", str(first), str(got)
 
 
-def check_avoid321_count(n: int) -> list[Row]:
-    return [(f"n={n}", str(catalan(n)), str(_avoid321_tally(n)))]
+def check_avoid321_count(n: int) -> Iterator[Row]:
+    yield f"n={n}", str(catalan(n)), str(_avoid321_tally(n))
 
 
-def check_perm_bijection(n: int) -> list[Row]:
+def check_perm_bijection(n: int) -> Iterator[Row]:
     """Tableau → permutation: roundtrip, avoidance, and the two statistics.
 
     A broken property fails the one images row; its first witness follows the
@@ -330,10 +320,10 @@ def check_perm_bijection(n: int) -> list[Row]:
             fault = f"; minima {top_vals} differ for {t}"
         elif len(inner_valleys(w)) != t.shape.outer.part(1) - 1:
             fault = f"; valleys != columns - 1 for {t}"
-    return [(f"n={n:02d} distinct images", str(catalan(n - 1)), f"{len(seen)}{fault}")]
+    yield f"n={n:02d} distinct images", str(catalan(n - 1)), f"{len(seen)}{fault}"
 
 
-def check_path_bijection(n: int) -> list[Row]:
+def check_path_bijection(n: int) -> Iterator[Row]:
     """Tableau → motzET path and back; a fault is shown as in the perm check."""
     seen, fault = set(), ""
     for t in gen_two_row_union(n):
@@ -345,7 +335,7 @@ def check_path_bijection(n: int) -> list[Row]:
             fault = f"; image {p.word} of {t} not in motzET"
         elif tableau_from_path(p) != t:
             fault = f"; roundtrip of {t} gives {tableau_from_path(p)}"
-    return [(f"n={n:02d} distinct images", str(catalan(n - 1)), f"{len(seen)}{fault}")]
+    yield f"n={n:02d} distinct images", str(catalan(n - 1)), f"{len(seen)}{fault}"
 
 
 def _ballot_shapes(n: int, i: int):
@@ -393,9 +383,9 @@ def check_contract_images(n: int) -> Iterator[Row]:
         yield f"{src}->{dst},n={n}", f"image of size {len(want)}", got + fault
 
 
-def check_triple_roundtrip(n: int) -> list[Row]:
+def check_triple_roundtrip(n: int) -> Iterator[Row]:
     outcomes = ((compose(decompose(t)) == t, t) for t in gen_two_row_union(n))
-    return [_count_row(f"n={n:02d}", catalan(n - 1), "roundtrips", outcomes)]
+    yield _count_row(f"n={n:02d}", catalan(n - 1), "roundtrips", outcomes)
 
 
 def _rotates_back(t) -> bool:
@@ -403,14 +393,14 @@ def _rotates_back(t) -> bool:
     return tuple(r.shape.inner) == (1,) and rotate_complement(r) == t
 
 
-def check_rotation(n: int) -> list[Row]:
+def check_rotation(n: int) -> Iterator[Row]:
     """Half-turn complement swaps the two near-rectangular shape families."""
     shapes = [((b + 1, b), n - 1 - 2 * b) for b in range(1, (n - 1) // 2 + 1)]
     want = sum(count_svsyt(shape, k) for shape, k in shapes)
     outcomes = (
         (_rotates_back(t), t) for shape, k in shapes for t in gen_svsyt(shape, k)
     )
-    return [_count_row(f"n={n}", want, "involutions", outcomes)]
+    yield _count_row(f"n={n}", want, "involutions", outcomes)
 
 
 def _checks_out(t, k: int) -> bool:
@@ -420,30 +410,25 @@ def _checks_out(t, k: int) -> bool:
         return False
 
 
-def check_walker_tableaux(n: int) -> list[Row]:
+def check_walker_tableaux(n: int) -> Iterator[Row]:
     """The walker's tableaux, made without checks, each validated here in full."""
     outcomes = ((_checks_out(t, n - t.ncells), t) for t in gen_two_row_union(n))
-    return [_count_row(f"n={n:02d}", catalan(n - 1), "valid tableaux", outcomes)]
+    yield _count_row(f"n={n:02d}", catalan(n - 1), "valid tableaux", outcomes)
 
 
-def check_series_residuals(order: int) -> list[Row]:
-    ctx = _shared_context(order)
-    return [
-        (f"{name} residual, order {order}", "0", "0" if not poly else str(poly))
-        for name, poly in sorted(ctx.residuals().items())
-    ]
+def check_series_residuals(order: int) -> Iterator[Row]:
+    for name, poly in sorted(_shared_context(order).residuals().items()):
+        yield f"{name} residual, order {order}", "0", "0" if not poly else str(poly)
 
 
-def check_closed_form_E(order: int) -> list[Row]:
+def check_closed_form_E(order: int) -> Iterator[Row]:
     """E from its square-root closed form vs E from the coefficient recurrence."""
     closed, solved = closed_form_E(order), solve_E(order)
-    return [
-        (f"E closed form t^{m:02d}", str(solved.coeff(m)), str(closed.coeff(m)))
-        for m in range(order + 1)
-    ]
+    for m in range(order + 1):
+        yield f"E closed form t^{m:02d}", str(solved.coeff(m)), str(closed.coeff(m))
 
 
-def check_series_taylor() -> list[Row]:
+def check_series_taylor() -> Iterator[Row]:
     ctx = _shared_context(6)
     U, D, u, d = (MultiPoly.gen(s) for s in ("U", "D", "u", "d"))
     wanted = {
@@ -451,19 +436,17 @@ def check_series_taylor() -> list[Row]:
         3: U * (u + d) * D,
         4: U * (d * d + u * d + U * D * 2 + u * u) * D,
     }
-    return [
-        (f"E12 coefficient t^{m}", str(wanted[m]), str(ctx.E12.coeff(m)))
-        for m in (2, 3, 4)
-    ]
+    for m, want in wanted.items():
+        yield f"E12 coefficient t^{m}", str(want), str(ctx.E12.coeff(m))
 
 
-def check_marker_tally(family: str, n: int) -> list[Row]:
+def check_marker_tally(family: str, n: int) -> Iterator[Row]:
     ctx = _shared_context(8)
     slot = {"motz": ctx.E, "motzE": ctx.E1, "motzT": ctx.E2, "motzET": ctx.E12}
     tally = MultiPoly.zero()
     for p in gen_paths(family, n):
         tally = tally + MultiPoly.from_word(p.word)
-    return [(f"{family},n={n}", str(slot[family].coeff(n)), str(tally))]
+    yield f"{family},n={n}", str(slot[family].coeff(n)), str(tally)
 
 
 def check_expected_steps(n: int) -> Iterator[Row]:
@@ -512,26 +495,22 @@ QNAR_TABLE = {
 }
 
 
-def check_q_catalan() -> list[Row]:
-    return [
-        (f"n={n}", str(QPoly(list(coeffs))), str(set_valued_q_catalan(n)))
-        for n, coeffs in sorted(QCAT_TABLE.items())
-    ]
+def check_q_catalan() -> Iterator[Row]:
+    for n, coeffs in sorted(QCAT_TABLE.items()):
+        yield f"n={n}", str(QPoly(list(coeffs))), str(set_valued_q_catalan(n))
 
 
-def check_q_narayana() -> list[Row]:
-    return [
-        (f"n={n},m={m}", str(QPoly(list(coeffs))), str(set_valued_q_narayana(n, m)))
-        for (n, m), coeffs in sorted(QNAR_TABLE.items())
-    ]
+def check_q_narayana() -> Iterator[Row]:
+    for (n, m), coeffs in sorted(QNAR_TABLE.items()):
+        yield f"n={n},m={m}", str(QPoly(list(coeffs))), str(set_valued_q_narayana(n, m))
 
 
-def check_q_row_sum(n: int) -> list[Row]:
+def check_q_row_sum(n: int) -> Iterator[Row]:
     """The ideal DP over the 2-by-b rectangles vs the q-Narayana row summed over m."""
     masks = (_cell_masks(as_skew(lam))[1:] for lam in _two_row_shapes(n + 1))
     want = sum((_comaj_walk(preds, succs, n + 1) for preds, succs in masks), QPoly.zero())
     got = sum((set_valued_q_narayana(n, m) for m in range(1, n + 1)), QPoly.zero())
-    return [(f"n={n}", str(want), str(got))]
+    yield f"n={n}", str(want), str(got)
 
 
 def check_q_oracle(n: int) -> Iterator[Row]:
@@ -580,7 +559,7 @@ def _entry_word(s: SetValuedLinearExtension) -> bytes:
     return bytes(map(len, s.blocks)) + bytes(itertools.chain.from_iterable(s.blocks))
 
 
-def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
+def check_poset_identities(name: str, poset: Poset, k: int) -> Iterator[Row]:
     """Cut-weight identities, route agreement and roundtrips for one (poset, k).
 
     One pass over every linear extension and cut vector in {0..n} sums
@@ -605,7 +584,7 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
     """
     tag = f"{name},k={k}"
     lhs, rhs = sum_identity_check(poset, k)
-    rows: list[Row] = [(f"{tag} weight sum", str(rhs), str(lhs))]
+    yield f"{tag} weight sum", str(rhs), str(lhs)
 
     small = poset.n <= 4
     composed: set[bytes] = set()
@@ -634,7 +613,7 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
                         mismatch = f"; {got} at {ext},{cuts},{picks}"
     den, num = (sum((w * c for w, c in t.items()), QPoly.zero()) for t in (dens, nums))
     if small:
-        rows.append((f"{tag} weights", str(num), f"{comaj_sum}{mismatch}"))
+        yield f"{tag} weights", str(num), f"{comaj_sum}{mismatch}"
 
     # one pass over the walker; matched keys leave ``composed``
     walked = extra = 0
@@ -651,19 +630,18 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> list[Row]:
     routes = f"{walked} objects"
     if extra or composed:
         routes += f", {extra} not composed, {len(composed)} not walked"
-    rows.append((f"{tag} routes", f"{made} objects", routes))
+    yield f"{tag} routes", f"{made} objects", routes
 
     dp = _comaj_walk(*poset._cover_masks, poset.n + k)
     if small:
         streamed = QPoly([tally[e] for e in range(max(tally, default=0) + 1)])
-        rows.append((f"{tag} comaj tally", str(dp), str(streamed)))
+        yield f"{tag} comaj tally", str(dp), str(streamed)
     dp_num, dp_den = expected_ddeg(poset, k)
-    rows.append((f"{tag} expectation", str(dp_num), str(dp)))
-    rows.append((f"{tag} oracle", f"{num} / {den}", f"{dp_num} / {dp_den}"))
+    yield f"{tag} expectation", str(dp_num), str(dp)
+    yield f"{tag} oracle", f"{num} / {den}", f"{dp_num} / {dp_den}"
 
     done = f"{tried - len(bad)} roundtrips" + (f"; {bad[0]} differs" if bad else "")
-    rows.append((f"{tag} roundtrips", f"{tried} roundtrips", done))
-    return rows
+    yield f"{tag} roundtrips", f"{tried} roundtrips", done
 
 
 def check_pi_permutation(nmax: int) -> Iterator[Row]:
@@ -688,40 +666,7 @@ def check_equidistribution(shape: tuple[int, ...], kmax: int) -> Iterator[Row]:
         )
 
 
-_CHECKS = {
-    fn.__name__: fn
-    for fn in (
-        check_union_count,
-        check_two_row_counts,
-        check_f_recursion,
-        check_shape_count,
-        check_path_count,
-        check_more_shapes,
-        check_avoid321_count,
-        check_perm_bijection,
-        check_path_bijection,
-        check_ballot_bijection,
-        check_contract_images,
-        check_triple_roundtrip,
-        check_rotation,
-        check_walker_tableaux,
-        check_series_residuals,
-        check_closed_form_E,
-        check_series_taylor,
-        check_marker_tally,
-        check_expected_steps,
-        check_peaks_series,
-        check_q_catalan,
-        check_q_narayana,
-        check_q_row_sum,
-        check_q_oracle,
-        check_q_at_one,
-        check_kreweras_types,
-        check_poset_identities,
-        check_pi_permutation,
-        check_equidistribution,
-    )
-}
+_CHECKS = {name: fn for name, fn in globals().items() if name.startswith("check_")}
 
 
 # ---------------------------------------------------------------------------
@@ -847,8 +792,8 @@ def build_tasks(suites, budget: str = "desk") -> list[Task]:
 def _run_task(task: Task) -> tuple[dict, list[CheckResult]]:
     """The task's rows in the order the check gives them, and its time record:
     suite, check, the kwargs but the poset, the task's wall seconds and its
-    number of rows.  A check that raises keeps the rows it gave before the
-    raise, followed by one failing row naming the exception."""
+    number of rows.  A check that raises, any exception, keeps the rows it
+    gave before the raise, followed by one failing row naming the exception."""
     suite, check, kwargs = task
     args = {k: v for k, v in kwargs.items() if k != "poset"}
     rows: list[Row] = []
@@ -856,7 +801,7 @@ def _run_task(task: Task) -> tuple[dict, list[CheckResult]]:
     try:
         for row in _CHECKS[check](**kwargs):
             rows.append(row)
-    except (SvtabError, AssertionError) as exc:
+    except Exception as exc:  # a library bug fails its task, not the run
         instance = ",".join(f"{k}={v}" for k, v in args.items())
         rows.append((instance, "no exception", f"{type(exc).__name__}: {exc}"))
     elapsed = perf_counter() - started

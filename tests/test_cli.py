@@ -527,6 +527,28 @@ class TestOutputAndProcess:
         assert (code, out) == (2, "")
         assert err == f"error: cannot write {str(target)!r}: No such file or directory\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["table", "--name", "zz"], ["qtable", "--stat", "catalan", "--max-n", "0"]],
+        ids=["table", "qtable"],
+    )
+    def test_usage_error_creates_no_output_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "new.txt"
+        code, out, _ = run(capsys, *argv, "--output", str(target))
+        assert (code, out) == (2, "")
+        assert not target.exists()
+
+    def test_empty_result_empties_the_output_file(self, capsys, tmp_path):
+        target = tmp_path / "x.txt"
+        target.write_text("an earlier run\n")
+        argv = ["enumerate", "--family", "motzET", "--n", "1", "--output", str(target)]
+        assert run(capsys, *argv)[:2] == (0, "")
+        assert target.read_text() == ""
+
+    def test_biject_of_empty_input_writes_nothing(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert run(capsys, "biject", "--map", "alpha") == (0, "", "")
+
     def test_console_script(self):
         proc = subprocess.run(
             [sys.executable, "-m", "svtab", "count", "--family", "two-row-union", "--n", "5"],

@@ -22,6 +22,7 @@ from svtab.core import SetValuedTableau, SvtabError
 from svtab.posets import catalog, sv_linear_extensions
 from svtab.rings import QPoly
 from svtab.verify import (
+    BUDGETS,
     SUITES,
     CheckResult,
     available_threads,
@@ -33,6 +34,7 @@ from svtab.verify import (
     run_tasks,
     _f_rec,
     _f_row,
+    _CHECKS,
     _run_timed,
 )
 
@@ -75,6 +77,11 @@ def test_build_tasks_budgets():
     suites_seen = {suite for suite, _check, _kw in quick}
     assert suites_seen == set(SUITES)
     assert all(check.startswith("check_") for _s, check, _kw in desk)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_tasks_name_every_check_and_no_other(budget):
+    assert {check for _s, check, _kw in build_tasks(SUITES, budget)} == set(_CHECKS)
 
 
 def test_build_tasks_filters():
@@ -273,7 +280,7 @@ PLANTS = [
 
 
 def test_poset_rows_pass_on_small_poset():
-    rows = check_poset_identities(*VEE_K2)
+    rows = list(check_poset_identities(*VEE_K2))
     assert tuple(inst.split(" ", 1)[1] for inst, _w, _g in rows) == ROW_NAMES
     assert _failing(rows) == set()
 
@@ -663,6 +670,84 @@ def test_raise_mid_task_keeps_the_rows_before_it(flags):
         ("n=4,i=1", "pass"),
     ]
     assert rows[2] == ["n=4", "fail", "no exception", "OutOfRange: planted at i = 2"]
+
+
+# a raise partway through a multi-row check keeps the rows before it: every
+# check is a generator, so the rows it yielded are already in the task's list
+_PATH_COUNT_RAISE_SCRIPT = _PLANT_HEAD + """
+from svtab.core import OutOfRange
+real = v.count_paths
+
+def planted(family, n):
+    if (family, n) == ("motzE", 7):
+        raise OutOfRange("planted at motzE, n = 7")
+    return real(family, n)
+
+v.count_paths = planted
+timing, results = v._run_task(("counts", "check_path_count", {"family": "motzE", "nmax": 8}))
+print(json.dumps([(r.instance, r.status, r.expected, r.actual) for r in results]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_raise_in_a_multi_row_check_keeps_the_rows_before_it(flags):
+    src = str(Path(svtab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _PATH_COUNT_RAISE_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    rows = json.loads(proc.stdout)
+    assert [(inst, status) for inst, status, _w, _g in rows[:-1]] == [
+        (f"motzE,n={n:02d}", "pass") for n in range(7)
+    ]
+    assert rows[-1] == [
+        "family=motzE,nmax=8",
+        "fail",
+        "no exception",
+        "OutOfRange: planted at motzE, n = 7",
+    ]
+
+
+# an exception that is no SvtabError, a bug in the library, fails its own task
+# with the rows before it; the run returns, and the other task keeps its rows
+_ZERO_DIVISION_SCRIPT = _PLANT_HEAD + """
+real = v.count_paths
+
+def planted(family, n):
+    return real(family, n) // (0 if n == 3 else 1)
+
+v.count_paths = planted
+tasks = [
+    ("counts", "check_path_count", {"family": "motz", "nmax": 6}),
+    ("counts", "check_union_count", {"n": 4}),
+]
+results = v.run_tasks(tasks, threads=2)
+print(json.dumps([(r.check, r.instance, r.status, r.actual) for r in results]))
+"""
+
+
+def test_library_bug_fails_its_task_not_the_run():
+    src = str(Path(svtab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _ZERO_DIVISION_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    rows = json.loads(proc.stdout)
+    paths = {inst: (st, got) for check, inst, st, got in rows if check == "check_path_count"}
+    raised = paths.pop("family=motz,nmax=6")
+    assert {inst: status for inst, (status, _a) in paths.items()} == {
+        f"motz,n={n:02d}": "pass" for n in range(3)
+    }
+    assert raised[0] == "fail" and raised[1].startswith("ZeroDivisionError: ")
+    assert [row for row in rows if row[0] == "check_union_count"] == [
+        ["check_union_count", "n=04", "pass", "5"]
+    ]
 
 
 # a bijection check that finds a fault fails the row a passing run gives for
