@@ -58,6 +58,7 @@ from .closedform import (
     row_sums,
 )
 from .stats import (
+    comaj_path,
     comaj_plus_k,
     descent_set_plus_k,
     dyck_type,

@@ -144,7 +144,7 @@ def tableau_from_perm(w: Permutation) -> SetValuedTableau:
     for j, v in enumerate(vals):
         if is_min[j]:
             top[-1].append(v)
-            if 0 < j < m - 1 and vals[j - 1] > v < vals[j + 1]:
+            if 0 < j < m - 1 and vals[j - 1] > v:  # below vals[j + 1], as a minimum
                 top.append([])
         elif j == 0 or is_min[j - 1]:
             bot.append([v])

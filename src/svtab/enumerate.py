@@ -16,15 +16,13 @@ The move rule is stated once, in the per-ideal move table ``_Moves``, and
 the walker and both ideal DPs read it; the colored-path step rule is stated
 once, in ``_path_steps``, for the path walker and its DP, with the family's
 restrictions from ``core.PATH_RULES``.  The DPs visit no object: each is one
-forward pass of int weights (``_forward``) over the walker's states, the open
-ideal after each entry for ``count_svsyt`` and the height and whether a D was
-seen for ``count_paths``.  ``_comaj_walk`` tallies the walker's objects by
-their set-valued comajor index over states that also record the cell the last
-entry opened, each state's tally packed into one int that the ``_Moves``
-invariant keeps free of carries.  The posets read it, and ``verify`` sums it
-over the two-row rectangles as the oracle of the set-valued q-Catalan and
-q-Narayana polynomials, which ``stats`` computes by one ``_forward`` pass over
-``_path_steps``.
+forward pass of int weights (``_forward``) over the walker's states, whose
+steps yield (next state, exponent), 0 for the counts.  Every comajor DP is its
+exponent rule and one ``_q_tally`` call, the one packed pass, which alone sets
+the slot width, packs and unpacks: ``_comaj_walk`` here, over states that also
+record the cell the last entry opened; the cut rule in ``posets``; and the
+q-Narayana row in ``stats``, over ``_path_steps``, whose oracle in ``verify``
+is ``_comaj_walk`` summed over the two-row rectangles.
 """
 
 from __future__ import annotations
@@ -144,26 +142,36 @@ def _walk(preds: list[int], succs: list[int], total: int) -> Iterator[tuple[tupl
                 cells[placed.pop()].pop()
 
 
-def _forward(start, step, n: int) -> dict:
+def _forward(start, step, n: int, width: int = 0) -> dict:
     """The state -> int weight layer after n steps from {start: 1}.
 
-    A weight w moves along each (next state, shift) of ``step(state, left)``
-    as w << shift; ``left`` counts the steps after this one.
+    A weight w moves along each (next state, exponent e) of ``step(state,
+    left)`` as w << width * e; ``left`` counts the steps after this one.
     """
     layer = {start: 1}
     for left in range(n - 1, -1, -1):
         nxt: dict = {}
         for state, w in layer.items():
-            for up, shift in step(state, left):
-                nxt[up] = nxt.get(up, 0) + (w << shift)
+            for up, e in step(state, left):
+                nxt[up] = nxt.get(up, 0) + (w << width * e)
         layer = nxt
     return layer
 
 
-def _unpack(w: int, width: int) -> QPoly:
-    """The polynomial whose q^c coefficient sits in bits [c·width, (c+1)·width) of w."""
+def _q_tally(start, step, n: int, key) -> dict:
+    """key(final state) -> the tally of the walks ending there by exponent sum.
+
+    A count pass at width 0 sets B, the walk count's bit length (at least 1);
+    the packed pass holds the count of q^c in bits [cB, (c+1)B) of one int per
+    state.  No walk may dead-end, so no count in a layer exceeds the walk count
+    and no carry crosses a slot."""
+    width = max(1, sum(_forward(start, step, n).values()).bit_length())
     slot = (1 << width) - 1
-    return QPoly(w >> c * width & slot for c in range(w.bit_length() // width + 1))
+    packed: dict = {}
+    for state, w in _forward(start, step, n, width).items():
+        packed[key(state)] = packed.get(key(state), 0) + w
+    return {g: QPoly(w >> c * width & slot for c in range(w.bit_length() // width + 1))
+            for g, w in sorted(packed.items())}
 
 
 def _count_walk(preds: list[int], succs: list[int], total: int) -> int:
@@ -194,26 +202,16 @@ def _comaj_walk(preds: list[int], succs: list[int], total: int) -> QPoly:
     an appended entry e is a descent (total - e), and an entry e that opens
     cell i makes e - 1 a descent (total - e + 1) when e - 1 opened a cell of
     larger index.  So ``_count_walk``'s state gains the cell the last entry
-    opened (-1 after an append and before entry 1).
-
-    A state's tally {comaj so far: walks} is packed into one int, the count of
-    q^c in bits [cB, (c+1)B), so raising the comaj by c is a shift by cB.  B
-    bits suffice: every walk ends in a leaf (``_Moves``), so no count in any
-    layer exceeds the leaf count and no carry crosses a slot.  B is at least 1,
-    so a walk with no leaves decodes to zero.
-    """
+    opened (-1 after an append and before entry 1).  Every walk ends in a leaf
+    (``_Moves``), as ``_q_tally`` needs."""
     moves = _Moves(preds, succs)
-    width = max(1, _count_walk(preds, succs, total).bit_length())
 
     def step(state: tuple[int, int], left: int) -> Iterator[tuple[tuple[int, int], int]]:
         ideal, last = state
         for i, up in moves.legal(ideal, left):
-            if up == ideal:
-                yield (up, -1), width * left
-            else:
-                yield (up, i), width * (left + 1) if i < last else 0
+            yield ((up, -1), left) if up == ideal else ((up, i), left + 1 if i < last else 0)
 
-    return _unpack(sum(_forward((0, -1), step, total).values()), width)
+    return _q_tally((0, -1), step, total, lambda _state: 0).get(0, QPoly.zero())
 
 
 def _repack(shape: SkewShape, flat: tuple[tuple[int, ...], ...]) -> SetValuedTableau:

@@ -17,6 +17,7 @@ j = |ideal| after c = n + k - 1 - left - j cuts (``left`` steps follow).  In
 ``vartheta`` an uncut descent is worth (n - j) + (k - c) = left + 1, as in
 ``_comaj_walk``, and a cut n - j + c = 2(n - j) + k - 1 - left; a cut needs
 left >= n - j (the append rule), and one per append weighs it by ddeg(ideal).
+Its pass is ``enumerate._q_tally``, the packed pass of every comajor DP.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 from .biject import _insert, _insert_all, _peel
 from .core import (
@@ -37,7 +38,7 @@ from .core import (
     SvtabError,
 )
 from .enumerate import (
-    _Moves, _cell_masks, _comaj_walk, _forward, _unpack, _walk, as_skew, gen_svsyt
+    _Moves, _cell_masks, _comaj_walk, _q_tally, _walk, as_skew, gen_svsyt
 )
 from .rings import QPoly
 from .stats import descent_set_plus_k
@@ -405,23 +406,21 @@ def qbinom(a: int, b: int) -> QPoly:
 
 def _cut_weight_sum(poset: Poset, k: int, picks: bool) -> QPoly:
     """The cut rule's pass (module docstring), one cut move per pick if ``picks``
-    else one; slots of B >= 1 bits, B from the count, as no walk dead-ends."""
+    else one; no walk dead-ends, as a nonempty full ideal has a maximal element."""
     if k < 0:
         raise OutOfRange(f"need k >= 0, got {k}")
     moves = _Moves(*poset._cover_masks)
 
-    def step(state: tuple[int, int], left: int, width: int = 0):
+    def step(state: tuple[int, int], left: int):
         ideal, last = state
         unopened, every, opens = moves[ideal]
         for i, up in opens:
-            yield (up, i), width * (left + 1) if i < last else 0
+            yield (up, i), left + 1 if i < last else 0
         if left >= unopened:  # the append rule; with picks, a cut per append
             cuts = len(every) - len(opens) if picks else 1
-            yield from [((ideal, -1), width * (2 * unopened + k - 1 - left))] * cuts
+            yield from [((ideal, -1), 2 * unopened + k - 1 - left)] * cuts
 
-    start, total = (0, -1), poset.n + k
-    width = max(1, sum(_forward(start, step, total).values()).bit_length())
-    return _unpack(sum(_forward(start, partial(step, width=width), total).values()), width)
+    return _q_tally((0, -1), step, poset.n + k, lambda _state: 0).get(0, QPoly.zero())
 
 
 def sum_identity_check(poset: Poset, k: int) -> tuple[QPoly, QPoly]:

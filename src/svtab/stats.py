@@ -5,9 +5,10 @@ an entry j is a natural descent when j+1 lives at a smaller label (and both
 survive the removal of the non-minimal entries), or when j itself is one of
 the non-minimal entries.
 
-The set-valued q-Catalan and q-Narayana polynomials come from one pass over
-the motzET paths (``_q_narayana_row``), without building a tableau; the ideal
-DP and the enumeration tally they must equal are oracles in ``verify``.
+The set-valued q-Catalan and q-Narayana polynomials come from one
+``enumerate._q_tally`` pass over the motzET paths (``_q_narayana_row``) with
+the step exponents of ``comaj_path``, without building a tableau; the ideal DP
+and the enumeration tally they must equal are oracles in ``verify``.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from .core import (
     Permutation,
     SetValuedTableau,
 )
-from .enumerate import _forward, _path_steps, _unpack, count_paths
+from .enumerate import _path_steps, _q_tally
 from .rings import QPoly
 
 __all__ = [
     "descent_set_plus_k",
     "comaj_plus_k",
+    "comaj_path",
     "inner_valleys",
     "inner_peaks",
     "rl_minima",
@@ -128,6 +130,23 @@ def dyck_type(t: SetValuedTableau) -> tuple[int, tuple[int, ...], dict[int, int]
     return m, comp, dict(Counter(comp))
 
 
+def _comaj_exponent(ch: str, after_D: bool, left: int) -> int:
+    """What step ``ch`` adds to ``comaj_path``, with ``left`` steps after it."""
+    return left if ch in "ud" else left + 1 if ch == "U" and after_D else 0
+
+
+def comaj_path(p) -> int:
+    """The comajor of ``tableau_from_path(p)``, read along the motzET path p.
+
+    U or D is the least entry of a top or bottom cell, and u or d any other
+    entry.  Every non-least entry is a descent, and every top label is below
+    every bottom label, so among least entries only a D followed by a U is one.
+    So with N = len(p), step j adds N - j if it is u or d, and N - j + 1 if it
+    is the U of a DU."""
+    w = " " + p.word
+    return sum(_comaj_exponent(w[j], w[j - 1] == "D", len(w) - 1 - j) for j in range(1, len(w)))
+
+
 def set_valued_q_catalan(n: int) -> QPoly:
     """Comajor-index generating polynomial over the (n+1)-entry two-row union."""
     if n < 1:
@@ -137,38 +156,20 @@ def set_valued_q_catalan(n: int) -> QPoly:
 
 @lru_cache(maxsize=1)
 def _q_narayana_row(n: int) -> dict[int, QPoly]:
-    """m -> q-Narayana(n, m), by one ``_forward`` pass over the motzET paths
-    of length N = n + 1; callers go n by n, so one cached row serves every m.
-
-    ``tableau_from_path`` makes U or D the least entry of a top or bottom cell
-    and u or d any other entry.  Every non-least entry is a descent, and in a
-    2-by-b rectangle every top label is below every bottom label, so only a D
-    followed by a U is a descent among least entries.  So the comajor of
-    ``tableau_from_path(w)`` is the sum of N - j over every j with w_j in
-    {u, d} or w_j w_{j+1} = DU, and m, the top-row entry count, is #U + #u.
-
-    A state (height, D seen, last step was D, m) packs its tally {comaj:
-    paths} into one int, B bits per power of q.  No step goes above height
-    ``left``, and a prefix at height h <= left closes with h D steps and then
-    d steps (past the first step, height 0 means a D was seen).  So a live
-    state holds prefixes of distinct paths, and no count needs more than B,
-    the bit length of the number of paths.
-    """
-    total = n + 1
+    """m -> q-Narayana(n, m), by one ``_q_tally`` pass of ``comaj_path``'s
+    exponents over the length-(n + 1) motzET paths, in states (height, D seen,
+    last step D, m = #U + #u); callers go n by n, so one cached row serves all m.
+    No walk dead-ends: no step goes above height ``left``, and a prefix at
+    height h <= left closes by h D steps, then d steps (a D was seen by then)."""
     r1, r2, _ends_at_0 = PATH_RULES["motzET"]
-    width = count_paths("motzET", total).bit_length()
 
     def step(state: tuple[int, bool, bool, int], left: int) -> Iterator[tuple[tuple, int]]:
         h, seen_D, after_D, m = state
         for ch, nh, nD in _path_steps(h, seen_D, r1, r2):
             if nh <= left:
-                shift = left if ch in "ud" else left + 1 if ch == "U" and after_D else 0
-                yield (nh, nD, ch == "D", m + (ch in "Uu")), width * shift
+                yield (nh, nD, ch == "D", m + (ch in "Uu")), _comaj_exponent(ch, after_D, left)
 
-    packed: dict[int, int] = {}
-    for (_h, _seen_D, _after_D, m), w in _forward((0, False, False, 0), step, total).items():
-        packed[m] = packed.get(m, 0) + w
-    return {m: _unpack(w, width) for m, w in sorted(packed.items())}
+    return _q_tally((0, False, False, 0), step, n + 1, lambda state: state[3])
 
 
 def set_valued_q_narayana(n: int, m: int) -> QPoly:

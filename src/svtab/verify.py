@@ -21,6 +21,7 @@ import itertools
 import math
 import os
 import sys
+import traceback
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -97,6 +98,7 @@ from .series import (
     _shared_context,
 )
 from .stats import (
+    comaj_path,
     comaj_plus_k,
     dyck_type,
     inner_valleys,
@@ -324,7 +326,7 @@ def check_perm_bijection(n: int) -> Iterator[Row]:
 
 
 def check_path_bijection(n: int) -> Iterator[Row]:
-    """Tableau → motzET path and back; a fault is shown as in the perm check."""
+    """Tableau → motzET path: family, roundtrip, ``comaj_path``; faults as in the perm check."""
     seen, fault = set(), ""
     for t in gen_two_row_union(n):
         p = path_from_tableau(t)
@@ -335,6 +337,8 @@ def check_path_bijection(n: int) -> Iterator[Row]:
             fault = f"; image {p.word} of {t} not in motzET"
         elif tableau_from_path(p) != t:
             fault = f"; roundtrip of {t} gives {tableau_from_path(p)}"
+        elif comaj_path(p) != comaj_plus_k(t):
+            fault = f"; comaj_path {comaj_path(p)} of {p.word} != {comaj_plus_k(t)} of {t}"
     yield f"n={n:02d} distinct images", str(catalan(n - 1)), f"{len(seen)}{fault}"
 
 
@@ -793,9 +797,11 @@ def _run_task(task: Task) -> tuple[dict, list[CheckResult]]:
     """The task's rows in the order the check gives them, and its time record:
     suite, check, the kwargs but the poset, the task's wall seconds and its
     number of rows.  A check that raises, any exception, keeps the rows it
-    gave before the raise, followed by one failing row naming the exception."""
+    gave before the raise, followed by one failing row naming the exception,
+    and its record gains ``raised_at``, the innermost frame's "file:line in function"."""
     suite, check, kwargs = task
     args = {k: v for k, v in kwargs.items() if k != "poset"}
+    timing = {"suite": suite, "check": check, "kwargs": args}
     rows: list[Row] = []
     started = perf_counter()
     try:
@@ -804,14 +810,9 @@ def _run_task(task: Task) -> tuple[dict, list[CheckResult]]:
     except Exception as exc:  # a library bug fails its task, not the run
         instance = ",".join(f"{k}={v}" for k, v in args.items())
         rows.append((instance, "no exception", f"{type(exc).__name__}: {exc}"))
-    elapsed = perf_counter() - started
-    timing = {
-        "suite": suite,
-        "check": check,
-        "kwargs": args,
-        "seconds": round(elapsed, 6),
-        "rows": len(rows),
-    }
+        at = traceback.extract_tb(exc.__traceback__)[-1]
+        timing["raised_at"] = f"{os.path.basename(at.filename)}:{at.lineno} in {at.name}"
+    timing.update(seconds=round(perf_counter() - started, 6), rows=len(rows))
     return timing, [
         CheckResult(
             suite=suite,

@@ -171,6 +171,8 @@ class TestBallotBijection:
     def test_error(self):
         with pytest.raises(NotInFamily):
             tableau_from_ballot_path(ColoredPath("Ud"))
+        with pytest.raises(ShapeMismatch):
+            ballot_path_from_tableau(next(gen_svsyt((2, 1, 1), 0)))
 
 
 class TestPhi:

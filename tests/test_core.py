@@ -106,9 +106,13 @@ class TestSetValuedTableau:
         # row order: max of a cell must precede min of its right neighbor
         with pytest.raises(OrderViolation):
             validate_svsyt(SetValuedTableau.from_rows([[[2], [1]]]))
-        # column order
+        # column order, also at the last column of the lower row
         with pytest.raises(OrderViolation):
             validate_svsyt(SetValuedTableau.from_rows([[[2], [3]], [[1], [4]]]))
+        with pytest.raises(OrderViolation):
+            validate_svsyt(SetValuedTableau.from_rows([[[2]], [[1]]]))
+        with pytest.raises(OrderViolation):
+            validate_svsyt(SetValuedTableau.from_rows([[[1], [4]], [[2], [3]]]))
 
     @pytest.mark.parametrize(
         "rows",

@@ -4,8 +4,9 @@ from collections import Counter
 
 import pytest
 
+from svtab.biject import path_from_tableau
 from svtab.closedform import catalan, kreweras, narayana
-from svtab.core import NotInFamily, OutOfRange, Permutation, SetValuedTableau
+from svtab.core import ColoredPath, NotInFamily, OutOfRange, Permutation, SetValuedTableau
 from svtab.enumerate import (
     _cell_masks,
     _comaj_walk,
@@ -16,6 +17,7 @@ from svtab.enumerate import (
 )
 from svtab.rings import QPoly
 from svtab.stats import (
+    comaj_path,
     comaj_plus_k,
     ddeg,
     descent_set_plus_k,
@@ -233,6 +235,15 @@ def test_q_analogs_match_the_enumeration_tally_by_m():
             assert set_valued_q_narayana(n, m) == want, (n, m)
             total = total + want
         assert set_valued_q_catalan(n) == total, n
+
+
+def test_comaj_path_reads_the_tableau_comajor_along_its_path():
+    # UDUuDd is {1} {3,4} / {2} {5,6}: the DU at 2 adds 6 - 2, the u at 4 adds
+    # 6 - 4 and the d at 6 adds 0
+    assert comaj_path(ColoredPath("UDUuDd")) == 6
+    for n in range(2, 11):
+        for t in gen_two_row_union(n):
+            assert comaj_path(path_from_tableau(t)) == comaj_plus_k(t), str(t)
 
 
 def test_dyck_type_rejects_entry_one_below_the_top_row_under_O(raised_under_O):

@@ -750,6 +750,22 @@ def test_library_bug_fails_its_task_not_the_run():
     ]
 
 
+def test_a_raising_task_names_its_frame(monkeypatch):
+    # the same plant in process: the time record names the plant's frame
+    real = svtab.verify.count_paths
+
+    def planted(family, n):
+        return real(family, n) // (0 if n == 3 else 1)
+
+    monkeypatch.setattr(svtab.verify, "count_paths", planted)
+    raising = ("counts", "check_path_count", {"family": "motz", "nmax": 6})
+    timing, _rows = svtab.verify._run_task(raising)
+    line = planted.__code__.co_firstlineno + 1
+    assert timing["raised_at"] == f"test_verify.py:{line} in planted"
+    timing, _rows = svtab.verify._run_task(("counts", "check_union_count", {"n": 4}))
+    assert "raised_at" not in timing
+
+
 # a bijection check that finds a fault fails the row a passing run gives for
 # that instance, with the first witness after the passing actual
 
@@ -788,6 +804,40 @@ def test_failing_bijection_check_fails_its_own_rows(monkeypatch, check, kwargs, 
     for good, bad in zip(passing, failing):
         assert bad.expected == good.expected
         assert bad.actual.startswith(f"{good.actual}; roundtrip of ")
+
+
+# the path check reads the comajor along each path with the exponent rule the
+# q-row pass runs; a DU that adds left in place of left + 1 fails its row
+_DU_EXPONENT_SCRIPT = _PLANT_HEAD + """
+import svtab.stats as st
+st._comaj_exponent = lambda ch, after_D, left: (
+    left if ch in "ud" else left if ch == "U" and after_D else 0
+)
+timing, results = v._run_task(("bijections", "check_path_bijection", {"n": 4}))
+print(json.dumps([(r.instance, r.status, r.expected, r.actual) for r in results]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_wrong_du_exponent_fails_the_path_bijection_row(flags):
+    (passing,) = run_tasks([("bijections", "check_path_bijection", {"n": 4})], threads=1)
+    assert passing.ok and passing.actual == "5"
+    src = str(Path(svtab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _DU_EXPONENT_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert json.loads(proc.stdout) == [
+        [
+            "n=04 distinct images",
+            "fail",
+            "5",
+            "5; comaj_path 1 of UDUD != 2 of {1} {3} / {2} {4}",
+        ]
+    ]
 
 
 # walker tableaux are built without checks; check_walker_tableaux validates
