@@ -14,7 +14,8 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
+from operator import or_
 
 from .core import (
     ColoredPath,
@@ -312,24 +313,26 @@ def _peel(blocks: Sequence[Sequence[int]]) -> tuple[list[int], list[int], list[i
     return [b[0] - bisect_left(xs, b[0]) for b in blocks], cuts, picks
 
 
-def _frame(base: list[int], cuts: tuple[int, ...], low: int):
-    """The part of ``_insert`` that depends only on (base, cuts).
+def _ideals(base: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The part of ``_insert`` that depends only on the base: the elements in
+    base-entry order and the prefix ideals (``ideal[t]`` is the bitmask of
+    elements whose base entry is at most t)."""
+    order = tuple(sorted(range(len(base)), key=base.__getitem__))
+    return order, tuple(accumulate((1 << y for y in order), or_, initial=0))
 
-    Raises unless the cuts weakly increase within low..n.  Returns the
-    elements in base-entry order, the prefix ideals (``ideal[t]`` is the
-    bitmask of elements whose base entry is at most t) and every element's
-    base entry v shifted up to v + #{i : cuts[i-1] < v}, as a 1-tuple.
+
+def _frame(base: Sequence[int], cuts: tuple[int, ...], low: int) -> list[tuple[int]]:
+    """The part of ``_insert`` that depends on the cuts.
+
+    Raises unless the cuts weakly increase within low..n.  Returns every
+    element's base entry v shifted up to v + #{i : cuts[i-1] < v}, as a 1-tuple.
     """
     n = len(base)
     if cuts and not (low <= min(cuts) and max(cuts) <= n):
         raise InvalidPick(f"cuts out of range {low}..{n}: {cuts}")
     if sorted(cuts) != list(cuts):
         raise InvalidPick(f"cuts must weakly increase: {cuts}")
-    order = sorted(range(n), key=base.__getitem__)
-    ideal = [0] * (n + 1)
-    for t, y in enumerate(order, start=1):
-        ideal[t] = ideal[t - 1] | 1 << y
-    return order, ideal, [(v + bisect_left(cuts, v),) for v in base]
+    return [(v + bisect_left(cuts, v),) for v in base]
 
 
 def _insert(
@@ -353,7 +356,8 @@ def _insert(
     """
     if len(picks) != len(cuts):
         raise InvalidPick("cuts and picks must have equal length")
-    _order, ideal, blocks = _frame(base, cuts, 1)
+    blocks = _frame(base, cuts, 1)
+    ideal = _ideals(base)[1]
     for i, (cut, p) in enumerate(zip(cuts, picks), start=1):
         x = index.get(p)
         if x is None:
@@ -367,20 +371,29 @@ def _insert(
 
 
 def _insert_all(
-    base: list[int], succs: list[int], cuts: tuple[int, ...], names: Sequence
+    base: Sequence[int],
+    succs: list[int],
+    cuts: tuple[int, ...],
+    names: Sequence,
+    ideals: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
 ):
     """``_insert`` for every legal pick vector of these cuts at once.
 
-    Yields (picks, blocks), a pick of element x named ``names[x]``: pick i
-    ranges over the maximal elements of the ideal of cut i in base-entry
-    order, and the vectors come in ``itertools.product`` order.  The frame is
-    built once and the vectors grow stage by stage, so each extra entry is
-    added once per prefix of picks; the blocks of every vector of these cuts
-    are held at once.  A cut of 0 has an empty ideal, hence no legal pick, so
-    nothing is yielded; cuts out of 0..n or not weakly increasing raise as in
-    ``_insert``.
+    ``ideals`` is ``_ideals(base)``, built here unless a caller composing
+    many cut vectors on one base passes it built once.  Yields (picks,
+    blocks), a pick of element x named ``names[x]``: pick i ranges over the
+    maximal elements of the ideal of cut i in base-entry order, and the
+    vectors come in ``itertools.product`` order.  The frame is built once and
+    the vectors grow stage by stage, so each extra entry is added once per
+    prefix of picks; the blocks of every vector of these cuts are held at
+    once.  Cuts out of 0..n or not weakly increasing raise as in ``_insert``;
+    a cut of 0 has an empty ideal, hence no legal pick, so nothing more is
+    done.
     """
-    order, ideal, frame = _frame(base, cuts, 0)
+    frame = _frame(base, cuts, 0)
+    if cuts and not cuts[0]:
+        return
+    order, ideal = ideals or _ideals(base)
     grown = [((), frame)]  # every pick vector of the stages so far, with its blocks
     for i, cut in enumerate(cuts, start=1):
         pool = [x for x in order[:cut] if not succs[x] & ideal[cut]]

@@ -25,9 +25,9 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .biject import _insert, _insert_all, _peel
+from .biject import _ideals, _insert, _insert_all, _peel
 from .core import (
     EmptyCell,
     InvalidPick,
@@ -270,6 +270,15 @@ def _extension_times(poset: Poset, ext: tuple[int, ...]) -> list[int]:
     return time_of
 
 
+@lru_cache(maxsize=1)
+def _extension_frame(poset: Poset, ext: tuple[int, ...]):
+    """``_extension_times`` and ``biject._ideals`` of one extension, as
+    tuples, kept for its next cut vector: ``verify`` composes every cut
+    vector of one extension in a row."""
+    time_of = tuple(_extension_times(poset, ext))
+    return time_of, _ideals(time_of)
+
+
 def compose_extension(
     poset: Poset,
     ext: tuple[int, ...],
@@ -297,14 +306,15 @@ def compose_extensions(poset: Poset, ext: tuple[int, ...], cuts: tuple[int, ...]
 
     Yields (picks, object), pick i ranging over the maximal elements of the
     first cuts[i-1] elements of ext in the order ext lists them, the vectors
-    in ``itertools.product`` order.  The extension is checked once and the
-    shifted base built once (``biject._insert_all``); every object is still
+    in ``itertools.product`` order.  The extension's check and prefix ideals
+    are built once per extension (``_extension_frame``) and the shifted base
+    once per cut vector (``biject._insert_all``); every object is still
     checked.  A cut of 0 leaves no legal pick, so nothing is yielded.
     """
-    time_of = _extension_times(poset, ext)
+    time_of, ideals = _extension_frame(poset, ext)
     trusted = SetValuedLinearExtension._trusted
     succs = poset._cover_masks[1]
-    for picks, blocks in _insert_all(time_of, succs, cuts, poset.elements):
+    for picks, blocks in _insert_all(time_of, succs, cuts, poset.elements, ideals):
         _check_blocks(poset, blocks)
         yield picks, trusted(poset, blocks)
 

@@ -5,14 +5,15 @@ against an independent computation (enumeration, a recursion, a second form).
 ``COUNT_ORACLES`` is the one table of counts and their oracles: ``svtab count
 --oracle`` reads it, and the count checks call the same oracle functions.
 Checks are grouped into suites, sharded into self-contained tasks, and run
-across processes.  ``_SIZES`` is the one table of task sizes, one column per
-budget of ``BUDGETS``; ``build_tasks`` reads every size from it.  Every
-``check_*`` function is a generator that yields one row per instance, so a
-failure carries its own counterexample; ``_CHECKS`` collects them by that
-prefix.  A check that raises, any exception, keeps the rows it yielded before
-the raise, followed by one failing row naming the exception: it fails its
-task, not the run.  A task's wall time is the one timing record; rows carry
-no time.
+across processes; only a run with more than one worker imports the process
+pool, so a serial run never loads ``multiprocessing``.  ``_SIZES`` is the one
+table of task sizes, one column per budget of ``BUDGETS``; ``build_tasks``
+reads every size from it.  Every ``check_*`` function is a generator that
+yields one row per instance, so a failure carries its own counterexample;
+``_CHECKS`` collects them by that prefix.  A check that raises, any
+exception, keeps the rows it yielded before the raise, followed by one
+failing row naming the exception: it fails its task, not the run.  A task's
+wall time is the one timing record; rows carry no time.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import os
 import sys
 import traceback
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
@@ -848,14 +848,17 @@ def _longest_first(tasks) -> list[Task]:
 def _run_timed(tasks, threads: int | None = None) -> tuple[list[CheckResult], list[dict]]:
     """Run tasks, in worker processes when more than one thread is allowed.
 
-    Workers take the tasks longest first.  Returns the rows, sorted so that
-    the order of hand-out does not show in them, and one time record per
+    Only that branch imports the process pool, in the parent before any
+    fork.  Workers take the tasks longest first.  Returns the rows, sorted so
+    that the order of hand-out does not show in them, and one time record per
     task (see ``_run_task``) in the order of hand-out.
     """
     n = threads if threads is not None else available_threads()
     if n <= 1 or len(tasks) <= 1:
         outs = [_run_task(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(n, len(tasks))) as pool:
             outs = list(pool.map(_run_task, _longest_first(tasks), chunksize=1))
     results: list[CheckResult] = []

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import svtab.posets
 from svtab.closedform import binom, hook_count
 from svtab.core import (
     EmptyCell,
@@ -278,6 +279,21 @@ class TestComposeExtensions:
     def test_cut_zero_yields_nothing(self):
         for cuts in [(0,), (0, 0), (0, 2), (0, 1, 2)]:
             assert list(compose_extensions(antichain(2), (1, 2), cuts)) == []
+
+    def test_extension_checked_once_for_all_its_cut_vectors(self, monkeypatch):
+        calls = []
+        real = svtab.posets._extension_times
+        monkeypatch.setattr(
+            svtab.posets,
+            "_extension_times",
+            lambda poset, ext: calls.append(ext) or real(poset, ext),
+        )
+        svtab.posets._extension_frame.cache_clear()
+        poset = antichain(3)
+        for ext in [(1, 2, 3), (2, 1, 3)]:
+            for cuts in itertools.combinations_with_replacement(range(4), 2):
+                list(compose_extensions(poset, ext, cuts))
+        assert calls == [(1, 2, 3), (2, 1, 3)]
 
     def test_no_cuts_yield_the_extension_itself(self):
         (item,) = compose_extensions(VEE, (2, 1, 3), ())

@@ -866,3 +866,48 @@ def test_walker_tableaux_row_fails_on_swapped_entries(monkeypatch):
     assert (failing.instance, failing.expected) == (passing.instance, passing.expected)
     assert not failing.ok
     assert failing.actual == "0 valid tableaux; fails at {2,3,4,5,6} / {1}"
+
+
+# the process pool is imported by a run with more than one worker and more
+# than one task, and by nothing else: the import, a CLI command and a serial
+# run leave ``multiprocessing`` unloaded
+_POOL_MODULES_SCRIPT = """
+import contextlib, io, json, sys
+import svtab, svtab.verify, svtab.cli
+from svtab.verify import build_tasks, run_tasks
+
+POOL = ("concurrent.futures.process", "multiprocessing")
+loaded = lambda: [m for m in POOL if m in sys.modules]
+seen = {"import": loaded()}
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = svtab.cli.main(["count", "--formula", "act", "--b", "5", "--k", "3", "--oracle"])
+seen["cli"] = loaded()
+tasks = build_tasks(["counts"], "quick")
+serial = run_tasks(tasks, threads=1)
+seen["serial"] = loaded()
+parallel = run_tasks(tasks, threads=2)
+seen["parallel"] = loaded()
+print(json.dumps({"seen": seen, "code": code, "count": out.getvalue(),
+                  "tasks": len(tasks), "rows": len(serial), "same": parallel == serial}))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_a_serial_run_never_loads_the_pool(flags):
+    src = str(Path(svtab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _POOL_MODULES_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    got = json.loads(proc.stdout)
+    assert got["seen"] == {
+        "import": [],
+        "cli": [],
+        "serial": [],
+        "parallel": ["concurrent.futures.process", "multiprocessing"],
+    }
+    assert got["code"] == 0 and got["count"] == "37180,37180,ok\n"
+    assert got["tasks"] >= 2 and got["rows"] > 0 and got["same"]
