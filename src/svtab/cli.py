@@ -19,8 +19,10 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from functools import partial
+from operator import attrgetter
 from time import perf_counter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .biject import (
     compose,
@@ -53,7 +55,6 @@ from .verify import (
     report_dict,
     report_text,
     _run_timed,
-    _worker_count,
 )
 
 __all__ = ["main"]
@@ -124,54 +125,58 @@ def _tableau_from_text(text: str) -> SetValuedTableau:
     return SetValuedTableau.from_rows(rows)
 
 
-def _obj_text(obj) -> str:
-    if isinstance(obj, SetValuedTableau):
-        return str(obj)
-    if isinstance(obj, Permutation):
-        return obj.to_text()
-    got = _obj_json(obj)
-    return got if isinstance(got, str) else json.dumps(got)
+def _json_only(_line: str):
+    raise UsageError("triples are JSON-only; use --input json")
 
 
-def _obj_json(obj):
-    if isinstance(obj, SetValuedTableau):
-        return obj.to_json_dict()
-    if isinstance(obj, Permutation):
-        return list(obj.word)
-    if isinstance(obj, ColoredPath):
-        return obj.word
-    if isinstance(obj, Triple):
-        return obj.to_json_dict()
-    raise AssertionError(f"unexpected object {obj!r}")
+class _Kind(NamedTuple):
+    """A kind's readers (of one stripped line, or its decoded JSON) and writers."""
+
+    read_text: Callable
+    write_text: Callable
+    read_json: Callable
+    write_json: Callable
+
+
+_word = attrgetter("word")
+_KINDS = {
+    "tableau": _Kind(_tableau_from_text, str, SetValuedTableau.from_json_dict,
+                     SetValuedTableau.to_json_dict),
+    "perm": _Kind(Permutation.from_text, Permutation.to_text,
+                  lambda data: Permutation(_json_ints(data)), lambda w: list(w.word)),
+    "path": _Kind(ColoredPath, _word, lambda data: ColoredPath(str(data)), _word),
+    "triple": _Kind(_json_only, lambda tr: json.dumps(tr.to_json_dict()), Triple.from_json_dict,
+                    Triple.to_json_dict),
+}
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_enumerate(args: argparse.Namespace) -> tuple[int, str]:
-    family = args.family
-    if family == "svsyt":
-        (shape,) = _require(args, "shape")
-        stream = gen_svsyt(shape, args.k)
-    elif family == "two-row-union":
-        (n,) = _require(args, "n")
-        stream = gen_two_row_union(n)
-    elif family == "avoid321":
-        (n,) = _require(args, "n")
-        stream = gen_avoid321(n)
-    elif family == "ballotlike" and args.i is not None:
-        (n,) = _require(args, "n")
-        stream = gen_ballotlike(n, args.i)
-    else:
-        (n,) = _require(args, "n")
-        stream = gen_paths(family, n)
+def _gen_ballotlike(n: int, i: int | None):
+    return gen_paths("ballotlike", n) if i is None else gen_ballotlike(n, i)
 
+
+# enumerate --family -> (object kind, options, generator of their values);
+# the first option is required
+_FAMILIES: dict[str, tuple[str, tuple[str, ...], Callable]] = {
+    "svsyt": ("tableau", ("shape", "k"), gen_svsyt),
+    "two-row-union": ("tableau", ("n",), gen_two_row_union),
+    "avoid321": ("perm", ("n",), gen_avoid321),
+    **{family: ("path", ("n",), partial(gen_paths, family)) for family in PATH_FAMILIES},
+    "ballotlike": ("path", ("n", "i"), _gen_ballotlike),
+}
+
+
+def cmd_enumerate(args: argparse.Namespace) -> tuple[int, str]:
+    kind_name, (first, *rest), gen = _FAMILIES[args.family]
+    stream = gen(*_require(args, first), *(getattr(args, name) for name in rest))
     if args.emit == "count":
         return 0, str(sum(1 for _ in stream))
-    return 0, "\n".join(
-        json.dumps(_obj_json(o)) if args.emit == "json" else _obj_text(o) for o in stream
-    )
+    kind = _KINDS[kind_name]
+    write = kind.write_text if args.emit == "text" else lambda o: json.dumps(kind.write_json(o))
+    return 0, "\n".join(map(write, stream))
 
 
 def cmd_count(args: argparse.Namespace) -> tuple[int, str]:
@@ -220,54 +225,37 @@ def cmd_qtable(args: argparse.Namespace) -> tuple[int, str]:
     return 0, "\n".join(",".join(map(str, p.coeffs)) for p in polys.values())
 
 
-_BIJECTIONS: dict[str, tuple[str, Callable]] = {
-    # map name -> (input kind, function)
-    "alpha": ("tableau", perm_from_tableau),
-    "alpha-inv": ("perm", tableau_from_perm),
-    "beta": ("tableau", path_from_tableau),
-    "beta-inv": ("path", tableau_from_path),
-    "phi": ("path", contract_path),
-    "phi-inv": ("path", expand_path),
-    "decompose": ("tableau", decompose),
-    "compose": ("triple", compose),
+_BIJECTIONS: dict[str, tuple[str, str, Callable]] = {
+    # map name -> (input kind, output kind, function)
+    "alpha": ("tableau", "perm", perm_from_tableau),
+    "alpha-inv": ("perm", "tableau", tableau_from_perm),
+    "beta": ("tableau", "path", path_from_tableau),
+    "beta-inv": ("path", "tableau", tableau_from_path),
+    "phi": ("path", "path", contract_path),
+    "phi-inv": ("path", "path", expand_path),
+    "decompose": ("tableau", "triple", decompose),
+    "compose": ("triple", "tableau", compose),
 }
 
 
-def _read_object(kind: str, line: str, input_fmt: str):
-    if input_fmt == "json":
-        data = json.loads(line)
-        if kind == "tableau":
-            return SetValuedTableau.from_json_dict(data)
-        if kind == "perm":
-            return Permutation(_json_ints(data))
-        if kind == "path":
-            return ColoredPath(str(data))
-        return Triple.from_json_dict(data)
-    if kind == "tableau":
-        return _tableau_from_text(line)
-    if kind == "perm":
-        return Permutation.from_text(line)
-    if kind == "path":
-        return ColoredPath(line.strip())
-    raise UsageError("triples are JSON-only; use --input json")
-
-
 def cmd_biject(args: argparse.Namespace) -> tuple[int, str]:
-    kind, fn = _BIJECTIONS[args.map]
+    in_kind, out_kind, fn = _BIJECTIONS[args.map]
+    src, dst = _KINDS[in_kind], _KINDS[out_kind]
     lines_out = []
     for raw in sys.stdin:
         line = raw.strip()
         if not line:
             continue
         try:
-            obj = _read_object(kind, line, args.input)
+            obj = src.read_json(json.loads(line)) if args.input == "json" else src.read_text(line)
         except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSONDecodeError
             raise UsageError(f"bad input line {line!r}: {exc}") from None
         image = fn(obj)
         if args.input == "json":
-            lines_out.append(json.dumps({"input": _obj_json(obj), "output": _obj_json(image)}))
+            pair = {"input": src.write_json(obj), "output": dst.write_json(image)}
+            lines_out.append(json.dumps(pair))
         else:
-            lines_out.append(f"{_obj_text(obj)} => {_obj_text(image)}")
+            lines_out.append(f"{src.write_text(obj)} => {dst.write_text(image)}")
     return 0, "\n".join(lines_out)
 
 
@@ -297,10 +285,9 @@ def cmd_expect(args: argparse.Namespace) -> tuple[int, str]:
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     suites = SUITES if args.suite == "all" else (args.suite,)
     tasks = build_tasks(suites, budget=args.budget)
-    if args.parallel is None:
-        threads = available_threads()
-    else:
-        threads = _worker_count(args.parallel, "--parallel")
+    threads = available_threads() if args.parallel is None else args.parallel
+    if threads < 1:
+        raise UsageError(f"--parallel must be a positive integer, got {threads}")
     started = perf_counter()
     results, timings = _run_timed(tasks, threads=threads)
     wall = perf_counter() - started
@@ -326,11 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write to this file instead of stdout")
 
     p = sub.add_parser("enumerate", help="stream objects of a family")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=("svsyt", "two-row-union", "avoid321") + PATH_FAMILIES,
-    )
+    p.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     p.add_argument("--shape", type=_parse_shape, help="comma-separated partition, e.g. 3,3")
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--n", type=int)
@@ -388,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--parallel",
         type=int,
-        help="worker count; default is SVTAB_THREADS or the logical core count",
+        help="worker count; default is the logical core count",
     )
     add_output(p)
 

@@ -15,7 +15,8 @@ Conventions used throughout the package:
 * Path words use the four-letter step alphabet U (up), D (down), u (level,
   first color), d (level, second color); heights never go negative.
 * ``PATH_RULES`` is the one family table of the colored paths: each family's
-  restrictions and whether it ends at height 0.
+  restrictions and whether it ends at height 0.  A path's one scan, when it
+  is made, records the traits that ``path_family`` looks up.
 * All types are immutable and hashable, safe to share across threads.
 """
 
@@ -412,21 +413,30 @@ _PATH_TAGS = {
 
 @dataclass(frozen=True)
 class ColoredPath:
-    """Bicolored Motzkin-style step word; construction rejects negative heights."""
+    """Bicolored Motzkin-style step word; construction rejects negative heights
+    and records the traits (r1 holds, r2 holds, ends at 0) of ``_PATH_TAGS``."""
 
     word: str
 
     def __post_init__(self):
         h = 0
+        r1 = r2 = True
+        seen_D = False
         for i, ch in enumerate(self.word):
             if ch == "U":
                 h += 1
             elif ch == "D":
+                if not h:
+                    raise NegativeHeight(f"height dips below 0 at position {i + 1}")
                 h -= 1
-            elif ch not in ("u", "d"):
+                seen_D = True
+            elif ch == "u":
+                r1 = r1 and h > 0
+            elif ch == "d":
+                r2 = r2 and seen_D
+            else:
                 raise NotInFamily(f"bad step {ch!r} at position {i + 1}")
-            if h < 0:
-                raise NegativeHeight(f"height dips below 0 at position {i + 1}")
+        object.__setattr__(self, "_traits", (r1, r2, h == 0))
 
     def __len__(self) -> int:
         return len(self.word)
@@ -449,18 +459,5 @@ class ColoredPath:
 
 
 def path_family(p: ColoredPath) -> frozenset[str]:
-    """Family tags of a path, from one scan of its word and ``PATH_RULES``."""
-    r1 = r2 = True
-    h = 0
-    seen_D = False
-    for ch in p.word:
-        if ch == "U":
-            h += 1
-        elif ch == "D":
-            h -= 1
-            seen_D = True
-        elif ch == "u" and h == 0:
-            r1 = False
-        elif ch == "d" and not seen_D:
-            r2 = False
-    return _PATH_TAGS[r1, r2, h == 0]
+    """Family tags of a path, from the traits its construction recorded."""
+    return _PATH_TAGS[p._traits]

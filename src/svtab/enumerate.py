@@ -17,12 +17,14 @@ the walker and both ideal DPs read it; the colored-path step rule is stated
 once, in ``_path_steps``, for the path walker and its DP, with the family's
 restrictions from ``core.PATH_RULES``.  The DPs visit no object: each is one
 forward pass of int weights (``_forward``) over the walker's states, whose
-steps yield (next state, exponent), 0 for the counts.  Every comajor DP is its
-exponent rule and one ``_q_tally`` call, the one packed pass, which alone sets
-the slot width, packs and unpacks: ``_comaj_walk`` here, over states that also
-record the cell the last entry opened; the cut rule in ``posets``; and the
-q-Narayana row in ``stats``, over ``_path_steps``, whose oracle in ``verify``
-is ``_comaj_walk`` summed over the two-row rectangles.
+steps yield (exponent, next state), 0 for the counts; the tableau count
+steps by the move table itself (at width 0 a move's cell shifts nothing).
+Every comajor DP is its exponent rule and one ``_q_tally`` call, the one
+packed pass, which alone sets the slot width, packs and unpacks:
+``_comaj_walk`` here, over states that also record the cell the last entry
+opened; the cut rule in ``posets``; and the q-Narayana row in ``stats``, over
+``_path_steps``, whose oracle in ``verify`` is ``_comaj_walk`` summed over the
+two-row rectangles.
 """
 
 from __future__ import annotations
@@ -145,14 +147,14 @@ def _walk(preds: list[int], succs: list[int], total: int) -> Iterator[tuple[tupl
 def _forward(start, step, n: int, width: int = 0) -> dict:
     """The state -> int weight layer after n steps from {start: 1}.
 
-    A weight w moves along each (next state, exponent e) of ``step(state,
+    A weight w moves along each (exponent e, next state) of ``step(state,
     left)`` as w << width * e; ``left`` counts the steps after this one.
     """
     layer = {start: 1}
     for left in range(n - 1, -1, -1):
         nxt: dict = {}
         for state, w in layer.items():
-            for up, e in step(state, left):
+            for e, up in step(state, left):
                 nxt[up] = nxt.get(up, 0) + (w << width * e)
         layer = nxt
     return layer
@@ -179,19 +181,9 @@ def _count_walk(preds: list[int], succs: list[int], total: int) -> int:
 
     The subtree below a node of the walk depends only on the next entry and
     the ideal of open cells, so the leaves are counted one entry at a time
-    over the reachable ideals, building each ideal's two step lists once.
-    """
-    moves = _Moves(preds, succs)
-    steps: dict[int, tuple[int, list[tuple[int, int]], list[tuple[int, int]]]] = {}
-
-    def step(ideal: int, left: int) -> list[tuple[int, int]]:
-        if ideal not in steps:
-            unopened, every, opens = moves[ideal]
-            steps[ideal] = unopened, [(up, 0) for _i, up in every], [(up, 0) for _i, up in opens]
-        unopened, every, opens = steps[ideal]
-        return every if left >= unopened else opens
-
-    return sum(_forward(0, step, total).values())
+    over the reachable ideals.  The legal moves (cell, ideal after) are the
+    steps: at width 0 the cell, in the exponent's place, shifts nothing."""
+    return sum(_forward(0, _Moves(preds, succs).legal, total).values())
 
 
 def _comaj_walk(preds: list[int], succs: list[int], total: int) -> QPoly:
@@ -206,10 +198,10 @@ def _comaj_walk(preds: list[int], succs: list[int], total: int) -> QPoly:
     (``_Moves``), as ``_q_tally`` needs."""
     moves = _Moves(preds, succs)
 
-    def step(state: tuple[int, int], left: int) -> Iterator[tuple[tuple[int, int], int]]:
+    def step(state: tuple[int, int], left: int) -> Iterator[tuple[int, tuple[int, int]]]:
         ideal, last = state
         for i, up in moves.legal(ideal, left):
-            yield ((up, -1), left) if up == ideal else ((up, i), left + 1 if i < last else 0)
+            yield (left, (up, -1)) if up == ideal else (left + 1 if i < last else 0, (up, i))
 
     return _q_tally((0, -1), step, total, lambda _state: 0).get(0, QPoly.zero())
 
@@ -341,8 +333,8 @@ def count_paths(family: str, n: int) -> int:
     r1, r2, end = _family_rules(family, n)
 
     @lru_cache(maxsize=None)
-    def steps(state: tuple[int, bool]) -> list[tuple[tuple[int, bool], int]]:
-        return [((nh, nD), 0) for _ch, nh, nD in _path_steps(*state, r1, r2)]
+    def steps(state: tuple[int, bool]) -> list[tuple[int, tuple[int, bool]]]:
+        return [(0, (nh, nD)) for _ch, nh, nD in _path_steps(*state, r1, r2)]
 
     layer = _forward((0, False), lambda state, _left: steps(state), n)
     return sum(ways for (h, _), ways in layer.items() if end is None or h == end)

@@ -425,10 +425,10 @@ def _cut_weight_sum(poset: Poset, k: int, picks: bool) -> QPoly:
         ideal, last = state
         unopened, every, opens = moves[ideal]
         for i, up in opens:
-            yield (up, i), left + 1 if i < last else 0
+            yield left + 1 if i < last else 0, (up, i)
         if left >= unopened:  # the append rule; with picks, a cut per append
             cuts = len(every) - len(opens) if picks else 1
-            yield from [((ideal, -1), 2 * unopened + k - 1 - left)] * cuts
+            yield from [(2 * unopened + k - 1 - left, (ideal, -1))] * cuts
 
     return _q_tally((0, -1), step, poset.n + k, lambda _state: 0).get(0, QPoly.zero())
 

@@ -163,11 +163,11 @@ def _q_narayana_row(n: int) -> dict[int, QPoly]:
     height h <= left closes by h D steps, then d steps (a D was seen by then)."""
     r1, r2, _ends_at_0 = PATH_RULES["motzET"]
 
-    def step(state: tuple[int, bool, bool, int], left: int) -> Iterator[tuple[tuple, int]]:
+    def step(state: tuple[int, bool, bool, int], left: int) -> Iterator[tuple[int, tuple]]:
         h, seen_D, after_D, m = state
         for ch, nh, nD in _path_steps(h, seen_D, r1, r2):
             if nh <= left:
-                yield (nh, nD, ch == "D", m + (ch in "Uu")), _comaj_exponent(ch, after_D, left)
+                yield _comaj_exponent(ch, after_D, left), (nh, nD, ch == "D", m + (ch in "Uu"))
 
     return _q_tally((0, False, False, 0), step, n + 1, lambda state: state[3])
 

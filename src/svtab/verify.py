@@ -137,23 +137,8 @@ class CheckResult:
 
 
 def available_threads() -> int:
-    """Worker count: SVTAB_THREADS when set, else the logical core count."""
-    env = os.environ.get("SVTAB_THREADS")
-    if env is not None:
-        return _worker_count(env, "SVTAB_THREADS")
+    """The default worker count: the logical core count."""
     return os.cpu_count() or 1
-
-
-def _worker_count(value: int | str, source: str) -> int:
-    """``value`` as a worker count; SvtabError naming ``source`` unless it is
-    an integer >= 1."""
-    try:
-        n = int(value)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise SvtabError(f"{source} must be a positive integer, got {value!r}")
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +377,17 @@ def check_triple_roundtrip(n: int) -> Iterator[Row]:
     yield _count_row(f"n={n:02d}", catalan(n - 1), "roundtrips", outcomes)
 
 
-def _rotates_back(t) -> bool:
+def _checks_out(t, k: int) -> bool:
+    try:
+        return validate_svsyt(t) == k
+    except SvtabError:
+        return False
+
+
+def _rotates_back(t, k: int) -> bool:
+    """t's image, made without checks, is valid, notched, with k extras, and turns back to t."""
     r = rotate_complement(t)
-    return tuple(r.shape.inner) == (1,) and rotate_complement(r) == t
+    return tuple(r.shape.inner) == (1,) and _checks_out(r, k) and rotate_complement(r) == t
 
 
 def check_rotation(n: int) -> Iterator[Row]:
@@ -402,16 +395,9 @@ def check_rotation(n: int) -> Iterator[Row]:
     shapes = [((b + 1, b), n - 1 - 2 * b) for b in range(1, (n - 1) // 2 + 1)]
     want = sum(count_svsyt(shape, k) for shape, k in shapes)
     outcomes = (
-        (_rotates_back(t), t) for shape, k in shapes for t in gen_svsyt(shape, k)
+        (_rotates_back(t, k), t) for shape, k in shapes for t in gen_svsyt(shape, k)
     )
     yield _count_row(f"n={n}", want, "involutions", outcomes)
-
-
-def _checks_out(t, k: int) -> bool:
-    try:
-        return validate_svsyt(t) == k
-    except SvtabError:
-        return False
 
 
 def check_walker_tableaux(n: int) -> Iterator[Row]:
@@ -661,12 +647,13 @@ def check_pi_permutation(nmax: int) -> Iterator[Row]:
 
 
 def check_equidistribution(shape: tuple[int, ...], kmax: int) -> Iterator[Row]:
+    """The descent-set tables of a shape and its conjugate, compared here."""
     for k in range(kmax + 1):
-        ok, t1, t2 = equidistribution_check(shape, k)
+        _equal, t1, t2 = equidistribution_check(shape, k)
         yield (
             f"shape={shape},k={k}",
             f"{sum(t1.values())} tableaux, tables equal",
-            f"{sum(t2.values())} tableaux, tables {'equal' if ok else 'differ'}",
+            f"{sum(t2.values())} tableaux, tables {'equal' if t1 == t2 else 'differ'}",
         )
 
 
@@ -845,7 +832,7 @@ def _longest_first(tasks) -> list[Task]:
     return sorted(tasks, key=key)
 
 
-def _run_timed(tasks, threads: int | None = None) -> tuple[list[CheckResult], list[dict]]:
+def _run_timed(tasks, threads: int) -> tuple[list[CheckResult], list[dict]]:
     """Run tasks, in worker processes when more than one thread is allowed.
 
     Only that branch imports the process pool, in the parent before any
@@ -853,13 +840,12 @@ def _run_timed(tasks, threads: int | None = None) -> tuple[list[CheckResult], li
     that the order of hand-out does not show in them, and one time record per
     task (see ``_run_task``) in the order of hand-out.
     """
-    n = threads if threads is not None else available_threads()
-    if n <= 1 or len(tasks) <= 1:
+    if threads <= 1 or len(tasks) <= 1:
         outs = [_run_task(t) for t in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(n, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             outs = list(pool.map(_run_task, _longest_first(tasks), chunksize=1))
     results: list[CheckResult] = []
     for _timing, rows in outs:
@@ -868,7 +854,7 @@ def _run_timed(tasks, threads: int | None = None) -> tuple[list[CheckResult], li
     return results, [timing for timing, _rows in outs]
 
 
-def run_tasks(tasks, threads: int | None = None) -> list[CheckResult]:
+def run_tasks(tasks, threads: int) -> list[CheckResult]:
     """The rows of ``_run_timed``, without the time records."""
     return _run_timed(tasks, threads)[0]
 

@@ -459,12 +459,6 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert f"--parallel must be a positive integer, got {count}" in err
 
-    def test_bad_thread_variable_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("SVTAB_THREADS", "abc")
-        code, out, err = run(capsys, "verify", "--suite", "qstats", "--budget", "quick")
-        assert (code, out) == (2, "")
-        assert "SVTAB_THREADS must be a positive integer, got 'abc'" in err
-
     def test_unknown_budget_names_the_budgets(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "qstats", "--budget", "deep")
         assert (code, out) == (2, "")

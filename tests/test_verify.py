@@ -59,15 +59,8 @@ def test_f_row_matches_the_closed_form_at_300():
     assert _f_row(300) == [f_count(300, i) for i in range(301)]
 
 
-def test_available_threads_env(monkeypatch):
-    monkeypatch.setenv("SVTAB_THREADS", "3")
-    assert available_threads() == 3
-    for bad in ("0", "-2", "abc", ""):
-        monkeypatch.setenv("SVTAB_THREADS", bad)
-        with pytest.raises(SvtabError, match="SVTAB_THREADS must be a positive integer"):
-            available_threads()
-    monkeypatch.delenv("SVTAB_THREADS")
-    assert available_threads() >= 1
+def test_available_threads_is_the_core_count():
+    assert available_threads() == (os.cpu_count() or 1) >= 1
 
 
 def test_build_tasks_budgets():
@@ -770,10 +763,10 @@ def test_a_raising_task_names_its_frame(monkeypatch):
 # that instance, with the first witness after the passing actual
 
 
-def _entries_plus_one(real):
+def _entries_shifted(real, by=1):
     def planted(x):
         t = real(x)
-        rows = tuple(tuple(tuple(e + 1 for e in cell) for cell in row) for row in t.rows)
+        rows = tuple(tuple(tuple(e + by for e in cell) for cell in row) for row in t.rows)
         return SetValuedTableau._trusted(t.shape, rows)
 
     return planted
@@ -784,9 +777,9 @@ def _one_step_longer(real):
 
 
 BIJECTION_PLANTS = [
-    ("check_perm_bijection", {"n": 4}, "tableau_from_perm", _entries_plus_one),
-    ("check_path_bijection", {"n": 4}, "tableau_from_path", _entries_plus_one),
-    ("check_ballot_bijection", {"n": 3}, "tableau_from_ballot_path", _entries_plus_one),
+    ("check_perm_bijection", {"n": 4}, "tableau_from_perm", _entries_shifted),
+    ("check_path_bijection", {"n": 4}, "tableau_from_path", _entries_shifted),
+    ("check_ballot_bijection", {"n": 3}, "tableau_from_ballot_path", _entries_shifted),
     ("check_contract_images", {"n": 4}, "expand_path", _one_step_longer),
 ]
 
@@ -866,6 +859,54 @@ def test_walker_tableaux_row_fails_on_swapped_entries(monkeypatch):
     assert (failing.instance, failing.expected) == (passing.instance, passing.expected)
     assert not failing.ok
     assert failing.actual == "0 valid tableaux; fails at {2,3,4,5,6} / {1}"
+
+
+# rotate_complement builds its image without checks; check_rotation validates
+# each one.  Images whose entries are 2 lower (total - 1 - v in place of
+# total + 1 - v) still turn back to the tableau, so only the validation fails them
+
+
+def test_rotation_row_fails_on_shifted_images(monkeypatch):
+    task = ("bijections", "check_rotation", {"n": 7})
+    (passing,) = run_tasks([task], threads=1)
+    assert passing.ok and passing.actual == "296 involutions"
+    real = svtab.verify.rotate_complement
+    monkeypatch.setattr(svtab.verify, "rotate_complement", _entries_shifted(real, by=-2))
+    (failing,) = run_tasks([task], threads=1)
+    assert (failing.instance, failing.expected) == (passing.instance, passing.expected)
+    assert not failing.ok
+    assert failing.actual.startswith("0 involutions; fails at ")
+
+
+# check_equidistribution compares the two descent-set tables itself: a library
+# flag that calls two tables of equal sums equal does not pass the row
+
+
+def _flag_moved_count_equal(real):
+    def planted(shape, k):
+        _equal, t1, t2 = real(shape, k)
+        moved = dict(t2)
+        moved[next(iter(moved))] -= 1
+        moved[frozenset({0})] = 1
+        return True, t1, moved
+
+    return planted
+
+
+def test_equidistribution_row_compares_the_tables(monkeypatch):
+    task = ("posets", "check_equidistribution", {"shape": (3, 2), "kmax": 2})
+    passing = run_tasks([task], threads=1)
+    real = svtab.verify.equidistribution_check
+    monkeypatch.setattr(svtab.verify, "equidistribution_check", _flag_moved_count_equal(real))
+    failing = run_tasks([task], threads=1)
+    assert len(passing) == 3 and all(r.ok for r in passing)
+    assert [(r.instance, r.expected) for r in failing] == [
+        (r.instance, r.expected) for r in passing
+    ]
+    assert [r.actual for r in failing] == [
+        r.actual.replace("tables equal", "tables differ") for r in passing
+    ]
+    assert not any(r.ok for r in failing)
 
 
 # the process pool is imported by a run with more than one worker and more
