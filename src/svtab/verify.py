@@ -6,14 +6,14 @@ against an independent computation (enumeration, a recursion, a second form).
 --oracle`` reads it, and the count checks call the same oracle functions.
 Checks are grouped into suites, sharded into self-contained tasks, and run
 across processes; only a run with more than one worker imports the process
-pool, so a serial run never loads ``multiprocessing``.  ``_SIZES`` is the one
-table of task sizes, one column per budget of ``BUDGETS``; ``build_tasks``
-reads every size from it.  Every ``check_*`` function is a generator that
-yields one row per instance, so a failure carries its own counterexample;
-``_CHECKS`` collects them by that prefix.  A check that raises, any
-exception, keeps the rows it yielded before the raise, followed by one
-failing row naming the exception: it fails its task, not the run.  A task's
-wall time is the one timing record; rows carry no time.
+pool, so a serial run never loads ``multiprocessing``.  ``_TASKS`` has one row
+per check, with its suite, its size at each budget of ``BUDGETS`` and its
+tasks at a size; ``build_tasks`` reads them from it alone.  Every ``check_*``
+function is a generator that yields one row per instance, so a failure carries
+its own counterexample; ``_CHECKS`` collects them by that prefix.  A check
+that raises, any exception, keeps the rows it yielded before the raise,
+followed by one failing row naming the exception: it fails its task, not the
+run.  A task's wall time is the one timing record; rows carry no time.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .closedform import (
     peaks_count,
     row_sums,
 )
-from .core import PATH_FAMILIES, SvtabError, path_family, validate_svsyt
+from .core import PATH_FAMILIES, Partition, SkewShape, SvtabError, path_family, validate_svsyt
 from .enumerate import (
     count_paths,
     count_svsyt,
@@ -269,16 +269,16 @@ def check_path_count(family: str, nmax: int) -> Iterator[Row]:
 
 
 def check_more_shapes(n: int) -> Iterator[Row]:
+    """Both two-row shape family counts vs the ideal DP summed over their shapes."""
     first, second = more_shapes_counts(n)
     alt = Fraction(3 * binom(2 * n - 2, n), n + 1)
     yield f"n={n} first two ways", str(Fraction(first)), str(alt)
-    if n <= 8:
-        got = 0
-        for b in range((n + 1) // 2 + 1):
-            k = n - 1 - 2 * b
-            if k >= 0:
-                got += count_svsyt((b + 1,) if b == 0 else (b + 1, b), k)
-        yield f"n={n} near-rectangles", str(first), str(got)
+    near = ((b + 1, b) if b else (1,) for b in range((n + 1) // 2))
+    got = sum(count_svsyt(shape, n - sum(shape)) for shape in near)
+    yield f"n={n} near-rectangles", str(first), str(got)
+    notched = (SkewShape(Partition((b + 1, b)), Partition((1,))) for b in range(1, (n + 1) // 2))
+    got = sum(count_svsyt(shape, n - 1 - shape.ncells) for shape in notched)
+    yield f"n={n} skew near-rectangles", str(second), str(got)
 
 
 def check_avoid321_count(n: int) -> Iterator[Row]:
@@ -431,7 +431,7 @@ def check_series_taylor() -> Iterator[Row]:
 
 
 def check_marker_tally(family: str, n: int) -> Iterator[Row]:
-    ctx = _shared_context(8)
+    ctx = _shared_context(n)
     slot = {"motz": ctx.E, "motzE": ctx.E1, "motzT": ctx.E2, "motzET": ctx.E12}
     tally = MultiPoly.zero()
     for p in gen_paths(family, n):
@@ -570,7 +570,8 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> Iterator[Row]:
     are validated; the walker's are valid by construction, so a walker object
     that is not valid shows as "not composed" in the routes row.  Each object
     is dropped once its key is taken, so the route check holds keys, not
-    objects.
+    objects.  At k = 0 the walker's count is compared with the permutations
+    that respect ``Poset.above``, the one count that reads no cover mask.
     """
     tag = f"{name},k={k}"
     lhs, rhs = sum_identity_check(poset, k)
@@ -621,6 +622,10 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> Iterator[Row]:
     if extra or composed:
         routes += f", {extra} not composed, {len(composed)} not walked"
     yield f"{tag} routes", f"{made} objects", routes
+    if k == 0:
+        perms = itertools.permutations(poset.elements)
+        brute = sum(all(poset.above[x] <= set(w[i:]) for i, x in enumerate(w)) for w in perms)
+        yield f"{tag} linear extensions", str(brute), str(walked)
 
     dp = _comaj_walk(*poset._cover_masks, poset.n + k)
     if small:
@@ -668,42 +673,78 @@ Task = tuple[str, str, dict]
 
 BUDGETS = ("quick", "desk")
 
-# Every task size, one column per budget in BUDGETS: a new budget is one more
-# column.  The shape, path and q-analog sizes are DPs, so desk runs them past
+
+def _each_n(first: int) -> Callable[[int], list[dict]]:
+    return lambda last: [{"n": n} for n in range(first, last + 1)]
+
+
+def _at(*keys: str) -> Callable:
+    """One task: the size under its one key, a tuple of sizes under as many, or no kwargs."""
+    return lambda size: [dict(zip(keys, size if len(keys) > 1 else (size,)))]
+
+
+def _shape_tasks(top: int) -> list[dict]:
+    return [{"b": b, "top": top} for b in range(1, top // 2 + 1)]
+
+
+def _path_tasks(nmax: int) -> list[dict]:
+    return [{"family": fam, "nmax": nmax} for fam in sorted(PATH_FAMILIES)]
+
+
+def _marker_tasks(last: int) -> list[dict]:
+    fams = ("motz", "motzE", "motzET", "motzT")
+    return [{"family": f, "n": n} for f in fams for n in range(f == "motzET", last + 1)]
+
+
+def _poset_tasks(size: tuple[int, int]) -> list[dict]:
+    nmax, kmax = size
+    posets = [(name, poset) for name, poset in catalog() if poset.n <= nmax]
+    return [{"name": name, "poset": p, "k": k} for name, p in posets for k in range(kmax + 1)]
+
+
+def _equidistribution_tasks(size: tuple[int, int]) -> list[dict]:
+    top, kmax = size
+    return [{"shape": s, "kmax": kmax} for t in range(1, top + 1) for s in _partitions(t)]
+
+
+# (suite, check, its size at each budget of BUDGETS, its tasks' kwargs at a
+# size).  The shape, path and q-analog sizes are DPs, so desk runs them past
 # the enumeration ceiling.
-_SIZES = {
-    "union_n": (9, 12),
-    "two_row_n": (6, 8),
-    "f_nmax": (12, 30),
-    "shape_top": (9, 24),
-    "path_nmax": (8, 30),
-    "more_shapes_n": (8, 15),
-    "avoid321_n": (8, 8),
-    "perm_path_n": (8, 10),
-    "ballot_n": (6, 8),
-    "contract_n": (7, 9),
-    "triple_n": (8, 10),
-    "rotation_n": (7, 9),
-    "walker_n": (8, 10),
-    "series_order": (6, 10),
-    "marker_n": (6, 8),
-    "expected_n": (8, 12),
-    "peaks_order": (6, 8),
-    "q_row_sum_n": (6, 20),
-    "q_oracle_n": (6, 9),
-    "catalan_nmax": (12, 20),
-    "narayana_nmax": (8, 14),
-    "kreweras_n": (7, 9),
-    "poset_n": (4, 6),
-    "poset_k": (2, 3),
-    "pi_nmax": (6, 8),
-    "shape_total": (4, 5),
-}
+_TASKS: tuple[tuple[str, str, tuple, Callable[..., list[dict]]], ...] = (
+    ("counts", "check_union_count", (9, 12), _each_n(2)),
+    ("counts", "check_two_row_counts", (6, 8), _each_n(0)),
+    ("counts", "check_f_recursion", (12, 30), _at("nmax")),
+    ("counts", "check_shape_count", (9, 24), _shape_tasks),
+    ("counts", "check_path_count", (8, 30), _path_tasks),
+    ("counts", "check_more_shapes", (8, 15), _each_n(3)),
+    ("counts", "check_avoid321_count", (8, 8), _each_n(0)),
+    ("bijections", "check_perm_bijection", (8, 10), _each_n(2)),
+    ("bijections", "check_path_bijection", (8, 10), _each_n(2)),
+    ("bijections", "check_ballot_bijection", (6, 8), _each_n(1)),
+    ("bijections", "check_contract_images", (7, 9), _each_n(1)),
+    ("bijections", "check_triple_roundtrip", (8, 10), _each_n(2)),
+    ("bijections", "check_rotation", (7, 9), _each_n(3)),
+    ("bijections", "check_walker_tableaux", (8, 10), _each_n(2)),
+    ("series", "check_series_residuals", (6, 10), _at("order")),
+    ("series", "check_closed_form_E", (6, 10), _at("order")),
+    ("series", "check_series_taylor", (None, None), _at()),
+    ("series", "check_marker_tally", (6, 8), _marker_tasks),
+    ("series", "check_expected_steps", (8, 12), _each_n(2)),
+    ("series", "check_peaks_series", (6, 8), _at("order")),
+    ("qstats", "check_q_catalan", (None, None), _at()),
+    ("qstats", "check_q_narayana", (None, None), _at()),
+    ("qstats", "check_q_row_sum", (6, 20), _each_n(1)),
+    ("qstats", "check_q_oracle", (6, 9), _each_n(1)),
+    ("qstats", "check_q_at_one", ((12, 8), (20, 14)), _at("catalan_nmax", "narayana_nmax")),
+    ("qstats", "check_kreweras_types", (7, 9), _each_n(2)),
+    ("posets", "check_poset_identities", ((4, 2), (6, 3)), _poset_tasks),
+    ("posets", "check_pi_permutation", (6, 8), _at("nmax")),
+    ("posets", "check_equidistribution", ((4, 2), (5, 2)), _equidistribution_tasks),
+)
 
 
 def build_tasks(suites, budget: str = "desk") -> list[Task]:
-    """Expand suite names into sharded (suite, check, kwargs) tasks, sized by
-    the ``budget`` column of ``_SIZES``."""
+    """The (suite, check, kwargs) tasks of each ``_TASKS`` row of the chosen suites."""
     if budget not in BUDGETS:
         raise SvtabError(f"unknown budget {budget!r}")
     chosen = tuple(suites)
@@ -711,73 +752,12 @@ def build_tasks(suites, budget: str = "desk") -> list[Task]:
         if s not in SUITES:
             raise SvtabError(f"unknown suite {s!r}; choose from {SUITES}")
     column = BUDGETS.index(budget)
-    size = {name: row[column] for name, row in _SIZES.items()}
-
-    def per_n(suite: str, check: str, first: int, last: str) -> list[Task]:
-        """One task per n from ``first`` to the size named ``last``."""
-        return [(suite, check, {"n": n}) for n in range(first, size[last] + 1)]
-
-    tasks: list[Task] = []
-    if "counts" in chosen:
-        tasks += per_n("counts", "check_union_count", 2, "union_n")
-        tasks += per_n("counts", "check_two_row_counts", 0, "two_row_n")
-        tasks.append(("counts", "check_f_recursion", {"nmax": size["f_nmax"]}))
-        tasks += [
-            ("counts", "check_shape_count", {"b": b, "top": size["shape_top"]})
-            for b in range(1, size["shape_top"] // 2 + 1)
-        ]
-        tasks += [
-            ("counts", "check_path_count", {"family": fam, "nmax": size["path_nmax"]})
-            for fam in sorted(PATH_FAMILIES)
-        ]
-        tasks += per_n("counts", "check_more_shapes", 3, "more_shapes_n")
-        tasks += per_n("counts", "check_avoid321_count", 0, "avoid321_n")
-
-    if "bijections" in chosen:
-        for n in range(2, size["perm_path_n"] + 1):
-            tasks.append(("bijections", "check_perm_bijection", {"n": n}))
-            tasks.append(("bijections", "check_path_bijection", {"n": n}))
-        tasks += per_n("bijections", "check_ballot_bijection", 1, "ballot_n")
-        tasks += per_n("bijections", "check_contract_images", 1, "contract_n")
-        tasks += per_n("bijections", "check_triple_roundtrip", 2, "triple_n")
-        tasks += per_n("bijections", "check_rotation", 3, "rotation_n")
-        tasks += per_n("bijections", "check_walker_tableaux", 2, "walker_n")
-
-    if "series" in chosen:
-        tasks.append(("series", "check_series_residuals", {"order": size["series_order"]}))
-        tasks.append(("series", "check_closed_form_E", {"order": size["series_order"]}))
-        tasks.append(("series", "check_series_taylor", {}))
-        for fam in ("motz", "motzE", "motzET", "motzT"):
-            lo = 0 if fam != "motzET" else 1
-            for n in range(lo, size["marker_n"] + 1):
-                tasks.append(("series", "check_marker_tally", {"family": fam, "n": n}))
-        tasks += per_n("series", "check_expected_steps", 2, "expected_n")
-        tasks.append(("series", "check_peaks_series", {"order": size["peaks_order"]}))
-
-    if "qstats" in chosen:
-        tasks.append(("qstats", "check_q_catalan", {}))
-        tasks.append(("qstats", "check_q_narayana", {}))
-        tasks += per_n("qstats", "check_q_row_sum", 1, "q_row_sum_n")
-        tasks += per_n("qstats", "check_q_oracle", 1, "q_oracle_n")
-        at_one = {key: size[key] for key in ("catalan_nmax", "narayana_nmax")}
-        tasks.append(("qstats", "check_q_at_one", at_one))
-        tasks += per_n("qstats", "check_kreweras_types", 2, "kreweras_n")
-
-    if "posets" in chosen:
-        tasks += [
-            ("posets", "check_poset_identities", {"name": name, "poset": poset, "k": k})
-            for name, poset in catalog()
-            if poset.n <= size["poset_n"]
-            for k in range(size["poset_k"] + 1)
-        ]
-        tasks.append(("posets", "check_pi_permutation", {"nmax": size["pi_nmax"]}))
-        kmax = min(size["poset_k"], 2)
-        tasks += [
-            ("posets", "check_equidistribution", {"shape": shape, "kmax": kmax})
-            for total in range(1, size["shape_total"] + 1)
-            for shape in _partitions(total)
-        ]
-    return tasks
+    return [
+        (suite, check, kwargs)
+        for suite, check, sizes, expand in _TASKS
+        if suite in chosen
+        for kwargs in expand(sizes[column])
+    ]
 
 
 def _run_task(task: Task) -> tuple[dict, list[CheckResult]]:

@@ -15,9 +15,10 @@ import pytest
 import svtab
 import svtab.enumerate
 import svtab.posets
+import svtab.series
 import svtab.stats
 import svtab.verify
-from svtab.closedform import f_count
+from svtab.closedform import catalan, f_count
 from svtab.core import SetValuedTableau, SvtabError
 from svtab.posets import catalog, sv_linear_extensions
 from svtab.rings import QPoly
@@ -27,6 +28,8 @@ from svtab.verify import (
     CheckResult,
     available_threads,
     build_tasks,
+    check_marker_tally,
+    check_more_shapes,
     check_poset_identities,
     check_q_at_one,
     report_dict,
@@ -296,6 +299,27 @@ def test_object_composed_twice_fails_routes_past_n_4(monkeypatch):
     monkeypatch.setattr(svtab.verify, "compose_extensions", twice)
     rows = check_poset_identities("chain5", dict(catalog())["chain5"], 1)
     assert _failing(rows) == {"routes"}
+
+
+# at k = 0 the linear-extensions row counts the permutations that respect
+# ``Poset.above``, so it reads the order without the cover masks that every
+# other route reads: lower-cover masks shifted one bit up fail that row alone
+
+
+def test_linear_extension_row_reads_the_order_not_the_masks(monkeypatch):
+    vee = dict(catalog())["vee"]
+    rows = list(check_poset_identities("vee", vee, 0))
+    assert ("vee,k=0 linear extensions", "2", "2") in rows and not _failing(rows)
+    real = svtab.posets.Poset._cover_masks.func
+
+    def shifted(poset):
+        preds, succs = real(poset)
+        return [m << 1 for m in preds], succs
+
+    monkeypatch.setattr(svtab.posets.Poset, "_cover_masks", property(shifted))
+    failing = [_failing(check_poset_identities(name, p, 0)) for name, p in catalog()]
+    assert failing.count({"linear extensions"}) == 39
+    assert failing.count(set()) == len(failing) - 39
 
 
 def test_every_poset_row_can_fail():
@@ -907,6 +931,33 @@ def test_equidistribution_row_compares_the_tables(monkeypatch):
         r.actual.replace("tables equal", "tables differ") for r in passing
     ]
     assert not any(r.ok for r in failing)
+
+
+# check_more_shapes reads both counts of ``more_shapes_counts``: a second
+# count with the sign of its cat(n - 2) term flipped fails the skew row
+
+
+def test_skew_near_rectangle_row_reads_the_second_count(monkeypatch):
+    assert not any(_failing(check_more_shapes(n)) for n in range(3, 16))
+    real = svtab.verify.more_shapes_counts
+
+    def planted(n):
+        first, _second = real(n)
+        return first, catalan(n) - 2 * catalan(n - 1) - catalan(n - 2)
+
+    monkeypatch.setattr(svtab.verify, "more_shapes_counts", planted)
+    for n in range(3, 9):
+        assert _failing(check_more_shapes(n)) == {"skew near-rectangles"}
+
+
+# check_marker_tally reads its coefficient from a series built to its own n,
+# past the order 12 that the shared series context starts at
+
+
+def test_marker_tally_past_order_12(monkeypatch):
+    monkeypatch.setattr(svtab.series, "_CTX", None)
+    ((instance, want, got),) = check_marker_tally("motzET", 13)
+    assert instance == "motzET,n=13" and want == got
 
 
 # the process pool is imported by a run with more than one worker and more
