@@ -181,7 +181,7 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_count(args: argparse.Namespace) -> tuple[int, str]:
     kind = "formula" if args.formula else "family"
-    names, value_fn, oracle_fn = COUNT_ORACLES[kind][args.formula or args.family]
+    names, value_fn, oracle_fn, _grid, _sizes = COUNT_ORACLES[kind][args.formula or args.family]
     params = _require(args, *names)
     value = value_fn(*params)
     if not args.oracle:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-import threading
 
 from .core import OutOfRange
 from .rings import MARKERS, MultiPoly, QPoly, TSeries, square_pairs
@@ -132,16 +131,14 @@ class SeriesContext:
         }
 
 
-_CTX_LOCK = threading.Lock()
 _CTX: SeriesContext | None = None
 
 
 def _shared_context(order: int) -> SeriesContext:
     global _CTX
-    with _CTX_LOCK:
-        if _CTX is None or _CTX.order < order:
-            _CTX = SeriesContext.build(max(order, 12))
-        return _CTX
+    if _CTX is None or _CTX.order < order:
+        _CTX = SeriesContext.build(max(order, 12))
+    return _CTX
 
 
 def expected_steps(n: int, step: str) -> Fraction:

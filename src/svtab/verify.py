@@ -2,8 +2,9 @@
 
 Every closed form and identity in the package is checked here, and only here,
 against an independent computation (enumeration, a recursion, a second form).
-``COUNT_ORACLES`` is the one table of counts and their oracles: ``svtab count
---oracle`` reads it, and the count checks call the same oracle functions.
+``COUNT_ORACLES`` is the one table that pairs each count with its oracle, and
+states its grid of parameters and its size at each budget: ``svtab count
+--oracle`` reads it, and ``check_count`` checks each entry over its grid.
 Checks are grouped into suites, sharded into self-contained tasks, and run
 across processes; only a run with more than one worker imports the process
 pool, so a serial run never loads ``multiprocessing``.  ``_TASKS`` has one row
@@ -91,6 +92,7 @@ from .posets import (
 )
 from .rings import MultiPoly, QPoly
 from .series import (
+    SeriesContext,
     closed_form_E,
     expected_steps,
     peaks_genfun_check,
@@ -120,6 +122,7 @@ __all__ = [
 ]
 
 SUITES = ("counts", "bijections", "series", "qstats", "posets")
+BUDGETS = ("quick", "desk")
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,6 @@ def _tally(gen: Callable[..., Iterator]) -> Callable[..., int]:
     return lambda *params: sum(1 for _ in gen(*params))
 
 
-_avoid321_tally = _tally(gen_avoid321)
 _union_tally = _tally(gen_two_row_union)
 
 
@@ -178,31 +180,54 @@ def _rectangle_dp(b: int, k: int) -> int:
     return count_svsyt((b, b), k)
 
 
-COUNT_ORACLES: dict[str, dict[str, tuple[tuple[str, ...], Callable, Callable]]] = {
-    # kind -> name -> (parameter names, closed form or DP, independent oracle)
+def _upto(first: int) -> Callable[[int], list[tuple]]:
+    return lambda size: [(n,) for n in range(first, size + 1)]
+
+
+def _triangle(first: int) -> Callable[[int], list[tuple]]:
+    return lambda size: [(n, i) for n in range(first, size + 1) for i in range(first, n + 1)]
+
+
+def _rectangles(top: int) -> list[tuple]:
+    """The 2-by-b rectangles with k extra entries, 2b + k <= top."""
+    return [(b, k) for b in range(1, top // 2 + 1) for k in range(top - 2 * b + 1)]
+
+
+def _shapes(cells: int) -> list[tuple]:
+    """Each partition of 1..cells cells, with k <= 2 extra entries."""
+    return [(s, k) for t in range(1, cells + 1) for s in _partitions(t) for k in range(3)]
+
+
+# kind -> name -> (parameter names, closed form or DP, independent oracle,
+# its grid of parameter tuples at a size, its size at each budget of BUDGETS)
+COUNT_ORACLES: dict[str, dict[str, tuple[tuple[str, ...], Callable, Callable, Callable, tuple]]] = {
     "formula": {
-        "ballot": (("n", "i"), ballot_count, _tally(gen_ballotlike)),
+        "ballot": (("n", "i"), ballot_count, _tally(gen_ballotlike), _triangle(0), (6, 8)),
         "e": (
-            ("n", "i"),
-            e_count,
+            ("n", "i"), e_count,
             lambda n, i: sum("D" not in p.word for p in gen_ballotlike(n, i)),
+            _triangle(0), (6, 8),
         ),
-        "f": (("n", "i"), f_count, _f_rec),
-        "act": (("b", "k"), act_count, _rectangle_dp),
-        "peaks": (("b", "k"), peaks_count, _rectangle_dp),
-        "catalan": (("n",), catalan, _avoid321_tally),
+        "f": (("n", "i"), f_count, _f_rec, _triangle(0), (12, 30)),
+        "act": (("b", "k"), act_count, _rectangle_dp, _rectangles, (9, 24)),
+        "peaks": (("b", "k"), peaks_count, _rectangle_dp, _rectangles, (9, 24)),
+        # the paper's model: two-row tableaux with n + 1 entries
+        "catalan": (("n",), catalan, lambda n: _union_tally(n + 1), _upto(1), (8, 11)),
         "narayana": (
-            ("n", "m"),
-            narayana,
+            ("n", "m"), narayana,
             lambda n, m: sum(1 for t in gen_two_row_union(n + 1) if dyck_type(t)[0] == m),
+            _triangle(1), (6, 7),
         ),
     },
     "family": {
-        "two-row-union": (("n",), count_two_row_union, _union_tally),
-        "svsyt": (("shape", "k"), count_svsyt, _tally(gen_svsyt)),
-        "avoid321": (("n",), catalan, _avoid321_tally),
+        "two-row-union": (("n",), count_two_row_union, _union_tally, _upto(2), (9, 10)),
+        "svsyt": (("shape", "k"), count_svsyt, _tally(gen_svsyt), _shapes, (4, 5)),
+        "avoid321": (("n",), catalan, _tally(gen_avoid321), _upto(0), (8, 8)),
         **{
-            fam: (("n",), partial(path_family_count, fam), partial(count_paths, fam))
+            fam: (
+                ("n",), partial(path_family_count, fam), partial(count_paths, fam),
+                _upto(0), (8, 30),
+            )
             for fam in PATH_FAMILIES
         },
     },
@@ -230,9 +255,14 @@ def _count_row(instance: str, want: int, noun: str, outcomes) -> Row:
     return instance, f"{want} {noun}", f"{done} {noun}{bad}"
 
 
-def check_union_count(n: int) -> Iterator[Row]:
-    """Two-row tableaux with n total entries, streamed and counted."""
-    yield f"n={n:02d}", str(catalan(n - 1)), str(_union_tally(n))
+def check_count(kind: str, name: str, size) -> Iterator[Row]:
+    """One ``COUNT_ORACLES`` entry over its grid at ``size``: a row per value of
+    the first parameter, the oracle's values against the count's over the rest."""
+    names, count, oracle, grid, _sizes = COUNT_ORACLES[kind][name]
+    for first, points in itertools.groupby(grid(size), key=lambda p: p[0]):
+        points = list(points)
+        values = (",".join(str(fn(*p)) for p in points) for fn in (oracle, count))
+        yield f"{name},{names[0]}={str(first).zfill(2)}", *values
 
 
 def check_two_row_counts(n: int) -> Iterator[Row]:
@@ -248,26 +278,6 @@ def check_two_row_counts(n: int) -> Iterator[Row]:
         yield f"n={n} sums", str(sums), str(row_sums(n))
 
 
-def check_f_recursion(nmax: int) -> Iterator[Row]:
-    """Closed-form f against the step recursion, past the enumeration ceiling."""
-    for n in range(nmax + 1):
-        yield f"n={n:02d}", str(_f_row(n)), str([f_count(n, i) for i in range(n + 1)])
-
-
-def check_shape_count(b: int, top: int) -> Iterator[Row]:
-    """Hook-length formula vs peak formula vs the ideal DP, 2-by-b, 2b+k <= top."""
-    for k in range(top - 2 * b + 1):
-        oracle = _rectangle_dp(b, k)
-        yield f"b={b},k={k}", f"{oracle},{oracle}", f"{act_count(b, k)},{peaks_count(b, k)}"
-
-
-def check_path_count(family: str, nmax: int) -> Iterator[Row]:
-    """Closed-form family count vs the step DP, one row per length n <= nmax."""
-    lo = 2 if family == "motzET" else 0  # motzET below n = 2 is a convention
-    for n in range(lo, nmax + 1):
-        yield f"{family},n={n:02d}", str(path_family_count(family, n)), str(count_paths(family, n))
-
-
 def check_more_shapes(n: int) -> Iterator[Row]:
     """Both two-row shape family counts vs the ideal DP summed over their shapes."""
     first, second = more_shapes_counts(n)
@@ -279,10 +289,6 @@ def check_more_shapes(n: int) -> Iterator[Row]:
     notched = (SkewShape(Partition((b + 1, b)), Partition((1,))) for b in range(1, (n + 1) // 2))
     got = sum(count_svsyt(shape, n - 1 - shape.ncells) for shape in notched)
     yield f"n={n} skew near-rectangles", str(second), str(got)
-
-
-def check_avoid321_count(n: int) -> Iterator[Row]:
-    yield f"n={n}", str(catalan(n)), str(_avoid321_tally(n))
 
 
 def check_perm_bijection(n: int) -> Iterator[Row]:
@@ -407,7 +413,7 @@ def check_walker_tableaux(n: int) -> Iterator[Row]:
 
 
 def check_series_residuals(order: int) -> Iterator[Row]:
-    for name, poly in sorted(_shared_context(order).residuals().items()):
+    for name, poly in sorted(SeriesContext.build(order).residuals().items()):
         yield f"{name} residual, order {order}", "0", "0" if not poly else str(poly)
 
 
@@ -671,9 +677,6 @@ _CHECKS = {name: fn for name, fn in globals().items() if name.startswith("check_
 Task = tuple[str, str, dict]
 
 
-BUDGETS = ("quick", "desk")
-
-
 def _each_n(first: int) -> Callable[[int], list[dict]]:
     return lambda last: [{"n": n} for n in range(first, last + 1)]
 
@@ -683,12 +686,14 @@ def _at(*keys: str) -> Callable:
     return lambda size: [dict(zip(keys, size if len(keys) > 1 else (size,)))]
 
 
-def _shape_tasks(top: int) -> list[dict]:
-    return [{"b": b, "top": top} for b in range(1, top // 2 + 1)]
-
-
-def _path_tasks(nmax: int) -> list[dict]:
-    return [{"family": fam, "nmax": nmax} for fam in sorted(PATH_FAMILIES)]
+def _count_tasks(budget: str) -> list[dict]:
+    """One task per ``COUNT_ORACLES`` entry, at its own size for the budget."""
+    column = BUDGETS.index(budget)
+    return [
+        {"kind": kind, "name": name, "size": entry[4][column]}
+        for kind, table in COUNT_ORACLES.items()
+        for name, entry in table.items()
+    ]
 
 
 def _marker_tasks(last: int) -> list[dict]:
@@ -708,16 +713,13 @@ def _equidistribution_tasks(size: tuple[int, int]) -> list[dict]:
 
 
 # (suite, check, its size at each budget of BUDGETS, its tasks' kwargs at a
-# size).  The shape, path and q-analog sizes are DPs, so desk runs them past
-# the enumeration ceiling.
+# size).  The q-analog sizes are DPs, so desk runs them past the enumeration
+# ceiling.  Each count entry states its own sizes, so that row's size is the
+# budget.
 _TASKS: tuple[tuple[str, str, tuple, Callable[..., list[dict]]], ...] = (
-    ("counts", "check_union_count", (9, 12), _each_n(2)),
+    ("counts", "check_count", BUDGETS, _count_tasks),
     ("counts", "check_two_row_counts", (6, 8), _each_n(0)),
-    ("counts", "check_f_recursion", (12, 30), _at("nmax")),
-    ("counts", "check_shape_count", (9, 24), _shape_tasks),
-    ("counts", "check_path_count", (8, 30), _path_tasks),
     ("counts", "check_more_shapes", (8, 15), _each_n(3)),
-    ("counts", "check_avoid321_count", (8, 8), _each_n(0)),
     ("bijections", "check_perm_bijection", (8, 10), _each_n(2)),
     ("bijections", "check_path_bijection", (8, 10), _each_n(2)),
     ("bijections", "check_ballot_bijection", (6, 8), _each_n(1)),
@@ -725,7 +727,7 @@ _TASKS: tuple[tuple[str, str, tuple, Callable[..., list[dict]]], ...] = (
     ("bijections", "check_triple_roundtrip", (8, 10), _each_n(2)),
     ("bijections", "check_rotation", (7, 9), _each_n(3)),
     ("bijections", "check_walker_tableaux", (8, 10), _each_n(2)),
-    ("series", "check_series_residuals", (6, 10), _at("order")),
+    ("series", "check_series_residuals", (6, 12), _at("order")),
     ("series", "check_closed_form_E", (6, 10), _at("order")),
     ("series", "check_series_taylor", (None, None), _at()),
     ("series", "check_marker_tally", (6, 8), _marker_tasks),

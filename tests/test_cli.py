@@ -12,7 +12,7 @@ import pytest
 
 import svtab.verify
 from svtab.cli import main
-from svtab.verify import BUDGETS, COUNT_ORACLES, build_tasks, check_shape_count
+from svtab.verify import BUDGETS, COUNT_ORACLES, build_tasks, check_count
 
 
 def run(capsys, *argv):
@@ -133,8 +133,18 @@ class TestCount:
             capsys, "count", "--formula", "act", "--b", "2", "--k", "3", "--oracle"
         )
         assert (code, out.strip()) == (1, "84,85,MISMATCH")
-        rows = list(check_shape_count(2, 7))
-        assert len(rows) == 4 and all(want != got for _, want, got in rows)
+        rows = {inst: (want, got) for inst, want, got in check_count("formula", "act", 7)}
+        assert all(want != got for want, got in rows.values())
+        want, got = rows["act,b=02"]
+        assert [int(w) - int(g) for w, g in zip(want.split(","), got.split(","))] == [1] * 4
+
+    def test_catalan_oracle_is_the_two_row_union(self, capsys):
+        # catalan(n) counts the union's tableaux with n + 1 entries, and the
+        # union has none with one entry, so the oracle is asked from n = 1
+        code, out, _ = run(capsys, "count", "--formula", "catalan", "--n", "5", "--oracle")
+        assert (code, out.strip()) == (0, "42,42,ok")
+        assert run(capsys, "count", "--formula", "catalan", "--n", "0")[:2] == (0, "1\n")
+        assert run(capsys, "count", "--formula", "catalan", "--n", "0", "--oracle")[0] == 2
 
     def test_usage_errors(self, capsys):
         assert run(capsys, "count", "--formula", "nosuch", "--n", "3")[0] == 2

@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,17 +21,20 @@ import svtab.verify
 from svtab.closedform import catalan, f_count
 from svtab.core import SetValuedTableau, SvtabError
 from svtab.posets import catalog, sv_linear_extensions
-from svtab.rings import QPoly
+from svtab.rings import QPoly, TSeries
 from svtab.verify import (
     BUDGETS,
+    COUNT_ORACLES,
     SUITES,
     CheckResult,
     available_threads,
     build_tasks,
+    check_count,
     check_marker_tally,
     check_more_shapes,
     check_poset_identities,
     check_q_at_one,
+    check_series_residuals,
     report_dict,
     report_text,
     run_tasks,
@@ -62,6 +65,21 @@ def test_f_row_matches_the_closed_form_at_300():
     assert _f_row(300) == [f_count(300, i) for i in range(301)]
 
 
+# each COUNT_ORACLES entry, its count planted one too many at the last point
+# of its quick grid, fails that point's row and no other at every budget
+
+
+@pytest.mark.parametrize("kind,name", [(k, n) for k, table in COUNT_ORACLES.items() for n in table])
+def test_a_planted_count_fails_exactly_its_row(kind, name, monkeypatch):
+    names, count, oracle, grid, sizes = COUNT_ORACLES[kind][name]
+    point = grid(sizes[0])[-1]
+    planted = (names, lambda *p: count(*p) + (p == point), oracle, grid, sizes)
+    monkeypatch.setitem(COUNT_ORACLES[kind], name, planted)
+    row = f"{name},{names[0]}={str(point[0]).zfill(2)}"
+    for size in sizes:
+        assert [inst for inst, want, got in check_count(kind, name, size) if want != got] == [row]
+
+
 def test_available_threads_is_the_core_count():
     assert available_threads() == (os.cpu_count() or 1) >= 1
 
@@ -69,7 +87,7 @@ def test_available_threads_is_the_core_count():
 def test_build_tasks_budgets():
     quick = build_tasks(SUITES, budget="quick")
     desk = build_tasks(SUITES, budget="desk")
-    assert (len(quick), len(desk)) == (229, 413)
+    assert (len(quick), len(desk)) == (217, 390)
     suites_seen = {suite for suite, _check, _kw in quick}
     assert suites_seen == set(SUITES)
     assert all(check.startswith("check_") for _s, check, _kw in desk)
@@ -140,13 +158,14 @@ def test_longest_first_hands_out_big_poset_tasks_first():
 
 
 def test_reports():
-    tasks = [("counts", "check_union_count", {"n": 4})]
+    catalan3 = {"kind": "formula", "name": "catalan", "size": 3}
+    tasks = [("counts", "check_count", catalan3)]
     results, timings = _run_timed(tasks, threads=1)
     assert results and all(isinstance(r, CheckResult) for r in results)
     d = report_dict(results, timings, threads=1, wall_seconds=0.25, budget="desk")
     assert d["failed"] == 0 and d["passed"] == d["checks"] == len(results)
     assert [(t["check"], t["kwargs"], t["rows"]) for t in d["tasks"]] == [
-        ("check_union_count", {"n": 4}, len(results))
+        ("check_count", catalan3, len(results))
     ]
     assert (d["threads"], d["wall_seconds"], d["budget"]) == (1, 0.25, "desk")
     text = report_text(results)
@@ -472,9 +491,16 @@ def test_poset_identities_sharded_per_k():
 _PLANT_HEAD = """
 import json
 import sys
+from functools import partial
 import svtab.verify as v
 from svtab.core import Permutation
 from svtab.rings import TSeries
+
+def replant(kind, name, slot, fn):
+    # the table holds the functions it was built with: slot 1 is the count, 2 the oracle
+    entry = list(v.COUNT_ORACLES[kind][name])
+    entry[slot] = fn
+    v.COUNT_ORACLES[kind][name] = tuple(entry)
 """
 
 _PLANT_RUN = """
@@ -488,12 +514,13 @@ PLANTED_BUGS = {
         """
 real = v.f_count
 v.f_count = lambda n, i: real(n, i) + (1 if (n, i) == (6, 2) else 0)
+replant("formula", "f", 1, v.f_count)
 """,
         [
-            ("counts", "check_f_recursion", {"nmax": 12}),
+            ("counts", "check_count", {"kind": "formula", "name": "f", "size": 12}),
             ("counts", "check_two_row_counts", {"n": 6}),
         ],
-        {("check_f_recursion", "n=06"), ("check_two_row_counts", "n=6,i=2")},
+        {("check_count", "f,n=06"), ("check_two_row_counts", "n=6,i=2")},
     ),
     "sqrt_coefficient": (
         """
@@ -534,12 +561,14 @@ v.tableau_from_perm = lambda w: real(swap.get(w, w))
         """
 real = v.count_paths
 v.count_paths = lambda family, n: real(family, n) + (1 if (family, n) == ("motzE", 7) else 0)
+for family in ("motzE", "motz"):
+    replant("family", family, 2, partial(v.count_paths, family))
 """,
         [
-            ("counts", "check_path_count", {"family": "motzE", "nmax": 8}),
-            ("counts", "check_path_count", {"family": "motz", "nmax": 8}),
+            ("counts", "check_count", {"kind": "family", "name": "motzE", "size": 8}),
+            ("counts", "check_count", {"kind": "family", "name": "motz", "size": 8}),
         ],
-        {("check_path_count", "motzE,n=07")},
+        {("check_count", "motzE,n=07")},
     ),
     "solve_E_coefficient": (
         """
@@ -701,7 +730,9 @@ def planted(family, n):
     return real(family, n)
 
 v.count_paths = planted
-timing, results = v._run_task(("counts", "check_path_count", {"family": "motzE", "nmax": 8}))
+replant("family", "motzE", 2, partial(v.count_paths, "motzE"))
+motzE8 = {"kind": "family", "name": "motzE", "size": 8}
+timing, results = v._run_task(("counts", "check_count", motzE8))
 print(json.dumps([(r.instance, r.status, r.expected, r.actual) for r in results]))
 """
 
@@ -721,7 +752,7 @@ def test_raise_in_a_multi_row_check_keeps_the_rows_before_it(flags):
         (f"motzE,n={n:02d}", "pass") for n in range(7)
     ]
     assert rows[-1] == [
-        "family=motzE,nmax=8",
+        "kind=family,name=motzE,size=8",
         "fail",
         "no exception",
         "OutOfRange: planted at motzE, n = 7",
@@ -737,9 +768,10 @@ def planted(family, n):
     return real(family, n) // (0 if n == 3 else 1)
 
 v.count_paths = planted
+replant("family", "motz", 2, partial(v.count_paths, "motz"))
 tasks = [
-    ("counts", "check_path_count", {"family": "motz", "nmax": 6}),
-    ("counts", "check_union_count", {"n": 4}),
+    ("counts", "check_count", {"kind": "family", "name": "motz", "size": 6}),
+    ("counts", "check_count", {"kind": "formula", "name": "catalan", "size": 3}),
 ]
 results = v.run_tasks(tasks, threads=2)
 print(json.dumps([(r.check, r.instance, r.status, r.actual) for r in results]))
@@ -756,14 +788,14 @@ def test_library_bug_fails_its_task_not_the_run():
         check=True,
     )
     rows = json.loads(proc.stdout)
-    paths = {inst: (st, got) for check, inst, st, got in rows if check == "check_path_count"}
-    raised = paths.pop("family=motz,nmax=6")
+    paths = {inst: (st, got) for _c, inst, st, got in rows if not inst.startswith("catalan,")}
+    raised = paths.pop("kind=family,name=motz,size=6")
     assert {inst: status for inst, (status, _a) in paths.items()} == {
         f"motz,n={n:02d}": "pass" for n in range(3)
     }
     assert raised[0] == "fail" and raised[1].startswith("ZeroDivisionError: ")
-    assert [row for row in rows if row[0] == "check_union_count"] == [
-        ["check_union_count", "n=04", "pass", "5"]
+    assert [row for row in rows if row[1].startswith("catalan,")] == [
+        ["check_count", f"catalan,n=0{n}", "pass", got] for n, got in ((1, "1"), (2, "2"), (3, "5"))
     ]
 
 
@@ -774,12 +806,15 @@ def test_a_raising_task_names_its_frame(monkeypatch):
     def planted(family, n):
         return real(family, n) // (0 if n == 3 else 1)
 
-    monkeypatch.setattr(svtab.verify, "count_paths", planted)
-    raising = ("counts", "check_path_count", {"family": "motz", "nmax": 6})
+    names, count, _oracle, grid, sizes = COUNT_ORACLES["family"]["motz"]
+    entry = (names, count, partial(planted, "motz"), grid, sizes)
+    monkeypatch.setitem(COUNT_ORACLES["family"], "motz", entry)
+    raising = ("counts", "check_count", {"kind": "family", "name": "motz", "size": 6})
     timing, _rows = svtab.verify._run_task(raising)
     line = planted.__code__.co_firstlineno + 1
     assert timing["raised_at"] == f"test_verify.py:{line} in planted"
-    timing, _rows = svtab.verify._run_task(("counts", "check_union_count", {"n": 4}))
+    catalan3 = {"kind": "formula", "name": "catalan", "size": 3}
+    timing, _rows = svtab.verify._run_task(("counts", "check_count", catalan3))
     assert "raised_at" not in timing
 
 
@@ -958,6 +993,27 @@ def test_marker_tally_past_order_12(monkeypatch):
     monkeypatch.setattr(svtab.series, "_CTX", None)
     ((instance, want, got),) = check_marker_tally("motzET", 13)
     assert instance == "motzET,n=13" and want == got
+
+
+# check_series_residuals builds its series at the order its label names, not
+# at the order of a shared context: a defect at t^8 passes order 6
+
+
+def test_series_residuals_check_the_order_they_name(monkeypatch):
+    real = svtab.series.solve_E
+
+    def planted(order):
+        e = real(order)
+        coeffs = list(e.coeffs)
+        if order >= 8:
+            coeffs[8] = coeffs[8] + 1
+        return TSeries(e.ring, order, coeffs)
+
+    monkeypatch.setattr(svtab.series, "_CTX", None)
+    monkeypatch.setattr(svtab.series, "solve_E", planted)
+    failing = lambda rows: [inst for inst, want, got in rows if want != got]
+    assert failing(check_series_residuals(6)) == []
+    assert failing(check_series_residuals(12)) == ["E residual, order 12"]
 
 
 # the process pool is imported by a run with more than one worker and more
