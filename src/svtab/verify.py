@@ -255,7 +255,7 @@ def _count_row(instance: str, want: int, noun: str, outcomes) -> Row:
     return instance, f"{want} {noun}", f"{done} {noun}{bad}"
 
 
-def check_count(kind: str, name: str, size) -> Iterator[Row]:
+def check_count(kind: str, name: str, size: int) -> Iterator[Row]:
     """One ``COUNT_ORACLES`` entry over its grid at ``size``: a row per value of
     the first parameter, the oracle's values against the count's over the rest."""
     names, count, oracle, grid, _sizes = COUNT_ORACLES[kind][name]
@@ -690,9 +690,9 @@ def _count_tasks(budget: str) -> list[dict]:
     """One task per ``COUNT_ORACLES`` entry, at its own size for the budget."""
     column = BUDGETS.index(budget)
     return [
-        {"kind": kind, "name": name, "size": entry[4][column]}
+        {"kind": kind, "name": name, "size": sizes[column]}
         for kind, table in COUNT_ORACLES.items()
-        for name, entry in table.items()
+        for name, (*_entry, sizes) in table.items()
     ]
 
 
