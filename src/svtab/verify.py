@@ -5,6 +5,9 @@ against an independent computation (enumeration, a recursion, a second form).
 ``COUNT_ORACLES`` is the one table that pairs each count with its oracle, and
 states its grid of parameters and its size at each budget: ``svtab count
 --oracle`` reads it, and ``check_count`` checks each entry over its grid.
+``ROUNDTRIPS`` states each bijection the same way: its objects, the map, its
+inverse, the test of each image, the target's size, its grid and its sizes;
+``check_roundtrip`` gives one row per grid point, with the first failing object.
 Checks are grouped into suites, sharded into self-contained tasks, and run
 across processes; only a run with more than one worker imports the process
 pool, so a serial run never loads ``multiprocessing``.  ``_TASKS`` has one row
@@ -58,7 +61,9 @@ from .closedform import (
     peaks_count,
     row_sums,
 )
-from .core import PATH_FAMILIES, Partition, SkewShape, SvtabError, path_family, validate_svsyt
+from .core import (
+    PATH_FAMILIES, OutOfRange, Partition, SkewShape, SvtabError, path_family, validate_svsyt,
+)
 from .enumerate import (
     count_paths,
     count_svsyt,
@@ -113,6 +118,7 @@ __all__ = [
     "SUITES",
     "BUDGETS",
     "COUNT_ORACLES",
+    "ROUNDTRIPS",
     "CheckResult",
     "available_threads",
     "build_tasks",
@@ -154,6 +160,13 @@ def _tally(gen: Callable[..., Iterator]) -> Callable[..., int]:
 
 
 _union_tally = _tally(gen_two_row_union)
+
+
+def _catalan_tally(n: int) -> int:
+    """catalan(n) as the union's tableaux with n + 1 entries, of which none has one."""
+    if n < 1:
+        raise OutOfRange(f"need n >= 1, got {n}")
+    return _union_tally(n + 1)
 
 
 def _f_row(n: int) -> list[int]:
@@ -212,7 +225,7 @@ COUNT_ORACLES: dict[str, dict[str, tuple[tuple[str, ...], Callable, Callable, Ca
         "act": (("b", "k"), act_count, _rectangle_dp, _rectangles, (9, 24)),
         "peaks": (("b", "k"), peaks_count, _rectangle_dp, _rectangles, (9, 24)),
         # the paper's model: two-row tableaux with n + 1 entries
-        "catalan": (("n",), catalan, lambda n: _union_tally(n + 1), _upto(1), (8, 11)),
+        "catalan": (("n",), catalan, _catalan_tally, _upto(1), (8, 11)),
         "narayana": (
             ("n", "m"), narayana,
             lambda n, m: sum(1 for t in gen_two_row_union(n + 1) if dyck_type(t)[0] == m),
@@ -231,6 +244,78 @@ COUNT_ORACLES: dict[str, dict[str, tuple[tuple[str, ...], Callable, Callable, Ca
             for fam in PATH_FAMILIES
         },
     },
+}
+
+
+# ---------------------------------------------------------------------------
+# roundtrip maps
+
+
+def _each_n(first: int) -> Callable[[int], list[dict]]:
+    return lambda last: [{"n": n} for n in range(first, last + 1)]
+
+
+def _checks_out(t, k: int) -> bool:
+    try:
+        return validate_svsyt(t) == k
+    except SvtabError:
+        return False
+
+
+def _ballot_tableaux(n: int, i: int) -> Iterator:
+    """The tableaux of the shapes (b, b - i) with n entries in all."""
+    for b in range(max(i, 1), (n + i) // 2 + 1):
+        yield from gen_svsyt((b, b - i) if b > i else (b,), n + i - 2 * b)
+
+
+def _near_rectangles(n: int, first: int = 0) -> list[tuple]:
+    """The shapes (b + 1, b), b >= first, each with the extras that make n entries."""
+    return [((b + 1, b) if b else (1,), n - 1 - 2 * b) for b in range(first, (n + 1) // 2)]
+
+
+# name -> (its objects at a grid point, the map, its inverse, the image test
+# besides the roundtrip (of the object, its image and the point), the target's
+# size at a point, its grid of points at a size, its size at each budget)
+ROUNDTRIPS: dict[str, tuple[Callable, Callable, Callable, Callable, Callable, Callable, tuple]] = {
+    # the image's minima are t's top row, and its valleys one fewer than t's columns
+    "perm": (
+        gen_two_row_union, perm_from_tableau, tableau_from_perm,
+        lambda t, w, n: w.is_321_avoiding()
+        and list(rl_minima(w)) == sorted(itertools.chain(*t.rows[0]))
+        and len(inner_valleys(w)) == len(t.rows[0]) - 1,
+        lambda n: catalan(n - 1), _each_n(2), (8, 10),
+    ),
+    "path": (
+        gen_two_row_union, path_from_tableau, tableau_from_path,
+        lambda t, p, n: "motzET" in path_family(p) and comaj_path(p) == comaj_plus_k(t),
+        lambda n: catalan(n - 1), _each_n(2), (8, 10),
+    ),
+    "triple": (
+        gen_two_row_union, decompose, compose, lambda t, tr, n: True,
+        lambda n: catalan(n - 1), _each_n(2), (8, 10),
+    ),
+    "ballot": (
+        _ballot_tableaux, ballot_path_from_tableau, tableau_from_ballot_path,
+        lambda t, p, n, i: p.final_height == i and "ballotlike" in path_family(p), ballot_count,
+        lambda last: [{"n": n, "i": i} for n in range(1, last + 1) for i in range(n + 1)], (6, 8),
+    ),
+    # contraction trades the two path restrictions; its target is enumerated
+    **{
+        f"{src}->{dst}": (
+            partial(gen_paths, src), contract_path, expand_path,
+            lambda p, q, n, dst=dst: len(q) == n - 1 and dst in path_family(q),
+            lambda n, dst=dst: sum(1 for _ in gen_paths(dst, n - 1)), _each_n(first), (7, 9),
+        )
+        for src, dst, first in (("motzT", "motz", 1), ("motzET", "motzE", 2))
+    },
+    # the half-turn complement swaps (b + 1, b) with (b + 1, b + 1)/(1); it
+    # makes its images without checks, so each is validated
+    "rotation": (
+        lambda n: (t for s, k in _near_rectangles(n, 1) for t in gen_svsyt(s, k)),
+        rotate_complement, rotate_complement,
+        lambda t, r, n: tuple(r.shape.inner) == (1,) and _checks_out(r, t.extras),
+        lambda n: sum(count_svsyt(s, k) for s, k in _near_rectangles(n, 1)), _each_n(3), (7, 9),
+    ),
 }
 
 
@@ -266,13 +351,11 @@ def check_count(kind: str, name: str, size: int) -> Iterator[Row]:
 
 
 def check_two_row_counts(n: int) -> Iterator[Row]:
-    """Height-indexed table row n: closed forms vs the paths without / with a D."""
+    """Height-indexed table row n: f vs the paths with a D, and the row sums.
+    The ballot and e columns are the ``ballot`` and ``e`` count entries."""
     for i in range(n + 1):
-        e, f = e_count(n, i), f_count(n, i)
-        words = [p.word for p in gen_ballotlike(n, i)]
-        got, got_f = len(words), sum("D" in w for w in words)
-        want = f"{ballot_count(n, i)},{e + f},{e},{f}"
-        yield f"n={n},i={i}", want, f"{got},{got},{got - got_f},{got_f}"
+        got = sum("D" in p.word for p in gen_ballotlike(n, i))
+        yield f"n={n},i={i}", str(f_count(n, i)), str(got)
     if n >= 2:
         sums = (2 ** (n - 1), binom(2 * n - 2, n - 1) - 2 ** (n - 2))
         yield f"n={n} sums", str(sums), str(row_sums(n))
@@ -283,127 +366,32 @@ def check_more_shapes(n: int) -> Iterator[Row]:
     first, second = more_shapes_counts(n)
     alt = Fraction(3 * binom(2 * n - 2, n), n + 1)
     yield f"n={n} first two ways", str(Fraction(first)), str(alt)
-    near = ((b + 1, b) if b else (1,) for b in range((n + 1) // 2))
-    got = sum(count_svsyt(shape, n - sum(shape)) for shape in near)
+    got = sum(itertools.starmap(count_svsyt, _near_rectangles(n)))
     yield f"n={n} near-rectangles", str(first), str(got)
     notched = (SkewShape(Partition((b + 1, b)), Partition((1,))) for b in range(1, (n + 1) // 2))
     got = sum(count_svsyt(shape, n - 1 - shape.ncells) for shape in notched)
     yield f"n={n} skew near-rectangles", str(second), str(got)
 
 
-def check_perm_bijection(n: int) -> Iterator[Row]:
-    """Tableau → permutation: roundtrip, avoidance, and the two statistics.
-
-    A broken property fails the one images row; its first witness follows the
-    image count."""
-    seen, fault = set(), ""
-    for t in gen_two_row_union(n):
-        w = perm_from_tableau(t)
-        seen.add(w)
-        if fault:
-            continue
-        top_vals = sorted(
-            v for c2 in range(1, t.shape.outer.part(1) + 1) for v in t.cell(1, c2)
-        )
-        if not w.is_321_avoiding():
-            fault = f"; pattern found in {w.to_text()}"
-        elif tableau_from_perm(w) != t:
-            fault = f"; roundtrip of {t} gives {tableau_from_perm(w)}"
-        elif list(rl_minima(w)) != top_vals:
-            fault = f"; minima {top_vals} differ for {t}"
-        elif len(inner_valleys(w)) != t.shape.outer.part(1) - 1:
-            fault = f"; valleys != columns - 1 for {t}"
-    yield f"n={n:02d} distinct images", str(catalan(n - 1)), f"{len(seen)}{fault}"
+def _roundtrip(x, forth, back, test, point: dict) -> tuple[bool, str]:
+    """(ok, witness) for one object: its image passes ``test`` and maps back."""
+    y = forth(x)
+    if not test(x, y, **point):
+        return False, f"{x}: image {y} fails its test"
+    z = back(y)
+    return (True, "") if z == x else (False, f"{x}: roundtrip gives {z}")
 
 
-def check_path_bijection(n: int) -> Iterator[Row]:
-    """Tableau → motzET path: family, roundtrip, ``comaj_path``; faults as in the perm check."""
-    seen, fault = set(), ""
-    for t in gen_two_row_union(n):
-        p = path_from_tableau(t)
-        seen.add(p.word)
-        if fault:
-            continue
-        if "motzET" not in path_family(p):
-            fault = f"; image {p.word} of {t} not in motzET"
-        elif tableau_from_path(p) != t:
-            fault = f"; roundtrip of {t} gives {tableau_from_path(p)}"
-        elif comaj_path(p) != comaj_plus_k(t):
-            fault = f"; comaj_path {comaj_path(p)} of {p.word} != {comaj_plus_k(t)} of {t}"
-    yield f"n={n:02d} distinct images", str(catalan(n - 1)), f"{len(seen)}{fault}"
-
-
-def _ballot_shapes(n: int, i: int):
-    for b in range(max(i, 1), (n + i) // 2 + 1):
-        k = n + i - 2 * b
-        if k >= 0:
-            yield ((b,) if b == i else (b, b - i)), k
-
-
-def check_ballot_bijection(n: int) -> Iterator[Row]:
-    """Tableaux of width-difference i map onto ballotlike paths ending at i."""
-    for i in range(n + 1):
-        seen, total, fault = set(), 0, ""
-        for shape, k in _ballot_shapes(n, i):
-            for t in gen_svsyt(shape, k):
-                total += 1
-                p = ballot_path_from_tableau(t)
-                seen.add(p.word)
-                if fault:
-                    continue
-                if p.final_height != i or "ballotlike" not in path_family(p):
-                    fault = f"; image {p.word} of {t} not ballotlike ending at {i}"
-                elif tableau_from_ballot_path(p) != t:
-                    fault = f"; roundtrip of {t} gives {tableau_from_ballot_path(p)}"
-        want = ballot_count(n, i)
-        yield f"n={n},i={i}", f"{want},{want}", f"{total},{len(seen)}{fault}"
-
-
-def check_contract_images(n: int) -> Iterator[Row]:
-    """Contracting drops one step and trades the two path restrictions."""
-    for src, dst in (("motzT", "motz"), ("motzET", "motzE")):
-        if src == "motzET" and n < 2:
-            continue
-        img, fault = set(), ""
-        for p in gen_paths(src, n):
-            q = contract_path(p)
-            img.add(q.word)
-            if not fault and expand_path(q).word != p.word:
-                fault = f"; roundtrip of {p.word} gives {expand_path(q).word}"
-        want = {p.word for p in gen_paths(dst, n - 1)}
-        if img == want:
-            got = f"image of size {len(img)}"
-        else:
-            got = f"symmetric difference {sorted(img ^ want)[:3]}"
-        yield f"{src}->{dst},n={n}", f"image of size {len(want)}", got + fault
-
-
-def check_triple_roundtrip(n: int) -> Iterator[Row]:
-    outcomes = ((compose(decompose(t)) == t, t) for t in gen_two_row_union(n))
-    yield _count_row(f"n={n:02d}", catalan(n - 1), "roundtrips", outcomes)
-
-
-def _checks_out(t, k: int) -> bool:
-    try:
-        return validate_svsyt(t) == k
-    except SvtabError:
-        return False
-
-
-def _rotates_back(t, k: int) -> bool:
-    """t's image, made without checks, is valid, notched, with k extras, and turns back to t."""
-    r = rotate_complement(t)
-    return tuple(r.shape.inner) == (1,) and _checks_out(r, k) and rotate_complement(r) == t
-
-
-def check_rotation(n: int) -> Iterator[Row]:
-    """Half-turn complement swaps the two near-rectangular shape families."""
-    shapes = [((b + 1, b), n - 1 - 2 * b) for b in range(1, (n - 1) // 2 + 1)]
-    want = sum(count_svsyt(shape, k) for shape, k in shapes)
-    outcomes = (
-        (_rotates_back(t, k), t) for shape, k in shapes for t in gen_svsyt(shape, k)
-    )
-    yield _count_row(f"n={n}", want, "involutions", outcomes)
+def check_roundtrip(name: str, size: int) -> Iterator[Row]:
+    """One ``ROUNDTRIPS`` entry over its grid at ``size``: a row per point, the
+    target family's size against the objects whose image passes the test and
+    maps back (so the map is injective into the target, and onto it).  The
+    first object that fails follows the count, with its reason."""
+    objects, forth, back, test, target, grid, _sizes = ROUNDTRIPS[name]
+    for point in grid(size):
+        instance = ",".join([name, *(f"{k}={v:02d}" for k, v in point.items())])
+        outcomes = (_roundtrip(x, forth, back, test, point) for x in objects(**point))
+        yield _count_row(instance, target(**point), "roundtrips", outcomes)
 
 
 def check_walker_tableaux(n: int) -> Iterator[Row]:
@@ -677,23 +665,19 @@ _CHECKS = {name: fn for name, fn in globals().items() if name.startswith("check_
 Task = tuple[str, str, dict]
 
 
-def _each_n(first: int) -> Callable[[int], list[dict]]:
-    return lambda last: [{"n": n} for n in range(first, last + 1)]
-
-
 def _at(*keys: str) -> Callable:
     """One task: the size under its one key, a tuple of sizes under as many, or no kwargs."""
     return lambda size: [dict(zip(keys, size if len(keys) > 1 else (size,)))]
 
 
-def _count_tasks(budget: str) -> list[dict]:
-    """One task per ``COUNT_ORACLES`` entry, at its own size for the budget."""
+def _sized(table: dict, budget: str, **keys) -> list[dict]:
+    """One task per entry of ``table``, at the entry's own size for the budget."""
     column = BUDGETS.index(budget)
-    return [
-        {"kind": kind, "name": name, "size": sizes[column]}
-        for kind, table in COUNT_ORACLES.items()
-        for name, (*_entry, sizes) in table.items()
-    ]
+    return [{**keys, "name": name, "size": entry[-1][column]} for name, entry in table.items()]
+
+
+def _count_tasks(budget: str) -> list[dict]:
+    return [t for kind, table in COUNT_ORACLES.items() for t in _sized(table, budget, kind=kind)]
 
 
 def _marker_tasks(last: int) -> list[dict]:
@@ -720,12 +704,7 @@ _TASKS: tuple[tuple[str, str, tuple, Callable[..., list[dict]]], ...] = (
     ("counts", "check_count", BUDGETS, _count_tasks),
     ("counts", "check_two_row_counts", (6, 8), _each_n(0)),
     ("counts", "check_more_shapes", (8, 15), _each_n(3)),
-    ("bijections", "check_perm_bijection", (8, 10), _each_n(2)),
-    ("bijections", "check_path_bijection", (8, 10), _each_n(2)),
-    ("bijections", "check_ballot_bijection", (6, 8), _each_n(1)),
-    ("bijections", "check_contract_images", (7, 9), _each_n(1)),
-    ("bijections", "check_triple_roundtrip", (8, 10), _each_n(2)),
-    ("bijections", "check_rotation", (7, 9), _each_n(3)),
+    ("bijections", "check_roundtrip", BUDGETS, partial(_sized, ROUNDTRIPS)),
     ("bijections", "check_walker_tableaux", (8, 10), _each_n(2)),
     ("series", "check_series_residuals", (6, 12), _at("order")),
     ("series", "check_closed_form_E", (6, 10), _at("order")),

@@ -140,11 +140,13 @@ class TestCount:
 
     def test_catalan_oracle_is_the_two_row_union(self, capsys):
         # catalan(n) counts the union's tableaux with n + 1 entries, and the
-        # union has none with one entry, so the oracle is asked from n = 1
+        # union has none with one entry, so the oracle is asked from n = 1, and
+        # its range error names the --n given
         code, out, _ = run(capsys, "count", "--formula", "catalan", "--n", "5", "--oracle")
         assert (code, out.strip()) == (0, "42,42,ok")
         assert run(capsys, "count", "--formula", "catalan", "--n", "0")[:2] == (0, "1\n")
-        assert run(capsys, "count", "--formula", "catalan", "--n", "0", "--oracle")[0] == 2
+        code, _out, err = run(capsys, "count", "--formula", "catalan", "--n", "0", "--oracle")
+        assert (code, err) == (2, "error: OutOfRange: need n >= 1, got 0\n")
 
     def test_usage_errors(self, capsys):
         assert run(capsys, "count", "--formula", "nosuch", "--n", "3")[0] == 2

@@ -25,6 +25,7 @@ from svtab.rings import QPoly, TSeries
 from svtab.verify import (
     BUDGETS,
     COUNT_ORACLES,
+    ROUNDTRIPS,
     SUITES,
     CheckResult,
     available_threads,
@@ -34,6 +35,7 @@ from svtab.verify import (
     check_more_shapes,
     check_poset_identities,
     check_q_at_one,
+    check_roundtrip,
     check_series_residuals,
     report_dict,
     report_text,
@@ -87,7 +89,7 @@ def test_available_threads_is_the_core_count():
 def test_build_tasks_budgets():
     quick = build_tasks(SUITES, budget="quick")
     desk = build_tasks(SUITES, budget="desk")
-    assert (len(quick), len(desk)) == (217, 390)
+    assert (len(quick), len(desk)) == (185, 346)
     suites_seen = {suite for suite, _check, _kw in quick}
     assert suites_seen == set(SUITES)
     assert all(check.startswith("check_") for _s, check, _kw in desk)
@@ -501,6 +503,12 @@ def replant(kind, name, slot, fn):
     entry = list(v.COUNT_ORACLES[kind][name])
     entry[slot] = fn
     v.COUNT_ORACLES[kind][name] = tuple(entry)
+
+def replant_map(name, slot, fn):
+    # ROUNDTRIPS holds the maps it was built with: slot 1 is the map, 2 its inverse
+    entry = list(v.ROUNDTRIPS[name])
+    entry[slot] = fn
+    v.ROUNDTRIPS[name] = tuple(entry)
 """
 
 _PLANT_RUN = """
@@ -552,10 +560,10 @@ TSeries.sqrt = planted
         """
 real = v.tableau_from_perm
 swap = {Permutation((2, 1, 3)): Permutation((1, 2, 3))}
-v.tableau_from_perm = lambda w: real(swap.get(w, w))
+replant_map("perm", 2, lambda w: real(swap.get(w, w)))
 """,
-        [("bijections", "check_perm_bijection", {"n": n}) for n in (3, 4, 5)],
-        {("check_perm_bijection", "n=04 distinct images")},
+        [("bijections", "check_roundtrip", {"name": "perm", "size": 5})],
+        {("check_roundtrip", "perm,n=04")},
     ),
     "path_count_off_by_one": (
         """
@@ -608,14 +616,14 @@ real = b._word_from_two_row
 b._word_from_two_row = lambda t: real(t).translate(str.maketrans("ud", "du"))
 """,
         [
-            *(("bijections", "check_path_bijection", {"n": n}) for n in (2, 3, 4)),
-            *(("bijections", "check_ballot_bijection", {"n": n}) for n in (1, 2, 3)),
+            ("bijections", "check_roundtrip", {"name": "path", "size": 4}),
+            ("bijections", "check_roundtrip", {"name": "ballot", "size": 3}),
         ],
         {
-            ("check_path_bijection", "n=03 distinct images"),
-            ("check_path_bijection", "n=04 distinct images"),
-            ("check_ballot_bijection", "n=2,i=1"),
-            *(("check_ballot_bijection", f"n=3,i={i}") for i in (0, 1, 2)),
+            ("check_roundtrip", "path,n=03"),
+            ("check_roundtrip", "path,n=04"),
+            ("check_roundtrip", "ballot,n=02,i=01"),
+            *(("check_roundtrip", f"ballot,n=03,i=0{i}") for i in (0, 1, 2)),
         },
     ),
     "comaj_off_by_one": (
@@ -686,14 +694,14 @@ def test_inexact_division_fails_its_task_only(flags):
 # followed by the one failing row naming the exception
 _MID_TASK_RAISE_SCRIPT = _PLANT_HEAD + """
 from svtab.core import OutOfRange
-real = v.e_count
+real = v.f_count
 
 def planted(n, i):
     if i == 2:
         raise OutOfRange("planted at i = 2")
     return real(n, i)
 
-v.e_count = planted
+v.f_count = planted
 timing, results = v._run_task(("counts", "check_two_row_counts", {"n": 4}))
 print(json.dumps([timing["rows"], [(r.instance, r.status, r.expected, r.actual) for r in results]]))
 """
@@ -818,8 +826,8 @@ def test_a_raising_task_names_its_frame(monkeypatch):
     assert "raised_at" not in timing
 
 
-# a bijection check that finds a fault fails the row a passing run gives for
-# that instance, with the first witness after the passing actual
+# a roundtrip entry whose inverse finds a fault fails the row a passing run
+# gives for each point, with the first witness after the count
 
 
 def _entries_shifted(real, by=1):
@@ -835,45 +843,56 @@ def _one_step_longer(real):
     return lambda q: SimpleNamespace(word=real(q).word + "U")
 
 
+def _replanted(name, slot, fn):
+    """The ``ROUNDTRIPS`` entry with ``fn`` in ``slot`` (1 the map, 2 its inverse)."""
+    entry = list(ROUNDTRIPS[name])
+    entry[slot] = fn
+    return tuple(entry)
+
+
 BIJECTION_PLANTS = [
-    ("check_perm_bijection", {"n": 4}, "tableau_from_perm", _entries_shifted),
-    ("check_path_bijection", {"n": 4}, "tableau_from_path", _entries_shifted),
-    ("check_ballot_bijection", {"n": 3}, "tableau_from_ballot_path", _entries_shifted),
-    ("check_contract_images", {"n": 4}, "expand_path", _one_step_longer),
+    ("perm", 4, _entries_shifted),
+    ("path", 4, _entries_shifted),
+    ("ballot", 3, _entries_shifted),
+    ("motzT->motz", 4, _one_step_longer),
+    ("motzET->motzE", 4, _one_step_longer),
 ]
 
 
-@pytest.mark.parametrize(
-    "check,kwargs,name,plant", BIJECTION_PLANTS, ids=[c for c, *_r in BIJECTION_PLANTS]
-)
-def test_failing_bijection_check_fails_its_own_rows(monkeypatch, check, kwargs, name, plant):
-    task = ("bijections", check, kwargs)
+@pytest.mark.parametrize("name,size,plant", BIJECTION_PLANTS, ids=[n for n, *_r in BIJECTION_PLANTS])
+def test_failing_bijection_check_fails_its_own_rows(monkeypatch, name, size, plant):
+    task = ("bijections", "check_roundtrip", {"name": name, "size": size})
     passing = run_tasks([task], threads=1)
-    monkeypatch.setattr(svtab.verify, name, plant(getattr(svtab.verify, name)))
+    monkeypatch.setitem(ROUNDTRIPS, name, _replanted(name, 2, plant(ROUNDTRIPS[name][2])))
     failing = run_tasks([task], threads=1)
     assert [r.instance for r in failing] == [r.instance for r in passing]
-    assert all(r.ok for r in passing) and not any(r.ok for r in failing)
+    assert all(r.ok for r in passing)
     for good, bad in zip(passing, failing):
         assert bad.expected == good.expected
-        assert bad.actual.startswith(f"{good.actual}; roundtrip of ")
+        if good.expected == "0 roundtrips":  # no object to fail, as at ballot n = 1, i = 0
+            assert bad == good
+        else:
+            assert not bad.ok and bad.actual.startswith("0 roundtrips; fails at ")
+            assert ": roundtrip gives " in bad.actual
 
 
-# the path check reads the comajor along each path with the exponent rule the
+# the path entry reads the comajor along each path with the exponent rule the
 # q-row pass runs; a DU that adds left in place of left + 1 fails its row
 _DU_EXPONENT_SCRIPT = _PLANT_HEAD + """
 import svtab.stats as st
 st._comaj_exponent = lambda ch, after_D, left: (
     left if ch in "ud" else left if ch == "U" and after_D else 0
 )
-timing, results = v._run_task(("bijections", "check_path_bijection", {"n": 4}))
+timing, results = v._run_task(("bijections", "check_roundtrip", {"name": "path", "size": 4}))
 print(json.dumps([(r.instance, r.status, r.expected, r.actual) for r in results]))
 """
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
 def test_wrong_du_exponent_fails_the_path_bijection_row(flags):
-    (passing,) = run_tasks([("bijections", "check_path_bijection", {"n": 4})], threads=1)
-    assert passing.ok and passing.actual == "5"
+    task = ("bijections", "check_roundtrip", {"name": "path", "size": 4})
+    passing = run_tasks([task], threads=1)
+    assert all(r.ok for r in passing) and passing[-1].actual == "5 roundtrips"
     src = str(Path(svtab.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, *flags, "-c", _DU_EXPONENT_SCRIPT],
@@ -883,12 +902,14 @@ def test_wrong_du_exponent_fails_the_path_bijection_row(flags):
         check=True,
     )
     assert json.loads(proc.stdout) == [
+        ["path,n=02", "pass", "1 roundtrips", "1 roundtrips"],
+        ["path,n=03", "pass", "2 roundtrips", "2 roundtrips"],
         [
-            "n=04 distinct images",
+            "path,n=04",
             "fail",
-            "5",
-            "5; comaj_path 1 of UDUD != 2 of {1} {3} / {2} {4}",
-        ]
+            "5 roundtrips",
+            "4 roundtrips; fails at {1} {3} / {2} {4}: image ColoredPath(word='UDUD') fails its test",
+        ],
     ]
 
 
@@ -920,21 +941,59 @@ def test_walker_tableaux_row_fails_on_swapped_entries(monkeypatch):
     assert failing.actual == "0 valid tableaux; fails at {2,3,4,5,6} / {1}"
 
 
-# rotate_complement builds its image without checks; check_rotation validates
-# each one.  Images whose entries are 2 lower (total - 1 - v in place of
-# total + 1 - v) still turn back to the tableau, so only the validation fails them
+# rotate_complement builds its image without checks; the rotation entry
+# validates each one.  Images whose entries are 2 lower (total - 1 - v in place
+# of total + 1 - v) still turn back to the tableau, so only the validation fails them
 
 
 def test_rotation_row_fails_on_shifted_images(monkeypatch):
-    task = ("bijections", "check_rotation", {"n": 7})
-    (passing,) = run_tasks([task], threads=1)
-    assert passing.ok and passing.actual == "296 involutions"
-    real = svtab.verify.rotate_complement
-    monkeypatch.setattr(svtab.verify, "rotate_complement", _entries_shifted(real, by=-2))
-    (failing,) = run_tasks([task], threads=1)
+    task = ("bijections", "check_roundtrip", {"name": "rotation", "size": 7})
+    *_smaller, passing = run_tasks([task], threads=1)
+    assert passing.ok and (passing.instance, passing.actual) == ("rotation,n=07", "296 roundtrips")
+    planted = _entries_shifted(ROUNDTRIPS["rotation"][1], by=-2)
+    monkeypatch.setitem(ROUNDTRIPS, "rotation", _replanted("rotation", 1, planted))
+    monkeypatch.setitem(ROUNDTRIPS, "rotation", _replanted("rotation", 2, planted))
+    *_smaller, failing = run_tasks([task], threads=1)
     assert (failing.instance, failing.expected) == (passing.instance, passing.expected)
     assert not failing.ok
-    assert failing.actual.startswith("0 involutions; fails at ")
+    assert failing.actual.startswith("0 roundtrips; fails at ")
+    assert failing.actual.endswith(" fails its test")
+
+
+# each ROUNDTRIPS entry, its inverse planted to give another object for the
+# last object of its last quick grid point, fails that point's row and no
+# other at every budget
+
+
+@pytest.mark.parametrize("name", list(ROUNDTRIPS))
+def test_a_planted_inverse_fails_exactly_its_row(name, monkeypatch):
+    objects, forth, back, _test, _target, grid, sizes = ROUNDTRIPS[name]
+    *_before, (row, _want, _got) = check_roundtrip(name, sizes[0])
+    first, *_middle, last = (x for point in grid(sizes[0]) for x in objects(**point))
+    assert last in list(objects(**grid(sizes[0])[-1]))
+    image = forth(last)
+    monkeypatch.setitem(ROUNDTRIPS, name, _replanted(name, 2, lambda y: first if y == image else back(y)))
+    for size in sizes:
+        assert [inst for inst, want, got in check_roundtrip(name, size) if want != got] == [row]
+
+
+# the ballot and e columns of the height-indexed table are the ``ballot`` and
+# ``e`` count entries: a ballot count one too high at (6, 2) fails the ballot
+# count row and no row of the table
+
+
+def test_a_planted_ballot_count_fails_only_its_count_row(monkeypatch):
+    real = svtab.verify.ballot_count
+    planted = lambda n, i: real(n, i) + ((n, i) == (6, 2))
+    monkeypatch.setattr(svtab.verify, "ballot_count", planted)
+    names, _count, oracle, grid, sizes = COUNT_ORACLES["formula"]["ballot"]
+    monkeypatch.setitem(COUNT_ORACLES["formula"], "ballot", (names, planted, oracle, grid, sizes))
+    tasks = [
+        ("counts", "check_count", {"kind": "formula", "name": "ballot", "size": 6}),
+        ("counts", "check_two_row_counts", {"n": 6}),
+    ]
+    failed = [(r.check, r.instance) for r in run_tasks(tasks, threads=1) if not r.ok]
+    assert failed == [("check_count", "ballot,n=06")]
 
 
 # check_equidistribution compares the two descent-set tables itself: a library
