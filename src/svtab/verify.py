@@ -5,9 +5,8 @@ against an independent computation (enumeration, a recursion, a second form).
 ``COUNT_ORACLES`` is the one table that pairs each count with its oracle, and
 states its grid of parameters and its size at each budget: ``svtab count
 --oracle`` reads it, and ``check_count`` checks each entry over its grid.
-``ROUNDTRIPS`` states each bijection the same way: its objects, the map, its
-inverse, the test of each image, the target's size, its grid and its sizes;
-``check_roundtrip`` gives one row per grid point, with the first failing object.
+``ROUNDTRIPS`` states each bijection (objects, map, inverse, image test, target
+size, grid, sizes); ``check_roundtrip`` gives a row per grid point.
 Checks are grouped into suites, sharded into self-contained tasks, and run
 across processes; only a run with more than one worker imports the process
 pool, so a serial run never loads ``multiprocessing``.  ``_TASKS`` has one row
@@ -351,8 +350,7 @@ def check_count(kind: str, name: str, size: int) -> Iterator[Row]:
 
 
 def check_two_row_counts(n: int) -> Iterator[Row]:
-    """Height-indexed table row n: f vs the paths with a D, and the row sums.
-    The ballot and e columns are the ``ballot`` and ``e`` count entries."""
+    """Height-indexed table row n: f vs the paths with a D, and the row sums."""
     for i in range(n + 1):
         got = sum("D" in p.word for p in gen_ballotlike(n, i))
         yield f"n={n},i={i}", str(f_count(n, i)), str(got)
@@ -373,24 +371,27 @@ def check_more_shapes(n: int) -> Iterator[Row]:
     yield f"n={n} skew near-rectangles", str(second), str(got)
 
 
-def _roundtrip(x, forth, back, test, point: dict) -> tuple[bool, str]:
-    """(ok, witness) for one object: its image passes ``test`` and maps back."""
+def _roundtrip(x, forth, back, test, point: dict, seen: set) -> tuple[bool, str]:
+    """(ok, witness) for one object: its image passes ``test``, is new to ``seen``, maps back."""
     y = forth(x)
     if not test(x, y, **point):
         return False, f"{x}: image {y} fails its test"
+    if y in seen:
+        return False, f"{x}: image {y} seen before"
+    seen.add(y)
     z = back(y)
     return (True, "") if z == x else (False, f"{x}: roundtrip gives {z}")
 
 
 def check_roundtrip(name: str, size: int) -> Iterator[Row]:
     """One ``ROUNDTRIPS`` entry over its grid at ``size``: a row per point, the
-    target family's size against the objects whose image passes the test and
-    maps back (so the map is injective into the target, and onto it).  The
-    first object that fails follows the count, with its reason."""
+    target's size against the objects whose image passes the test, is new and
+    maps back, so the map is onto the target; then the first failing object."""
     objects, forth, back, test, target, grid, _sizes = ROUNDTRIPS[name]
     for point in grid(size):
         instance = ",".join([name, *(f"{k}={v:02d}" for k, v in point.items())])
-        outcomes = (_roundtrip(x, forth, back, test, point) for x in objects(**point))
+        seen: set = set()
+        outcomes = (_roundtrip(x, forth, back, test, point, seen) for x in objects(**point))
         yield _count_row(instance, target(**point), "roundtrips", outcomes)
 
 
@@ -808,9 +809,7 @@ def _run_timed(tasks, threads: int) -> tuple[list[CheckResult], list[dict]]:
 
         with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             outs = list(pool.map(_run_task, _longest_first(tasks), chunksize=1))
-    results: list[CheckResult] = []
-    for _timing, rows in outs:
-        results.extend(rows)
+    results = [r for _timing, rows in outs for r in rows]
     results.sort(key=lambda r: (r.suite, r.check, r.instance))
     return results, [timing for timing, _rows in outs]
 

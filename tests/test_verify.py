@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -490,26 +491,26 @@ def test_poset_identities_sharded_per_k():
 # planted bugs in the library: each one fails the verify rows named for it,
 # under python and python -O alike, and never collapses into an exception row
 
+
+def replant(table, name, slots, setitem=operator.setitem):
+    """Put ``slots[i]`` in place of slot i of ``table[name]``.  The tables hold
+    the functions they were built with, so a plant reaches a check through its
+    entry: in a ``COUNT_ORACLES`` entry slot 1 is the count and 2 the oracle,
+    in a ``ROUNDTRIPS`` entry 1 is the map and 2 its inverse.  An in-process
+    test passes ``monkeypatch.setitem``."""
+    setitem(table, name, tuple(slots.get(i, fn) for i, fn in enumerate(table[name])))
+
+
 _PLANT_HEAD = """
 import json
+import operator
 import sys
 from functools import partial
 import svtab.verify as v
 from svtab.core import Permutation
 from svtab.rings import TSeries
 
-def replant(kind, name, slot, fn):
-    # the table holds the functions it was built with: slot 1 is the count, 2 the oracle
-    entry = list(v.COUNT_ORACLES[kind][name])
-    entry[slot] = fn
-    v.COUNT_ORACLES[kind][name] = tuple(entry)
-
-def replant_map(name, slot, fn):
-    # ROUNDTRIPS holds the maps it was built with: slot 1 is the map, 2 its inverse
-    entry = list(v.ROUNDTRIPS[name])
-    entry[slot] = fn
-    v.ROUNDTRIPS[name] = tuple(entry)
-"""
+""" + inspect.getsource(replant)
 
 _PLANT_RUN = """
 tasks = [tuple(t) for t in json.loads(sys.argv[1])]
@@ -522,7 +523,7 @@ PLANTED_BUGS = {
         """
 real = v.f_count
 v.f_count = lambda n, i: real(n, i) + (1 if (n, i) == (6, 2) else 0)
-replant("formula", "f", 1, v.f_count)
+replant(v.COUNT_ORACLES["formula"], "f", {1: v.f_count})
 """,
         [
             ("counts", "check_count", {"kind": "formula", "name": "f", "size": 12}),
@@ -560,7 +561,7 @@ TSeries.sqrt = planted
         """
 real = v.tableau_from_perm
 swap = {Permutation((2, 1, 3)): Permutation((1, 2, 3))}
-replant_map("perm", 2, lambda w: real(swap.get(w, w)))
+replant(v.ROUNDTRIPS, "perm", {2: lambda w: real(swap.get(w, w))})
 """,
         [("bijections", "check_roundtrip", {"name": "perm", "size": 5})],
         {("check_roundtrip", "perm,n=04")},
@@ -570,7 +571,7 @@ replant_map("perm", 2, lambda w: real(swap.get(w, w)))
 real = v.count_paths
 v.count_paths = lambda family, n: real(family, n) + (1 if (family, n) == ("motzE", 7) else 0)
 for family in ("motzE", "motz"):
-    replant("family", family, 2, partial(v.count_paths, family))
+    replant(v.COUNT_ORACLES["family"], family, {2: partial(v.count_paths, family)})
 """,
         [
             ("counts", "check_count", {"kind": "family", "name": "motzE", "size": 8}),
@@ -738,7 +739,7 @@ def planted(family, n):
     return real(family, n)
 
 v.count_paths = planted
-replant("family", "motzE", 2, partial(v.count_paths, "motzE"))
+replant(v.COUNT_ORACLES["family"], "motzE", {2: partial(v.count_paths, "motzE")})
 motzE8 = {"kind": "family", "name": "motzE", "size": 8}
 timing, results = v._run_task(("counts", "check_count", motzE8))
 print(json.dumps([(r.instance, r.status, r.expected, r.actual) for r in results]))
@@ -776,7 +777,7 @@ def planted(family, n):
     return real(family, n) // (0 if n == 3 else 1)
 
 v.count_paths = planted
-replant("family", "motz", 2, partial(v.count_paths, "motz"))
+replant(v.COUNT_ORACLES["family"], "motz", {2: partial(v.count_paths, "motz")})
 tasks = [
     ("counts", "check_count", {"kind": "family", "name": "motz", "size": 6}),
     ("counts", "check_count", {"kind": "formula", "name": "catalan", "size": 3}),
@@ -843,13 +844,6 @@ def _one_step_longer(real):
     return lambda q: SimpleNamespace(word=real(q).word + "U")
 
 
-def _replanted(name, slot, fn):
-    """The ``ROUNDTRIPS`` entry with ``fn`` in ``slot`` (1 the map, 2 its inverse)."""
-    entry = list(ROUNDTRIPS[name])
-    entry[slot] = fn
-    return tuple(entry)
-
-
 BIJECTION_PLANTS = [
     ("perm", 4, _entries_shifted),
     ("path", 4, _entries_shifted),
@@ -863,7 +857,7 @@ BIJECTION_PLANTS = [
 def test_failing_bijection_check_fails_its_own_rows(monkeypatch, name, size, plant):
     task = ("bijections", "check_roundtrip", {"name": name, "size": size})
     passing = run_tasks([task], threads=1)
-    monkeypatch.setitem(ROUNDTRIPS, name, _replanted(name, 2, plant(ROUNDTRIPS[name][2])))
+    replant(ROUNDTRIPS, name, {2: plant(ROUNDTRIPS[name][2])}, monkeypatch.setitem)
     failing = run_tasks([task], threads=1)
     assert [r.instance for r in failing] == [r.instance for r in passing]
     assert all(r.ok for r in passing)
@@ -951,8 +945,7 @@ def test_rotation_row_fails_on_shifted_images(monkeypatch):
     *_smaller, passing = run_tasks([task], threads=1)
     assert passing.ok and (passing.instance, passing.actual) == ("rotation,n=07", "296 roundtrips")
     planted = _entries_shifted(ROUNDTRIPS["rotation"][1], by=-2)
-    monkeypatch.setitem(ROUNDTRIPS, "rotation", _replanted("rotation", 1, planted))
-    monkeypatch.setitem(ROUNDTRIPS, "rotation", _replanted("rotation", 2, planted))
+    replant(ROUNDTRIPS, "rotation", {1: planted, 2: planted}, monkeypatch.setitem)
     *_smaller, failing = run_tasks([task], threads=1)
     assert (failing.instance, failing.expected) == (passing.instance, passing.expected)
     assert not failing.ok
@@ -972,9 +965,32 @@ def test_a_planted_inverse_fails_exactly_its_row(name, monkeypatch):
     first, *_middle, last = (x for point in grid(sizes[0]) for x in objects(**point))
     assert last in list(objects(**grid(sizes[0])[-1]))
     image = forth(last)
-    monkeypatch.setitem(ROUNDTRIPS, name, _replanted(name, 2, lambda y: first if y == image else back(y)))
+    replant(ROUNDTRIPS, name, {2: lambda y: first if y == image else back(y)}, monkeypatch.setitem)
     for size in sizes:
         assert [inst for inst, want, got in check_roundtrip(name, size) if want != got] == [row]
+
+
+# each ROUNDTRIPS entry whose objects repeat one in place of another (at each
+# quick point with two or more, its first object in place of its last) fails
+# exactly those rows, one short, on the repeated image, though every object
+# maps back
+
+
+@pytest.mark.parametrize("name", list(ROUNDTRIPS))
+def test_a_repeated_object_fails_its_rows(name, monkeypatch):
+    objects, forth, _back, _test, _target, grid, (quick, _desk) = ROUNDTRIPS[name]
+    lists = {tuple(p.values()): list(objects(**p)) for p in grid(quick)}
+    passing = list(check_roundtrip(name, quick))
+    wanted = [
+        (inst, want, f"{len(xs) - 1} roundtrips; fails at {xs[0]}: image {forth(xs[0])} seen before")
+        if len(xs) > 1
+        else (inst, want, got)
+        for (inst, want, got), xs in zip(passing, lists.values())
+    ]
+    assert wanted != passing
+    repeated = {key: xs[:-1] + xs[:1] if len(xs) > 1 else xs for key, xs in lists.items()}
+    replant(ROUNDTRIPS, name, {0: lambda **p: repeated[tuple(p.values())]}, monkeypatch.setitem)
+    assert list(check_roundtrip(name, quick)) == wanted
 
 
 # the ballot and e columns of the height-indexed table are the ``ballot`` and
@@ -986,8 +1002,7 @@ def test_a_planted_ballot_count_fails_only_its_count_row(monkeypatch):
     real = svtab.verify.ballot_count
     planted = lambda n, i: real(n, i) + ((n, i) == (6, 2))
     monkeypatch.setattr(svtab.verify, "ballot_count", planted)
-    names, _count, oracle, grid, sizes = COUNT_ORACLES["formula"]["ballot"]
-    monkeypatch.setitem(COUNT_ORACLES["formula"], "ballot", (names, planted, oracle, grid, sizes))
+    replant(COUNT_ORACLES["formula"], "ballot", {1: planted}, monkeypatch.setitem)
     tasks = [
         ("counts", "check_count", {"kind": "formula", "name": "ballot", "size": 6}),
         ("counts", "check_two_row_counts", {"n": 6}),
