@@ -2,21 +2,20 @@
 
 Every closed form and identity in the package is checked here, and only here,
 against an independent computation (enumeration, a recursion, a second form).
-``COUNT_ORACLES`` is the one table that pairs each count with its oracle, and
-states its grid of parameters and its size at each budget: ``svtab count
---oracle`` reads it, and ``check_count`` checks each entry over its grid.
-``ROUNDTRIPS`` states each bijection (objects, map, inverse, image test, target
-size, grid, sizes); ``check_roundtrip`` gives a row per grid point.
-Checks are grouped into suites, sharded into self-contained tasks, and run
-across processes; only a run with more than one worker imports the process
-pool, so a serial run never loads ``multiprocessing``.  ``_TASKS`` has one row
-per check, with its suite, its size at each budget of ``BUDGETS`` and its
-tasks at a size; ``build_tasks`` reads them from it alone.  Every ``check_*``
-function is a generator that yields one row per instance, so a failure carries
-its own counterexample; ``_CHECKS`` collects them by that prefix.  A check
-that raises, any exception, keeps the rows it yielded before the raise,
-followed by one failing row naming the exception: it fails its task, not the
-run.  A task's wall time is the one timing record; rows carry no time.
+Each pairing is stated once, in a table whose entries give its grid of points
+at a size and its size at each budget of ``BUDGETS``: ``COUNT_ORACLES`` pairs
+each count with its oracle (``svtab count --oracle`` reads it too) and
+``Q_ORACLES`` each q-analog, or its value at q = 1, with its oracle, both
+checked by one row generator (``check_count``, ``check_q``); ``ROUNDTRIPS``
+states each bijection (objects, map, inverse, image test, target size), and
+``check_roundtrip`` gives a row per point.  ``_TASKS`` has one row per check,
+with its suite, its size at each budget and its tasks at a size; tasks run
+across processes, and only a run with more than one worker imports the process
+pool.  Every ``check_*`` function gives a generator of one row per instance, so
+a failure carries its own counterexample; ``_CHECKS`` collects them by that
+prefix.  A check that raises, any exception, keeps the rows it gave before the
+raise, followed by one failing row naming the exception: it fails its task, not
+the run.  A task's wall time is the one timing record; rows carry no time.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import traceback
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from time import perf_counter
 from typing import Callable, Iterator
 
@@ -117,6 +116,7 @@ __all__ = [
     "SUITES",
     "BUDGETS",
     "COUNT_ORACLES",
+    "Q_ORACLES",
     "ROUNDTRIPS",
     "CheckResult",
     "available_threads",
@@ -150,7 +150,7 @@ def available_threads() -> int:
 
 
 # ---------------------------------------------------------------------------
-# count oracles
+# count and q oracles
 
 
 def _tally(gen: Callable[..., Iterator]) -> Callable[..., int]:
@@ -243,6 +243,66 @@ COUNT_ORACLES: dict[str, dict[str, tuple[tuple[str, ...], Callable, Callable, Ca
             for fam in PATH_FAMILIES
         },
     },
+}
+
+
+# transcribed q-polynomial tables, coefficients low degree first
+QCAT_TABLE = {
+    1: (1,), 2: (1, 1), 3: (1, 1, 2, 1),
+    4: (1, 2, 2, 3, 3, 2, 1),
+    5: (1, 1, 3, 7, 6, 5, 6, 7, 3, 2, 1),
+}
+QNAR_TABLE = {
+    (1, 1): (1,),
+    (2, 1): (1,), (2, 2): (0, 1),
+    (3, 1): (0, 1), (3, 2): (1, 0, 2), (3, 3): (0, 0, 0, 1),
+    (4, 1): (0, 0, 0, 1), (4, 2): (1, 1, 1, 1, 2), (4, 3): (0, 1, 1, 1, 1, 2),
+    (4, 4): (0, 0, 0, 0, 0, 0, 1),
+}
+
+
+@lru_cache(maxsize=1)
+def _union_stats(n: int, stat: Callable) -> Counter:
+    """(top-row size, ``stat``) tallied over the two-row union with n entries;
+    grids go n by n, so the one cached n walks each union size once per task."""
+    return Counter((dyck_type(t)[0], stat(t)) for t in gen_two_row_union(n))
+
+
+def _gap_type(t) -> tuple[int, ...]:
+    return tuple(sorted(dyck_type(t)[1], reverse=True))
+
+
+def _comaj_tally(n: int, m: int) -> QPoly:
+    """The comajor tally of the union's (n + 1)-entry tableaux with m top-row entries."""
+    tally = _union_stats(n + 1, comaj_plus_k)
+    return QPoly([tally[m, e] for e in range(max(e for _m, e in tally) + 1)])
+
+
+def _rectangle_q_dp(n: int) -> QPoly:
+    """The comajor ideal DP summed over the 2-by-b rectangles with n + 1 entries."""
+    masks = (_cell_masks(as_skew(lam))[1:] for lam in _two_row_shapes(n + 1))
+    return sum((_comaj_walk(*m, n + 1) for m in masks), QPoly.zero())
+
+
+# name -> (parameter names, q-analog or its value at q = 1, oracle, grid, size at
+# each budget), as in COUNT_ORACLES; desk runs the DP routes past enumeration
+Q_ORACLES: dict[str, tuple[tuple[str, ...], Callable, Callable, Callable, tuple]] = {
+    "qcat-table": (("n",), set_valued_q_catalan, lambda n: QPoly(QCAT_TABLE[n]), _upto(1), (5, 5)),
+    "qnar-table": (
+        ("n", "m"), set_valued_q_narayana, lambda *p: QPoly(QNAR_TABLE[p]), _triangle(1), (4, 4),
+    ),
+    "qcat-dp": (("n",), set_valued_q_catalan, _rectangle_q_dp, _upto(1), (6, 20)),
+    "qnar-tally": (("n", "m"), set_valued_q_narayana, _comaj_tally, _triangle(1), (6, 9)),
+    "qcat-at-1": (("n",), lambda n: set_valued_q_catalan(n)(1), catalan, _upto(1), (12, 20)),
+    "qnar-at-1": (
+        ("n", "m"), lambda n, m: set_valued_q_narayana(n, m)(1), narayana, _triangle(1), (8, 14),
+    ),
+    # peak types against the union's gap types, at every partition of n - 1
+    "kreweras": (
+        ("n", "mu"), lambda n, mu: kreweras(n - 1, len(mu), Counter(mu)),
+        lambda n, mu: _union_stats(n, _gap_type)[len(mu), mu],
+        lambda size: [(n, mu) for n in range(2, size + 1) for mu in _partitions(n - 1)], (7, 9),
+    ),
 }
 
 
@@ -339,14 +399,24 @@ def _count_row(instance: str, want: int, noun: str, outcomes) -> Row:
     return instance, f"{want} {noun}", f"{done} {noun}{bad}"
 
 
-def check_count(kind: str, name: str, size: int) -> Iterator[Row]:
-    """One ``COUNT_ORACLES`` entry over its grid at ``size``: a row per value of
-    the first parameter, the oracle's values against the count's over the rest."""
-    names, count, oracle, grid, _sizes = COUNT_ORACLES[kind][name]
+def _oracle_rows(name: str, entry: tuple, size: int) -> Iterator[Row]:
+    """An oracle table's entry over its grid at ``size``: a row per value of
+    the first parameter, the oracle's values against the entry's over the rest."""
+    names, value, oracle, grid, _sizes = entry
     for first, points in itertools.groupby(grid(size), key=lambda p: p[0]):
         points = list(points)
-        values = (",".join(str(fn(*p)) for p in points) for fn in (oracle, count))
+        values = (",".join(str(fn(*p)) for p in points) for fn in (oracle, value))
         yield f"{name},{names[0]}={str(first).zfill(2)}", *values
+
+
+def check_count(kind: str, name: str, size: int) -> Iterator[Row]:
+    """One ``COUNT_ORACLES`` entry, the oracle against the count."""
+    return _oracle_rows(name, COUNT_ORACLES[kind][name], size)
+
+
+def check_q(name: str, size: int) -> Iterator[Row]:
+    """One ``Q_ORACLES`` entry, the oracle against the q-analog or its value."""
+    return _oracle_rows(name, Q_ORACLES[name], size)
 
 
 def check_two_row_counts(n: int) -> Iterator[Row]:
@@ -452,83 +522,10 @@ def check_peaks_series(order: int) -> Iterator[Row]:
     yield "z^3 coefficient", str(QPoly([3, 2])), str(table[3])
     for n in range(1, order + 1):
         yield f"n={n} row sum", str(catalan(n)), str(table[n](1))
-    for n in range(min(order, 8) + 1):
+    for n in range(order + 1):
         tally: Counter = Counter(len(inner_valleys(w)) for w in gen_avoid321(n))
         want = QPoly([tally[e] for e in range(max(tally) + 1)])
         yield f"n={n} valley tally", str(want), str(table[n])
-
-
-# transcribed q-polynomial tables, coefficients low degree first
-QCAT_TABLE = {
-    1: (1,),
-    2: (1, 1),
-    3: (1, 1, 2, 1),
-    4: (1, 2, 2, 3, 3, 2, 1),
-    5: (1, 1, 3, 7, 6, 5, 6, 7, 3, 2, 1),
-}
-QNAR_TABLE = {
-    (1, 1): (1,),
-    (2, 1): (1,),
-    (2, 2): (0, 1),
-    (3, 1): (0, 1),
-    (3, 2): (1, 0, 2),
-    (3, 3): (0, 0, 0, 1),
-    (4, 1): (0, 0, 0, 1),
-    (4, 2): (1, 1, 1, 1, 2),
-    (4, 3): (0, 1, 1, 1, 1, 2),
-    (4, 4): (0, 0, 0, 0, 0, 0, 1),
-}
-
-
-def check_q_catalan() -> Iterator[Row]:
-    for n, coeffs in sorted(QCAT_TABLE.items()):
-        yield f"n={n}", str(QPoly(list(coeffs))), str(set_valued_q_catalan(n))
-
-
-def check_q_narayana() -> Iterator[Row]:
-    for (n, m), coeffs in sorted(QNAR_TABLE.items()):
-        yield f"n={n},m={m}", str(QPoly(list(coeffs))), str(set_valued_q_narayana(n, m))
-
-
-def check_q_row_sum(n: int) -> Iterator[Row]:
-    """The ideal DP over the 2-by-b rectangles vs the q-Narayana row summed over m."""
-    masks = (_cell_masks(as_skew(lam))[1:] for lam in _two_row_shapes(n + 1))
-    want = sum((_comaj_walk(preds, succs, n + 1) for preds, succs in masks), QPoly.zero())
-    got = sum((set_valued_q_narayana(n, m) for m in range(1, n + 1)), QPoly.zero())
-    yield f"n={n}", str(want), str(got)
-
-
-def check_q_oracle(n: int) -> Iterator[Row]:
-    """q-Narayana from the DP vs the comajor tally of the enumerated union, by m."""
-    tallies: dict[int, Counter] = {m: Counter() for m in range(1, n + 1)}
-    for t in gen_two_row_union(n + 1):
-        tallies[dyck_type(t)[0]][comaj_plus_k(t)] += 1
-    for m, tally in tallies.items():
-        want = QPoly([tally[c] for c in range(max(tally) + 1)])
-        yield f"n={n},m={m}", str(want), str(set_valued_q_narayana(n, m))
-
-
-def check_q_at_one(catalan_nmax: int, narayana_nmax: int) -> Iterator[Row]:
-    """The q-analogs at q = 1 vs the Catalan and Narayana numbers, n by n, so
-    that the one cached q-Narayana row serves the q-Catalan and every m."""
-    for n in range(1, max(catalan_nmax, narayana_nmax) + 1):
-        if n <= catalan_nmax:
-            yield f"n={n:02d}", str(catalan(n)), str(set_valued_q_catalan(n)(1))
-        if n <= narayana_nmax:
-            for m in range(1, n + 1):
-                got = set_valued_q_narayana(n, m)(1)
-                yield f"n={n:02d},m={m:02d}", str(narayana(n, m)), str(got)
-
-
-def check_kreweras_types(n: int) -> Iterator[Row]:
-    """Peak-type tallies of the two-row union refine the peak counts."""
-    tallies: Counter = Counter()
-    for t in gen_two_row_union(n):
-        m, _, mu = dyck_type(t)
-        tallies[(m, tuple(sorted(mu.items())))] += 1
-    for (m, mu_items), got in sorted(tallies.items()):
-        want = kreweras(n - 1, m, dict(mu_items))
-        yield f"n={n},m={m},mu={dict(mu_items)}", str(want), str(got)
 
 
 ROUNDTRIP_CAP = 20000  # roundtrips per (poset, k); other rows see every object
@@ -667,8 +664,8 @@ Task = tuple[str, str, dict]
 
 
 def _at(*keys: str) -> Callable:
-    """One task: the size under its one key, a tuple of sizes under as many, or no kwargs."""
-    return lambda size: [dict(zip(keys, size if len(keys) > 1 else (size,)))]
+    """One task: the size under its one key, or no kwargs."""
+    return lambda size: [dict(zip(keys, [size]))]
 
 
 def _sized(table: dict, budget: str, **keys) -> list[dict]:
@@ -698,9 +695,7 @@ def _equidistribution_tasks(size: tuple[int, int]) -> list[dict]:
 
 
 # (suite, check, its size at each budget of BUDGETS, its tasks' kwargs at a
-# size).  The q-analog sizes are DPs, so desk runs them past the enumeration
-# ceiling.  Each count entry states its own sizes, so that row's size is the
-# budget.
+# size); a table's row has the budget for its size, as each entry has its own
 _TASKS: tuple[tuple[str, str, tuple, Callable[..., list[dict]]], ...] = (
     ("counts", "check_count", BUDGETS, _count_tasks),
     ("counts", "check_two_row_counts", (6, 8), _each_n(0)),
@@ -713,12 +708,7 @@ _TASKS: tuple[tuple[str, str, tuple, Callable[..., list[dict]]], ...] = (
     ("series", "check_marker_tally", (6, 8), _marker_tasks),
     ("series", "check_expected_steps", (8, 12), _each_n(2)),
     ("series", "check_peaks_series", (6, 8), _at("order")),
-    ("qstats", "check_q_catalan", (None, None), _at()),
-    ("qstats", "check_q_narayana", (None, None), _at()),
-    ("qstats", "check_q_row_sum", (6, 20), _each_n(1)),
-    ("qstats", "check_q_oracle", (6, 9), _each_n(1)),
-    ("qstats", "check_q_at_one", ((12, 8), (20, 14)), _at("catalan_nmax", "narayana_nmax")),
-    ("qstats", "check_kreweras_types", (7, 9), _each_n(2)),
+    ("qstats", "check_q", BUDGETS, partial(_sized, Q_ORACLES)),
     ("posets", "check_poset_identities", ((4, 2), (6, 3)), _poset_tasks),
     ("posets", "check_pi_permutation", (6, 8), _at("nmax")),
     ("posets", "check_equidistribution", ((4, 2), (5, 2)), _equidistribution_tasks),

@@ -23,9 +23,11 @@ from svtab.closedform import catalan, f_count
 from svtab.core import SetValuedTableau, SvtabError
 from svtab.posets import catalog, sv_linear_extensions
 from svtab.rings import QPoly, TSeries
+from svtab.stats import dyck_type
 from svtab.verify import (
     BUDGETS,
     COUNT_ORACLES,
+    Q_ORACLES,
     ROUNDTRIPS,
     SUITES,
     CheckResult,
@@ -35,7 +37,7 @@ from svtab.verify import (
     check_marker_tally,
     check_more_shapes,
     check_poset_identities,
-    check_q_at_one,
+    check_q,
     check_roundtrip,
     check_series_residuals,
     report_dict,
@@ -83,6 +85,43 @@ def test_a_planted_count_fails_exactly_its_row(kind, name, monkeypatch):
         assert [inst for inst, want, got in check_count(kind, name, size) if want != got] == [row]
 
 
+# likewise each Q_ORACLES entry, its q-analog (or its value) planted one too
+# many at the last point of its quick grid
+
+
+@pytest.mark.parametrize("name", Q_ORACLES)
+def test_a_planted_q_value_fails_exactly_its_row(name, monkeypatch):
+    names, value, oracle, grid, sizes = Q_ORACLES[name]
+    point = grid(sizes[0])[-1]
+    planted = (names, lambda *p: value(*p) + (p == point), oracle, grid, sizes)
+    monkeypatch.setitem(Q_ORACLES, name, planted)
+    row = f"{name},{names[0]}={str(point[0]).zfill(2)}"
+    for size in sizes:
+        assert [inst for inst, want, got in check_q(name, size) if want != got] == [row]
+
+
+@pytest.fixture
+def fresh_union_stats():
+    """The union tallies are cached by size; a planted union must not meet a
+    tally cached before it, nor leave its own behind."""
+    svtab.verify._union_stats.cache_clear()
+    yield
+    svtab.verify._union_stats.cache_clear()
+
+
+def test_a_dropped_gap_type_fails_its_kreweras_row(monkeypatch, fresh_union_stats):
+    """The kreweras grid is every partition of n - 1, so a gap type the union
+    never yields fails its row instead of going unchecked."""
+    real = svtab.verify.gen_two_row_union
+
+    def planted(n):
+        return (t for t in real(n) if sorted(dyck_type(t)[1]) != [1, 2, 2])
+
+    monkeypatch.setattr(svtab.verify, "gen_two_row_union", planted)
+    rows = check_q("kreweras", 7)
+    assert [inst for inst, want, got in rows if want != got] == ["kreweras,n=06"]
+
+
 def test_available_threads_is_the_core_count():
     assert available_threads() == (os.cpu_count() or 1) >= 1
 
@@ -90,7 +129,7 @@ def test_available_threads_is_the_core_count():
 def test_build_tasks_budgets():
     quick = build_tasks(SUITES, budget="quick")
     desk = build_tasks(SUITES, budget="desk")
-    assert (len(quick), len(desk)) == (185, 346)
+    assert (len(quick), len(desk)) == (171, 313)
     suites_seen = {suite for suite, _check, _kw in quick}
     assert suites_seen == set(SUITES)
     assert all(check.startswith("check_") for _s, check, _kw in desk)
@@ -111,17 +150,18 @@ def test_build_tasks_filters():
 
 
 def test_q_at_one_builds_each_q_narayana_row_once(monkeypatch):
-    built = Counter()
     row = svtab.stats._q_narayana_row.__wrapped__
+    for name, size in (("qcat-at-1", 8), ("qnar-at-1", 6)):
+        built = Counter()
 
-    def counted(n):
-        built[n] += 1
-        return row(n)
+        def counted(n):
+            built[n] += 1
+            return row(n)
 
-    monkeypatch.setattr(svtab.stats, "_q_narayana_row", lru_cache(maxsize=1)(counted))
-    rows = list(check_q_at_one(catalan_nmax=8, narayana_nmax=6))
-    assert built == Counter(range(1, 9))
-    assert len(rows) == 8 + 6 * 7 // 2 and all(want == got for _i, want, got in rows)
+        monkeypatch.setattr(svtab.stats, "_q_narayana_row", lru_cache(maxsize=1)(counted))
+        rows = list(check_q(name, size))
+        assert built == Counter(range(1, size + 1))
+        assert len(rows) == size and all(want == got for _i, want, got in rows)
 
 
 def test_run_tasks_serial_and_parallel_agree():
@@ -601,13 +641,14 @@ real = st._q_narayana_row
 st._q_narayana_row = lambda n: {m + 1: q for m, q in real(n).items()}
 """,
         [
-            ("qstats", "check_q_catalan", {}),
-            ("qstats", "check_q_narayana", {}),
-            *(("qstats", "check_q_oracle", {"n": n}) for n in (3, 4)),
+            ("qstats", "check_q", {"name": "qcat-table", "size": 5}),
+            ("qstats", "check_q", {"name": "qnar-table", "size": 4}),
+            ("qstats", "check_q", {"name": "qnar-tally", "size": 4}),
         ],
         {
-            *(("check_q_narayana", f"n={n},m={m}") for n, m in svtab.verify.QNAR_TABLE),
-            *(("check_q_oracle", f"n={n},m={m}") for n in (3, 4) for m in range(1, n + 1)),
+            ("check_q", f"{name},n=0{n}")
+            for name in ("qnar-table", "qnar-tally")
+            for n in range(1, 5)
         },
     ),
     "path_u_d_swapped": (
@@ -632,8 +673,8 @@ b._word_from_two_row = lambda t: real(t).translate(str.maketrans("ud", "du"))
 real = v.comaj_plus_k
 v.comaj_plus_k = lambda t: real(t) + 1
 """,
-        [("qstats", "check_q_oracle", {"n": n}) for n in (2, 3)],
-        {("check_q_oracle", f"n={n},m={m}") for n in (2, 3) for m in range(1, n + 1)},
+        [("qstats", "check_q", {"name": "qnar-tally", "size": 3})],
+        {("check_q", f"qnar-tally,n=0{n}") for n in (1, 2, 3)},
     ),
 }
 
