@@ -11,9 +11,14 @@ generic over the coefficient rings QPoly and MultiPoly, which also give
 ``_dot(pairs)``, the sum of a*b over (a, b) pairs: each coefficient of a TSeries
 product, inverse or square root is one ``_dot``; one helper, ``square_pairs``,
 pairs each cross product of a square once (``s * s``, ``sqrt``, ``solve_E``).
-MultiPoly's ``_dot``, its ``*`` too, is the one product kernel: a term's key is
-one int, the exponents of U, D, u, d in 32-bit fields (eU most significant), so
-a monomial product is one int addition; exponents >= 2**31 raise ``OutOfRange``.
+MultiPoly's ``_dot``, its ``*`` too, is the one product kernel.  A term's key
+is one int, the exponents of U, D, u, d in 32-bit fields (eU most significant);
+exponents >= 2**31 in a product operand raise ``OutOfRange``.  The kernel is a
+Kronecker substitution: within each group of terms that share eU, eD and
+eu + ed, every run of consecutive u-exponents is one int with a coefficient in
+each W-bit slot (a slice), so one big-int multiply of two slices convolves the
+runs, and the slot sums are read back in balanced digits.  W, a multiple of 64,
+bounds every output coefficient, and each MultiPoly caches its slices per W.
 """
 
 from __future__ import annotations
@@ -174,6 +179,7 @@ class QPoly(_Ring):
 MARKERS = ("U", "D", "u", "d")
 _MASK = 0xFFFFFFFF
 _HIGH = 0x80000000_80000000_80000000_80000000  # bit 31 of every field
+_NEXT_SLOT = (1 << 32) - 1  # along a run of slots, eu goes up by one and ed down
 
 
 def _pack(exp: tuple[int, int, int, int]) -> int:
@@ -189,16 +195,18 @@ class MultiPoly(_Ring):
     are never stored.  Treated as immutable: all ops return fresh instances.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_slices")
 
     def __init__(self, terms: dict[tuple[int, int, int, int], int] | None = None):
         terms = terms or {}
         self._terms = {k: v for k, v in zip(map(_pack, terms), terms.values()) if v}
+        self._slices = None
 
     @classmethod
     def _packed(cls, terms: dict[int, int]) -> "MultiPoly":  # keeps the dict
         out = cls.__new__(cls)
         out._terms = {k: v for k, v in terms.items() if v} if 0 in terms.values() else terms
+        out._slices = None
         return out
 
     @property
@@ -259,19 +267,69 @@ class MultiPoly(_Ring):
             return MultiPoly._packed({k: v * other for k, v in self._terms.items()})
         return MultiPoly._dot(((self, other),))
 
+    def _cache(self) -> tuple[int, dict[int, list[tuple[int, int]]]]:
+        """(‖self‖₁, the sum of |c|; the slices made so far, by width), made
+        when self is first a product operand, whose exponents are checked then."""
+        if self._slices is None:
+            if reduce(or_, self._terms, 0) & _HIGH:
+                raise OutOfRange("a MultiPoly product operand has an exponent >= 2**31")
+            self._slices = (sum(map(abs, self._terms.values())), {})
+        return self._slices
+
+    def _slices_at(self, width: int) -> list[tuple[int, int]]:
+        """(key of the first term, Σ c·2**(width·(eu - first eu))) for each run
+        of consecutive u-exponents in a group of equal (eU, eD, eu + ed); cached."""
+        by_width = self._cache()[1]
+        slices = by_width.get(width)
+        if slices is None:
+            runs: list[tuple[int, list[int]]] = []
+            last = -2
+            for order, k, c in sorted(  # order: eU, eD, eu + ed (< 2**32), eu
+                (k >> 64 << 64 | ((k >> 32 & _MASK) + (k & _MASK)) << 32 | k >> 32 & _MASK, k, v)
+                for k, v in self._terms.items()
+            ):
+                if order == last + 1:
+                    runs[-1][1].append(c)
+                else:
+                    runs.append((k, [c]))
+                last = order
+            slices = by_width[width] = [
+                (k, reduce(lambda x, c: (x << width) + c, reversed(cs[:-1]), cs[-1]))
+                for k, cs in runs
+            ]
+        return slices
+
     @classmethod
     def _dot(cls, pairs: Iterable[tuple["MultiPoly", "MultiPoly"]]) -> "MultiPoly":
-        """Sum of a*b over the (a, b) pairs; exponents < 2**31 in, so no field carries."""
+        """Sum of a*b over the (a, b) pairs, one big-int multiply per pair of
+        slices, summed under the key of the product's first term (its group
+        and first eu, as no field carries).  No slot overflows: W is the least
+        multiple of 64 with 2**(W-1) > Σ‖a‖₁·‖b‖₁, which bounds every
+        coefficient of every partial sum."""
+        pairs = list(pairs)
+        bound = sum([a._cache()[0] * b._cache()[0] for a, b in pairs])
+        width = (bound.bit_length() // 64 + 1) * 64
+        acc: dict[int, int] = {}
+        get = acc.get
+        for a, b in pairs:
+            sb = b._slices_at(width)
+            for ka, xa in a._slices_at(width):
+                for kb, xb in sb:
+                    k = ka + kb
+                    acc[k] = get(k, 0) + xa * xb
         out: dict[int, int] = {}
         get = out.get
-        for a, b in pairs:
-            ta, tb = sorted((a._terms, b._terms), key=len)
-            if (reduce(or_, ta, 0) | reduce(or_, tb, 0)) & _HIGH:
-                raise OutOfRange("a MultiPoly product operand has an exponent >= 2**31")
-            for ka, va in ta.items():
-                for kb, vb in tb.items():
-                    k = ka + kb
-                    out[k] = get(k, 0) + va * vb
+        half, mask = 1 << width - 1, (1 << width) - 1
+        for key, x in acc.items():
+            if -half < x < half:  # one slot
+                out[key] = get(key, 0) + x
+                continue
+            while x:
+                c = (x + half & mask) - half
+                if c:
+                    out[key] = get(key, 0) + c
+                x = x - c >> width
+                key += _NEXT_SLOT
         return cls._packed(out)
 
     def divexact_int(self, d: int) -> "MultiPoly":

@@ -33,6 +33,7 @@ from time import perf_counter
 from typing import Callable, Iterator
 
 from .biject import (
+    Triple,
     ballot_path_from_tableau,
     compose,
     contract_path,
@@ -168,6 +169,7 @@ def _catalan_tally(n: int) -> int:
     return _union_tally(n + 1)
 
 
+@lru_cache(maxsize=1)  # the grid asks for f(n, i) at every i of one n in turn
 def _f_row(n: int) -> list[int]:
     """f(n, 0..n) by the step recursion, row by row from f(0, 0) = 0: the last
     step into (m, i) is U, u (not at height 0), d, or a D after any path.
@@ -332,6 +334,29 @@ def _near_rectangles(n: int, first: int = 0) -> list[tuple]:
     return [((b + 1, b) if b else (1,), n - 1 - 2 * b) for b in range(first, (n + 1) // 2)]
 
 
+def _is_triple_of(t, tr, n: int) -> bool:
+    """``tr`` is a triple for ``t``: its base is a standard tableau of t's shape,
+    it has t.extras cuts, weakly increasing within 0..N (N the base's cells),
+    and each pick is a maximal cell of the base cells holding values <= its
+    cut (its right and lower neighbors, where they exist, hold more)."""
+    if not (isinstance(tr, Triple) and tr.base.shape == t.shape and _checks_out(tr.base, 0)):
+        return False
+    value = {cell: e for cell, (e,) in tr.base.cells()}
+    cuts, top = tr.cuts, len(value)
+
+    def within(cell, cut: int) -> bool:
+        return cell in value and value[cell] <= cut
+
+    return (
+        len(cuts) == len(tr.picks) == t.extras
+        and all(0 <= a <= b <= top for a, b in zip((0, *cuts), (*cuts, top)))
+        and all(
+            within((r, c), cut) and not within((r, c + 1), cut) and not within((r + 1, c), cut)
+            for cut, (r, c) in zip(cuts, tr.picks)
+        )
+    )
+
+
 # name -> (its objects at a grid point, the map, its inverse, the image test
 # besides the roundtrip (of the object, its image and the point), the target's
 # size at a point, its grid of points at a size, its size at each budget)
@@ -350,7 +375,7 @@ ROUNDTRIPS: dict[str, tuple[Callable, Callable, Callable, Callable, Callable, Ca
         lambda n: catalan(n - 1), _each_n(2), (8, 10),
     ),
     "triple": (
-        gen_two_row_union, decompose, compose, lambda t, tr, n: True,
+        gen_two_row_union, decompose, compose, _is_triple_of,
         lambda n: catalan(n - 1), _each_n(2), (8, 10),
     ),
     "ballot": (

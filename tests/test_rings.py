@@ -1,5 +1,7 @@
 """Exact-arithmetic layer: polynomial rings and truncated power series."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -167,6 +169,53 @@ class TestPackedKeys:
         assert dict(p.terms) == {(2, 0, 0, 1): 3}
         with pytest.raises(TypeError):
             p.terms[(0, 0, 0, 0)] = 1
+
+
+big_terms = st.integers(0, 200).flatmap(
+    lambda bits: st.lists(
+        st.tuples(
+            st.tuples(*(st.integers(0, 40) for _ in MARKERS)),
+            st.integers(-(2**bits), 2**bits),
+        ),
+        max_size=8,
+    )
+)
+
+
+class TestKroneckerKernel:
+    """The slice kernel against the tuple-keyed reference."""
+
+    @given(st.lists(st.tuples(big_terms, big_terms), min_size=1, max_size=4), st.data())
+    @settings(max_examples=150)
+    def test_dot_matches_tuple_keys(self, drawn, data):
+        pairs = [(_both(xs), _both(ys)) for xs, ys in drawn]
+        (a, _ref), b = pairs[0]
+        if len(pairs) < 4 and a:  # a pair that cancels all of a·b but one term's share
+            kept = data.draw(st.sampled_from(a.sorted_terms()), label="kept")
+            rest = [(exp, -c) for exp, c in a.sorted_terms() if (exp, c) != kept]
+            pairs.append((_both(rest), b))
+        got = MultiPoly._dot([(x[0], y[0]) for x, y in pairs])
+        want = sum((x[1] * y[1] for x, y in pairs), _TupleMultiPoly())
+        assert got.sorted_terms() == want.sorted_terms()
+        assert 0 not in got.terms.values()
+
+    @pytest.mark.parametrize("c", [2**63 - 1, 2**63, -(2**63), 2**127, 2**191 + 1, -(2**256)])
+    def test_a_coefficient_as_large_as_the_bound_decodes(self, c):
+        u = MultiPoly.gen("u")
+        assert (MultiPoly.from_int(c) * u).sorted_terms() == [((0, 0, 1, 0), c)]
+        halves = [(MultiPoly.from_int(c // 2), u), (MultiPoly.from_int(c - c // 2), u)]
+        assert MultiPoly._dot(halves).sorted_terms() == [((0, 0, 1, 0), c)]
+
+    def test_a_sum_of_exponents_past_2_to_the_32_does_not_carry(self):
+        p, ref = _both([((0, 0, 2**31 - 1, 2**31 - 1), 3)])
+        assert (p * p).sorted_terms() == (ref * ref).sorted_terms()
+        assert (p * p).sorted_terms() == [((0, 0, 2**32 - 2, 2**32 - 2), 9)]
+
+    def test_a_high_power_packs_to_one_small_int(self):
+        p, ref = _both([((0, 0, 2**20, 0), 1)])
+        (slice_,) = p._slices_at(64)  # a dense packing from u^0 would take 8 MiB
+        assert sys.getsizeof(slice_[1]) < 1024
+        assert (p * p).sorted_terms() == (ref * ref).sorted_terms() == [((0, 0, 2**21, 0), 1)]
 
 
 def _series(ring, order, draws):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache, partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,6 +20,7 @@ import svtab.posets
 import svtab.series
 import svtab.stats
 import svtab.verify
+from svtab.biject import decompose
 from svtab.closedform import catalan, f_count
 from svtab.core import SetValuedTableau, SvtabError
 from svtab.posets import catalog, sv_linear_extensions
@@ -68,6 +70,27 @@ def test_f_oracle_needs_no_deep_recursion():
 
 def test_f_row_matches_the_closed_form_at_300():
     assert _f_row(300) == [f_count(300, i) for i in range(301)]
+
+
+def test_the_f_oracle_builds_each_row_once():
+    """The f entry's grid asks for f(n, i) at every i of one n in turn, so a
+    task builds each row f(n, ·) once, not once per i."""
+    code = inspect.unwrap(_f_row).__code__
+    getattr(_f_row, "cache_clear", lambda: None)()
+    built = Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code is code:
+            built[frame.f_locals["n"]] += 1
+
+    size = COUNT_ORACLES["formula"]["f"][-1][0]
+    sys.setprofile(profile)
+    try:
+        rows = list(check_count("formula", "f", size))
+    finally:
+        sys.setprofile(None)
+    assert built == Counter(range(size + 1))
+    assert len(rows) == size + 1 and all(want == got for _i, want, got in rows)
 
 
 # each COUNT_ORACLES entry, its count planted one too many at the last point
@@ -1009,6 +1032,82 @@ def test_a_planted_inverse_fails_exactly_its_row(name, monkeypatch):
     replant(ROUNDTRIPS, name, {2: lambda y: first if y == image else back(y)}, monkeypatch.setitem)
     for size in sizes:
         assert [inst for inst, want, got in check_roundtrip(name, size) if want != got] == [row]
+
+
+# the identity, planted as both the map and the inverse of the triple entry,
+# maps every tableau back to itself onto a new image, so only the image test
+# can fail it: every row fails, at every budget
+
+
+def test_a_planted_identity_fails_every_triple_row(monkeypatch):
+    identity = lambda x: x  # noqa: E731
+    replant(ROUNDTRIPS, "triple", {1: identity, 2: identity}, monkeypatch.setitem)
+    for size in ROUNDTRIPS["triple"][-1]:
+        rows = list(check_roundtrip("triple", size))
+        assert len(rows) == size - 1
+        assert [got for _inst, _want, got in rows if "image" not in got] == []
+
+
+# a map that breaks one condition of the triple's image test on the objects
+# it can (None where it cannot), with an inverse that still gives each object
+# back: the rows of exactly the points where it broke one fail, on the test
+
+
+def _cell_of(tr, value):
+    """The cell of the triple's base that holds ``value``."""
+    return next(cell for cell, (e,) in tr.base.cells() if e == value)
+
+
+_TRIPLE_BREAKS = {
+    "base with extras": lambda t, tr: replace(tr, base=t) if t.extras else None,
+    "one cut short": lambda t, tr: (
+        replace(tr, cuts=tr.cuts[:-1], picks=tr.picks[:-1]) if tr.cuts else None
+    ),
+    # the last pick moves to the cell holding N, maximal in the whole base
+    "cut past the base": lambda t, tr: (
+        replace(
+            tr,
+            cuts=(*tr.cuts[:-1], t.ncells + 1),
+            picks=(*tr.picks[:-1], _cell_of(tr, t.ncells)),
+        )
+        if tr.cuts
+        else None
+    ),
+    # each pick keeps its cut
+    "cuts decrease": lambda t, tr: (
+        replace(tr, cuts=tr.cuts[::-1], picks=tr.picks[::-1])
+        if tr.cuts and tr.cuts[0] < tr.cuts[-1]
+        else None
+    ),
+    "pick outside its cut": lambda t, tr: (
+        replace(tr, picks=(*tr.picks[:-1], _cell_of(tr, t.ncells)))
+        if tr.cuts and tr.cuts[-1] < t.ncells
+        else None
+    ),
+    # the cell holding 2 is a neighbor of (1, 1), so (1, 1) is not maximal for a cut >= 2
+    "pick not maximal": lambda t, tr: (
+        replace(tr, picks=(*tr.picks[:-1], (1, 1))) if tr.cuts and tr.cuts[-1] >= 2 else None
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_TRIPLE_BREAKS))
+def test_each_triple_condition_fails_the_rows_it_breaks(name, monkeypatch):
+    originals, broken = {}, set()
+
+    def forth(t):
+        tr = decompose(t)
+        bad = _TRIPLE_BREAKS[name](t, tr)
+        if bad is not None:
+            broken.add(t.nentries)
+            tr = bad
+        originals[tr] = t
+        return tr
+
+    replant(ROUNDTRIPS, "triple", {1: forth, 2: originals.__getitem__}, monkeypatch.setitem)
+    failing = {inst: got for inst, want, got in check_roundtrip("triple", 7) if want != got}
+    assert broken and sorted(failing) == [f"triple,n={n:02d}" for n in sorted(broken)]
+    assert all("fails its test" in got for got in failing.values())
 
 
 # each ROUNDTRIPS entry whose objects repeat one in place of another (at each
