@@ -5,17 +5,18 @@ against an independent computation (enumeration, a recursion, a second form).
 Each pairing is stated once, in a table whose entries give its grid of points
 at a size and its size at each budget of ``BUDGETS``: ``COUNT_ORACLES`` pairs
 each count with its oracle (``svtab count --oracle`` reads it too) and
-``Q_ORACLES`` each q-analog, or its value at q = 1, with its oracle, both
-checked by one row generator (``check_count``, ``check_q``); ``ROUNDTRIPS``
-states each bijection (objects, map, inverse, image test, target size), and
-``check_roundtrip`` gives a row per point.  ``_TASKS`` has one row per check,
-with its suite, its size at each budget and its tasks at a size; tasks run
-across processes, and only a run with more than one worker imports the process
-pool.  Every ``check_*`` function gives a generator of one row per instance, so
-a failure carries its own counterexample; ``_CHECKS`` collects them by that
-prefix.  A check that raises, any exception, keeps the rows it gave before the
-raise, followed by one failing row naming the exception: it fails its task, not
-the run.  A task's wall time is the one timing record; rows carry no time.
+``Q_ORACLES`` each q-analog (or its value at q = 1) and poset DP identity with
+its oracle, both checked by one row generator (``check_count``, ``check_q``);
+``ROUNDTRIPS`` states each bijection (objects, map, inverse, image test,
+target size), and ``check_roundtrip`` gives a row per point.  ``_TASKS`` has
+one row per check, with its suite, its size at each budget and its tasks at a
+size; tasks run across processes, and only a run with more than one worker
+imports the process pool.  Every ``check_*`` function gives a generator of one
+row per instance, so a failure carries its own counterexample; ``_CHECKS``
+collects them by that prefix.  A raise, any exception, fails its point's row in
+a table's check, and the later points run; another check keeps the rows it gave
+before a raise, then one failing row naming the exception: it fails its task,
+not the run.  A task's wall time is the one timing record; rows carry no time.
 """
 
 from __future__ import annotations
@@ -286,6 +287,17 @@ def _rectangle_q_dp(n: int) -> QPoly:
     return sum((_comaj_walk(*m, n + 1) for m in masks), QPoly.zero())
 
 
+_catalog = lru_cache(maxsize=1)(lambda: dict(catalog()))  # name -> poset, built when first asked
+
+
+def _poset(poset: str | Poset) -> Poset:  # a catalog poset by its name, or a poset
+    return _catalog().get(poset, poset)
+
+
+def _poset_grid(at: tuple[int, int]) -> list[tuple[str, int]]:  # (name, k), n <= at[0], k <= at[1]
+    return [(name, k) for name, p in _catalog().items() if p.n <= at[0] for k in range(at[1] + 1)]
+
+
 # name -> (parameter names, q-analog or its value at q = 1, oracle, grid, size at
 # each budget), as in COUNT_ORACLES; desk runs the DP routes past enumeration
 Q_ORACLES: dict[str, tuple[tuple[str, ...], Callable, Callable, Callable, tuple]] = {
@@ -304,6 +316,14 @@ Q_ORACLES: dict[str, tuple[tuple[str, ...], Callable, Callable, Callable, tuple]
         ("n", "mu"), lambda n, mu: kreweras(n - 1, len(mu), Counter(mu)),
         lambda n, mu: _union_stats(n, _gap_type)[len(mu), mu],
         lambda size: [(n, mu) for n in range(2, size + 1) for mu in _partitions(n - 1)], (7, 9),
+    ),
+    "poset-weight-sum": (
+        ("poset", "k"), lambda p, k: expected_ddeg(_poset(p), k)[1],
+        lambda p, k: sum_identity_check(_poset(p), k)[1], _poset_grid, ((4, 2), (6, 3)),
+    ),
+    "poset-expectation": (
+        ("poset", "k"), lambda p, k: _comaj_walk(*_poset(p)._cover_masks, _poset(p).n + k),
+        lambda p, k: expected_ddeg(_poset(p), k)[0], _poset_grid, ((4, 2), (6, 3)),
     ),
 }
 
@@ -429,9 +449,11 @@ def _oracle_rows(name: str, entry: tuple, size: int) -> Iterator[Row]:
     the first parameter, the oracle's values against the entry's over the rest."""
     names, value, oracle, grid, _sizes = entry
     for first, points in itertools.groupby(grid(size), key=lambda p: p[0]):
-        points = list(points)
-        values = (",".join(str(fn(*p)) for p in points) for fn in (oracle, value))
-        yield f"{name},{names[0]}={str(first).zfill(2)}", *values
+        instance, points = f"{name},{names[0]}={str(first).zfill(2)}", list(points)
+        try:
+            yield instance, *(",".join(str(fn(*p)) for p in points) for fn in (oracle, value))
+        except Exception as exc:  # a raise fails its point; the later points still run
+            yield instance, "no exception", f"{type(exc).__name__}: {exc}"
 
 
 def check_count(kind: str, name: str, size: int) -> Iterator[Row]:
@@ -486,8 +508,11 @@ def check_roundtrip(name: str, size: int) -> Iterator[Row]:
     for point in grid(size):
         instance = ",".join([name, *(f"{k}={v:02d}" for k, v in point.items())])
         seen: set = set()
-        outcomes = (_roundtrip(x, forth, back, test, point, seen) for x in objects(**point))
-        yield _count_row(instance, target(**point), "roundtrips", outcomes)
+        try:
+            outcomes = (_roundtrip(x, forth, back, test, point, seen) for x in objects(**point))
+            yield _count_row(instance, target(**point), "roundtrips", outcomes)
+        except Exception as exc:  # a raise fails its point; the later points still run
+            yield instance, "no exception", f"{type(exc).__name__}: {exc}"
 
 
 def check_walker_tableaux(n: int) -> Iterator[Row]:
@@ -567,7 +592,7 @@ def _entry_word(s: SetValuedLinearExtension) -> bytes:
 
 
 def check_poset_identities(name: str, poset: Poset, k: int) -> Iterator[Row]:
-    """Cut-weight identities, route agreement and roundtrips for one (poset, k).
+    """Cut-weight rows, route agreement and roundtrips for one (poset, k).
 
     One pass over every linear extension and cut vector in {0..n} sums
     ``vartheta``, times the pick pool sizes for the numerator: the ``oracle``
@@ -579,11 +604,10 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> Iterator[Row]:
     route check and, for the first ``ROUNDTRIP_CAP`` triples, a decompose
     roundtrip.  The walker's objects, streamed once, must give the same keys,
     as many as were composed, so an object composed twice shows; with the
-    roundtrips this makes decompose and compose inverse on them.  The
-    ``expected_ddeg`` numerator is compared with the comajor DP
-    (``enumerate._comaj_walk``).  For n <= 4 each composed object's comajor
-    weight is compared with its ``vartheta`` and summed against the
-    numerator, and the DP with the streamed tally.  Only the composed objects
+    roundtrips this makes decompose and compose inverse on them.  For n <= 4
+    each composed object's comajor weight is compared with its ``vartheta``
+    and summed against the numerator, and the comajor DP (``_comaj_walk``)
+    with the streamed tally.  Only the composed objects
     are validated; the walker's are valid by construction, so a walker object
     that is not valid shows as "not composed" in the routes row.  Each object
     is dropped once its key is taken, so the route check holds keys, not
@@ -591,9 +615,6 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> Iterator[Row]:
     that respect ``Poset.above``, the one count that reads no cover mask.
     """
     tag = f"{name},k={k}"
-    lhs, rhs = sum_identity_check(poset, k)
-    yield f"{tag} weight sum", str(rhs), str(lhs)
-
     small = poset.n <= 4
     composed: set[bytes] = set()
     comaj_sum = QPoly.zero()
@@ -644,13 +665,11 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> Iterator[Row]:
         brute = sum(all(poset.above[x] <= set(w[i:]) for i, x in enumerate(w)) for w in perms)
         yield f"{tag} linear extensions", str(brute), str(walked)
 
-    dp = _comaj_walk(*poset._cover_masks, poset.n + k)
     if small:
+        dp = _comaj_walk(*poset._cover_masks, poset.n + k)
         streamed = QPoly([tally[e] for e in range(max(tally, default=0) + 1)])
         yield f"{tag} comaj tally", str(dp), str(streamed)
-    dp_num, dp_den = expected_ddeg(poset, k)
-    yield f"{tag} expectation", str(dp_num), str(dp)
-    yield f"{tag} oracle", f"{num} / {den}", f"{dp_num} / {dp_den}"
+    yield f"{tag} oracle", f"{num} / {den}", " / ".join(map(str, expected_ddeg(poset, k)))
 
     done = f"{tried - len(bad)} roundtrips" + (f"; {bad[0]} differs" if bad else "")
     yield f"{tag} roundtrips", f"{tried} roundtrips", done
@@ -709,9 +728,7 @@ def _marker_tasks(last: int) -> list[dict]:
 
 
 def _poset_tasks(size: tuple[int, int]) -> list[dict]:
-    nmax, kmax = size
-    posets = [(name, poset) for name, poset in catalog() if poset.n <= nmax]
-    return [{"name": name, "poset": p, "k": k} for name, p in posets for k in range(kmax + 1)]
+    return [{"name": name, "poset": _poset(name), "k": k} for name, k in _poset_grid(size)]
 
 
 def _equidistribution_tasks(size: tuple[int, int]) -> list[dict]:

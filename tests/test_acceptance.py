@@ -253,11 +253,18 @@ def test_10_cut_weight_identities_full_catalog():
         (name, p.n) for name, p in entries
     ]
 
-    tasks = build_tasks(("posets",), budget="desk")
+    # the DP identities are the poset entries of the qstats suite
+    tasks = build_tasks(("posets",), budget="desk") + [
+        t for t in build_tasks(("qstats",), budget="desk") if t[2]["name"].startswith("poset-")
+    ]
     results = run_tasks(tasks, threads=available_threads())
     bad = [r for r in results if not r.ok]
     assert not bad, bad[:5]
-    assert any(r.check == "check_poset_identities" for r in results)
+    assert {r.check for r in results} >= {"check_poset_identities", "check_q"}
+    assert {r.instance.split(",")[0] for r in results if r.check == "check_q"} == {
+        "poset-weight-sum",
+        "poset-expectation",
+    }
 
 
 def _partitions(total: int, cap: int | None = None):

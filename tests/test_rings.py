@@ -1,5 +1,6 @@
 """Exact-arithmetic layer: polynomial rings and truncated power series."""
 
+import math
 import sys
 
 import pytest
@@ -216,6 +217,23 @@ class TestKroneckerKernel:
         (slice_,) = p._slices_at(64)  # a dense packing from u^0 would take 8 MiB
         assert sys.getsizeof(slice_[1]) < 1024
         assert (p * p).sorted_terms() == (ref * ref).sorted_terms() == [((0, 0, 2**21, 0), 1)]
+
+
+class TestBinomialRuns:
+    """(u + d)^n is one run of n + 1 slots in one group of equal eu + ed, so its
+    product decodes every slot past the first by the step between slot keys;
+    drawn operands seldom hold such a run, so this fixed one states the step."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_powers_of_u_plus_d_are_binomial(self, n):
+        step, ref_step = _both([((0, 0, 1, 0), 1), ((0, 0, 0, 1), 1)])
+        UD, ref_UD = _both([((1, 1, 0, 0), 1)])
+        power, ref = MultiPoly.one(), _TupleMultiPoly({(0, 0, 0, 0): 1})
+        for _ in range(n):
+            power, ref = power * step, ref * ref_step
+        for e, got, want in ((0, power, ref), (1, power * UD, ref * ref_UD)):
+            binomial = [((e, e, j, n - j), math.comb(n, j)) for j in range(n + 1)]
+            assert got.sorted_terms() == want.sorted_terms() == sorted(binomial)
 
 
 def _series(ring, order, draws):

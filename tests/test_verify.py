@@ -152,7 +152,7 @@ def test_available_threads_is_the_core_count():
 def test_build_tasks_budgets():
     quick = build_tasks(SUITES, budget="quick")
     desk = build_tasks(SUITES, budget="desk")
-    assert (len(quick), len(desk)) == (171, 313)
+    assert (len(quick), len(desk)) == (173, 315)
     suites_seen = {suite for suite, _check, _kw in quick}
     assert suites_seen == set(SUITES)
     assert all(check.startswith("check_") for _s, check, _kw in desk)
@@ -253,23 +253,32 @@ def test_failure_reporting_shape():
 
 
 # ---------------------------------------------------------------------------
-# check_poset_identities: every row compares two independent computations,
-# so planting a bug on one side fails exactly the rows that read that side
+# check_poset_identities and the two poset DP entries of Q_ORACLES: every row
+# compares two independent computations, so planting a bug on one side fails
+# exactly the rows that read that side
 
 VEE_K2 = ("vee", dict(catalog())["vee"], 2)
+POSET_Q = ("poset-weight-sum", "poset-expectation")
 ROW_NAMES = (
-    "weight sum",
     "weights",
     "routes",
     "comaj tally",
-    "expectation",
     "oracle",
     "roundtrips",
+    *(f"{name},poset=vee" for name in POSET_Q),
 )
 
 
+def _vee_rows():
+    """The rows of check_poset_identities at (vee, 2), then the vee's row of
+    each poset DP entry, which holds its values at k = 0..2."""
+    rows = list(check_poset_identities(*VEE_K2))
+    q_rows = (row for name in POSET_Q for row in check_q(name, (3, 2)))
+    return rows + [row for row in q_rows if row[0].endswith(",poset=vee")]
+
+
 def _failing(rows):
-    return {inst.split(" ", 1)[1] for inst, want, got in rows if want != got}
+    return {inst.split(" ", 1)[-1] for inst, want, got in rows if want != got}
 
 
 def _drop_first(real):
@@ -350,26 +359,26 @@ def _plant_codec(monkeypatch):
 
 
 PLANTS = [
-    (_plant_weight_sum, {"weight sum"}),
+    (_plant_weight_sum, {"poset-weight-sum,poset=vee"}),
     (_plant_weights, {"weights", "oracle"}),
     (_plant_walker, {"routes", "comaj tally"}),
-    (_plant_multichain, {"expectation", "oracle"}),
-    (_plant_comaj_dp, {"expectation", "comaj tally"}),
+    (_plant_multichain, {"poset-expectation,poset=vee", "oracle"}),
+    (_plant_comaj_dp, {"poset-expectation,poset=vee", "comaj tally"}),
     (_plant_composer, {"weights", "routes"}),
     (_plant_codec, {"roundtrips"}),
 ]
 
 
 def test_poset_rows_pass_on_small_poset():
-    rows = list(check_poset_identities(*VEE_K2))
-    assert tuple(inst.split(" ", 1)[1] for inst, _w, _g in rows) == ROW_NAMES
+    rows = _vee_rows()
+    assert tuple(inst.split(" ", 1)[-1] for inst, _w, _g in rows) == ROW_NAMES
     assert _failing(rows) == set()
 
 
 @pytest.mark.parametrize("plant,fails", PLANTS, ids=[p.__name__ for p, _ in PLANTS])
 def test_poset_row_fails_when_one_side_is_planted(monkeypatch, plant, fails):
     plant(monkeypatch)
-    assert _failing(check_poset_identities(*VEE_K2)) == fails
+    assert _failing(_vee_rows()) == fails
 
 
 def test_object_composed_twice_fails_routes_past_n_4(monkeypatch):
@@ -411,9 +420,16 @@ def test_every_poset_row_can_fail():
     assert set().union(*(fails for _p, fails in PLANTS)) == set(ROW_NAMES)
 
 
+# the rows of check_poset_identities at (vee, 1), then the vee's row of each
+# poset DP entry of Q_ORACLES (its values at k = 0, 1)
 _VEE_K1_RUN = """
 kwargs = {"name": "vee", "poset": dict(catalog())["vee"], "k": 1}
-results = v.run_tasks([("posets", "check_poset_identities", kwargs)], threads=1)
+tasks = [("posets", "check_poset_identities", kwargs)] + [
+    ("qstats", "check_q", {"name": name, "size": (3, 1)})
+    for name in ("poset-weight-sum", "poset-expectation")
+]
+vee = lambda r: r.instance.startswith("vee,") or r.instance.endswith(",poset=vee")
+results = [r for r in v.run_tasks(tasks, threads=1) if vee(r)]
 print(json.dumps([(r.instance, r.status, r.expected, r.actual) for r in results]))
 """
 
@@ -474,8 +490,8 @@ def test_dropped_object_gives_fail_row_not_exception(flags):
     status = _run_vee_k1(_DROP_SCRIPT, flags)
     assert status["vee,k=1 routes"] == "fail"
     assert status["vee,k=1 comaj tally"] == "fail"
-    assert status["vee,k=1 expectation"] == "pass"
-    assert status["vee,k=1 weight sum"] == "pass"
+    assert status["poset-expectation,poset=vee"] == "pass"
+    assert status["poset-weight-sum,poset=vee"] == "pass"
 
 
 # the walker's objects are not validated: a walker that yields a filling
@@ -525,7 +541,7 @@ v._comaj_walk = lambda preds, succs, total: real(preds, succs, total) + QPoly([1
 def test_wrong_comaj_dp_fails_its_two_rows(flags):
     status = _run_vee_k1(_COMAJ_DP_SCRIPT, flags)
     failed = {inst for inst, st in status.items() if st == "fail"}
-    assert failed == {"vee,k=1 comaj tally", "vee,k=1 expectation"}
+    assert failed == {"vee,k=1 comaj tally", "poset-expectation,poset=vee"}
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
@@ -791,8 +807,8 @@ def test_raise_mid_task_keeps_the_rows_before_it(flags):
     assert rows[2] == ["n=4", "fail", "no exception", "OutOfRange: planted at i = 2"]
 
 
-# a raise partway through a multi-row check keeps the rows before it: every
-# check is a generator, so the rows it yielded are already in the task's list
+# a raise at one point of a table entry fails that point's row, in the format
+# of a raising task's row, and the points after it still run
 _PATH_COUNT_RAISE_SCRIPT = _PLANT_HEAD + """
 from svtab.core import OutOfRange
 real = v.count_paths
@@ -821,19 +837,14 @@ def test_raise_in_a_multi_row_check_keeps_the_rows_before_it(flags):
         check=True,
     )
     rows = json.loads(proc.stdout)
-    assert [(inst, status) for inst, status, _w, _g in rows[:-1]] == [
-        (f"motzE,n={n:02d}", "pass") for n in range(7)
+    assert [(inst, status) for inst, status, _w, _g in rows] == [
+        (f"motzE,n={n:02d}", "fail" if n == 7 else "pass") for n in range(9)
     ]
-    assert rows[-1] == [
-        "kind=family,name=motzE,size=8",
-        "fail",
-        "no exception",
-        "OutOfRange: planted at motzE, n = 7",
-    ]
+    assert rows[7] == ["motzE,n=07", "fail", "no exception", "OutOfRange: planted at motzE, n = 7"]
 
 
-# an exception that is no SvtabError, a bug in the library, fails its own task
-# with the rows before it; the run returns, and the other task keeps its rows
+# an exception that is no SvtabError, a bug in the library, fails its own
+# point's row; the run returns, and the other points and tasks keep their rows
 _ZERO_DIVISION_SCRIPT = _PLANT_HEAD + """
 real = v.count_paths
 
@@ -862,9 +873,9 @@ def test_library_bug_fails_its_task_not_the_run():
     )
     rows = json.loads(proc.stdout)
     paths = {inst: (st, got) for _c, inst, st, got in rows if not inst.startswith("catalan,")}
-    raised = paths.pop("kind=family,name=motz,size=6")
+    raised = paths.pop("motz,n=03")
     assert {inst: status for inst, (status, _a) in paths.items()} == {
-        f"motz,n={n:02d}": "pass" for n in range(3)
+        f"motz,n={n:02d}": "pass" for n in (0, 1, 2, 4, 5, 6)
     }
     assert raised[0] == "fail" and raised[1].startswith("ZeroDivisionError: ")
     assert [row for row in rows if row[1].startswith("catalan,")] == [
@@ -873,22 +884,66 @@ def test_library_bug_fails_its_task_not_the_run():
 
 
 def test_a_raising_task_names_its_frame(monkeypatch):
-    # the same plant in process: the time record names the plant's frame
-    real = svtab.verify.count_paths
+    # a division by zero at i = 2 of a hand-written check ends its task: the
+    # time record names the plant's frame
+    real = svtab.verify.f_count
 
-    def planted(family, n):
-        return real(family, n) // (0 if n == 3 else 1)
+    def planted(n, i):
+        return real(n, i) // (0 if i == 2 else 1)
 
-    names, count, _oracle, grid, sizes = COUNT_ORACLES["family"]["motz"]
-    entry = (names, count, partial(planted, "motz"), grid, sizes)
-    monkeypatch.setitem(COUNT_ORACLES["family"], "motz", entry)
-    raising = ("counts", "check_count", {"kind": "family", "name": "motz", "size": 6})
-    timing, _rows = svtab.verify._run_task(raising)
+    monkeypatch.setattr(svtab.verify, "f_count", planted)
+    timing, _rows = svtab.verify._run_task(("counts", "check_two_row_counts", {"n": 4}))
     line = planted.__code__.co_firstlineno + 1
     assert timing["raised_at"] == f"test_verify.py:{line} in planted"
     catalan3 = {"kind": "formula", "name": "catalan", "size": 3}
     timing, _rows = svtab.verify._run_task(("counts", "check_count", catalan3))
     assert "raised_at" not in timing
+
+
+# each entry of the three tables, a raise planted at the first point of its
+# quick grid (in the value of an oracle entry, in the objects of a roundtrip
+# entry), fails exactly that point's row; every later point still gives its
+# row, so the task gives as many rows as without the plant
+
+
+class Planted(Exception):
+    pass
+
+
+def _raising_at(point, fn):
+    def planted(*args, **kwargs):
+        if (args or kwargs) == point:
+            raise Planted(f"at {point}")
+        return fn(*args, **kwargs)
+
+    return planted
+
+
+TABLE_ENTRIES = [
+    *(("count", kind, name) for kind, table in COUNT_ORACLES.items() for name in table),
+    *(("q", None, name) for name in Q_ORACLES),
+    *(("roundtrip", None, name) for name in ROUNDTRIPS),
+]
+
+
+@pytest.mark.parametrize(
+    "table,kind,name", TABLE_ENTRIES, ids=[f"{t}-{n}" for t, _k, n in TABLE_ENTRIES]
+)
+def test_a_raise_at_one_point_fails_exactly_its_row(table, kind, name, monkeypatch):
+    if table == "roundtrip":
+        entries, slot, check = ROUNDTRIPS, 0, partial(check_roundtrip, name)
+    elif table == "q":
+        entries, slot, check = Q_ORACLES, 1, partial(check_q, name)
+    else:
+        entries, slot, check = COUNT_ORACLES[kind], 1, partial(check_count, kind, name)
+    entry = entries[name]
+    size = entry[-1][0]
+    point = entry[-2](size)[0]
+    passing = list(check(size))
+    replant(entries, name, {slot: _raising_at(point, entry[slot])}, monkeypatch.setitem)
+    failing = list(check(size))
+    assert all(want == got for _i, want, got in passing)
+    assert failing == [(passing[0][0], "no exception", f"Planted: at {point}"), *passing[1:]]
 
 
 # a roundtrip entry whose inverse finds a fault fails the row a passing run
@@ -1046,6 +1101,23 @@ def test_a_planted_identity_fails_every_triple_row(monkeypatch):
         rows = list(check_roundtrip("triple", size))
         assert len(rows) == size - 1
         assert [got for _inst, _want, got in rows if "image" not in got] == []
+
+
+# the identity, planted as both the map and the inverse of any ROUNDTRIPS
+# entry, gives each object back as its own image, so the image test must fail
+# it: every row with an object fails, at every budget.  Where the test reads
+# an attribute that the object lacks, the raise fails that point's row
+
+
+@pytest.mark.parametrize("name", list(ROUNDTRIPS))
+def test_a_planted_identity_fails_every_row_with_an_object(name, monkeypatch):
+    objects, *_maps, grid, sizes = ROUNDTRIPS[name]
+    identity = lambda x: x  # noqa: E731
+    replant(ROUNDTRIPS, name, {1: identity, 2: identity}, monkeypatch.setitem)
+    for size in sizes:
+        some = [any(True for _ in objects(**point)) for point in grid(size)]
+        rows = list(check_roundtrip(name, size))
+        assert [want != got for _inst, want, got in rows] == some and any(some)
 
 
 # a map that breaks one condition of the triple's image test on the objects
