@@ -15,12 +15,16 @@ lexicographic order of the word that maps each entry to its cell index.
 The move rule is stated once, in the per-ideal move table ``_Moves``, and
 the walker and both ideal DPs read it; the colored-path step rule is stated
 once, in ``_path_steps``, for the path walker and its DP, with the family's
-restrictions from ``core.PATH_RULES``.  The DPs visit no object: each is one
-forward pass of int weights (``_forward``) over the walker's states, whose
-steps yield (exponent, next state), 0 for the counts; the tableau count
-steps by the move table itself (at width 0 a move's cell shifts nothing).
-Every comajor DP is its exponent rule and one ``_q_tally`` call, the one
-packed pass, which alone sets the slot width, packs and unpacks:
+restrictions from ``core.PATH_RULES``.  The DPs visit no object.  The tableau
+count (``_count_walk``) is one sweep of the ideals in size order that gives
+every number of appended entries k <= K at once: an ideal's series in x,
+truncated at x^K, is the sum of its lower covers' series divided by
+1 - m·x, for the m appends the move table allows there, and ``count_svsyt``
+keeps each shape's counts.  The other DPs are forward passes of int weights
+(``_forward``) over the walker's states, whose steps yield (exponent, next
+state): the path count keeps one pass per family and resumes it for a longer
+length.  Every comajor DP is its exponent rule and one ``_q_tally`` call, the
+one packed pass, which alone sets the slot width, packs and unpacks:
 ``_comaj_walk`` here, over states that also record the cell the last entry
 opened; the cut rule in ``posets``; and the q-Narayana row in ``stats``, over
 ``_path_steps``, whose oracle in ``verify`` is ``_comaj_walk`` summed over the
@@ -29,7 +33,9 @@ two-row rectangles.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
+from operator import add
 from typing import Iterator
 
 from .core import (
@@ -94,18 +100,18 @@ class _Moves(dict):
 
     def __init__(self, preds: list[int], succs: list[int]):
         super().__init__()
-        self.preds, self.succs = preds, succs
+        self.cells = [(i, 1 << i, pred, succ) for i, (pred, succ) in enumerate(zip(preds, succs))]
 
     def __missing__(self, ideal: int) -> tuple[int, list, list]:
-        moves = []
-        for i, (pred, succ) in enumerate(zip(self.preds, self.succs)):
-            if ideal >> i & 1:
+        moves, opens = [], []
+        for i, bit, pred, succ in self.cells:
+            if ideal & bit:
                 if not succ & ideal:
                     moves.append((i, ideal))
             elif pred & ideal == pred:
-                moves.append((i, ideal | 1 << i))
-        unopened = len(self.preds) - ideal.bit_count()
-        self[ideal] = value = unopened, moves, [m for m in moves if m[1] != ideal]
+                moves.append(move := (i, ideal | bit))
+                opens.append(move)
+        self[ideal] = value = len(self.cells) - ideal.bit_count(), moves, opens
         return value
 
     def legal(self, ideal: int, left: int) -> list[tuple[int, int]]:
@@ -144,13 +150,12 @@ def _walk(preds: list[int], succs: list[int], total: int) -> Iterator[tuple[tupl
                 cells[placed.pop()].pop()
 
 
-def _forward(start, step, n: int, width: int = 0) -> dict:
-    """The state -> int weight layer after n steps from {start: 1}.
+def _forward(layer: dict, step, n: int, width: int = 0) -> dict:
+    """The state -> int weight layer n steps after ``layer``.
 
     A weight w moves along each (exponent e, next state) of ``step(state,
     left)`` as w << width * e; ``left`` counts the steps after this one.
     """
-    layer = {start: 1}
     for left in range(n - 1, -1, -1):
         nxt: dict = {}
         for state, w in layer.items():
@@ -167,23 +172,43 @@ def _q_tally(start, step, n: int, key) -> dict:
     the packed pass holds the count of q^c in bits [cB, (c+1)B) of one int per
     state.  No walk may dead-end, so no count in a layer exceeds the walk count
     and no carry crosses a slot."""
-    width = max(1, sum(_forward(start, step, n).values()).bit_length())
+    width = max(1, sum(_forward({start: 1}, step, n).values()).bit_length())
     slot = (1 << width) - 1
     packed: dict = {}
-    for state, w in _forward(start, step, n, width).items():
+    for state, w in _forward({start: 1}, step, n, width).items():
         packed[key(state)] = packed.get(key(state), 0) + w
     return {g: QPoly(w >> c * width & slot for c in range(w.bit_length() // width + 1))
             for g, w in sorted(packed.items())}
 
 
-def _count_walk(preds: list[int], succs: list[int], total: int) -> int:
-    """The number of leaves of ``_walk``, without visiting them.
+def _count_walk(preds: list[int], succs: list[int], kmax: int) -> list[int]:
+    """The number of leaves of ``_walk`` with k appended entries, for k = 0..kmax,
+    without visiting them.
 
-    The subtree below a node of the walk depends only on the next entry and
-    the ideal of open cells, so the leaves are counted one entry at a time
-    over the reachable ideals.  The legal moves (cell, ideal after) are the
-    steps: at width 0 the cell, in the exponent's place, shifts nothing."""
-    return sum(_forward(0, _Moves(preds, succs).legal, total).values())
+    A leaf is a walk up the lattice of ideals that stays put k times, each
+    stay one of the m(I) appends ``_Moves`` allows at the ideal I it stays
+    at.  (Its rule "left >= unopened" is "fewer than k appends so far", so
+    every such walk is a leaf.)  The walks to I, by stays, have the series
+        F(I) = (Σ over the lower covers I' of I of F(I')) / (1 - m(I)·x),
+    truncated at x^kmax, and the counts are the coefficients of F(full).  One
+    sweep of the ideals in size order gives them all: each ideal's series is
+    complete once the layer below it has been pushed up, and the division is
+    g_j = f_j + m·g_(j-1)."""
+    moves = _Moves(preds, succs)
+    layer: dict[int, list[int]] = {0: [1] + [0] * kmax}
+    while True:
+        nxt: dict[int, list[int]] = {}
+        for ideal, f in layer.items():
+            _unopened, legal, opens = moves[ideal]
+            m = len(legal) - len(opens)
+            if m and kmax:
+                f = list(itertools.accumulate(f, lambda g, c: c + m * g))
+            for _i, up in opens:
+                g = nxt.get(up)
+                nxt[up] = f if g is None else list(map(add, g, f))
+        if not nxt:
+            return f
+        layer = nxt
 
 
 def _comaj_walk(preds: list[int], succs: list[int], total: int) -> QPoly:
@@ -229,12 +254,26 @@ def gen_svsyt(shape, k: int) -> Iterator[SetValuedTableau]:
         yield _repack(sk, flat)
 
 
+@lru_cache(maxsize=64)
+def _shape_counts(shape: SkewShape) -> list[int]:
+    """The shape's counts by k, k = 0..K, that ``count_svsyt`` has swept so
+    far; empty until it is first asked, then replaced in place."""
+    return []
+
+
 def count_svsyt(shape, k: int) -> int:
+    """The number of set-valued standard tableaux of the shape with k extras.
+
+    One sweep of the shape's ideals gives every k <= K (``_count_walk``).  The
+    first query sweeps to K = k; a later one past K sweeps again to
+    max(k, 2·K), so asking k = 0, 1, 2, ... sweeps O(log k) times."""
     sk = as_skew(shape)
     if sk.ncells == 0 or k < 0:
         raise OutOfRange(f"need a nonempty shape and k >= 0, got {shape}, k={k}")
-    _, preds, succs = _cell_masks(sk)
-    return _count_walk(preds, succs, sk.ncells + k)
+    counts = _shape_counts(sk)
+    if k >= len(counts):
+        counts[:] = _count_walk(*_cell_masks(sk)[1:], max(k, 2 * len(counts) - 2))
+    return counts[k]
 
 
 def _two_row_shapes(n: int) -> list[Partition]:
@@ -328,16 +367,29 @@ def gen_paths(family: str, n: int) -> Iterator[ColoredPath]:
         yield ColoredPath(w)
 
 
-def count_paths(family: str, n: int) -> int:
-    """The number of length-n paths of the family, by a DP over (height, seen D)."""
-    r1, r2, end = _family_rules(family, n)
+@lru_cache(maxsize=len(PATH_RULES))
+def _path_pass(family: str) -> list:
+    """``count_paths``' kept pass of the family: [the counts by length so far,
+    the (height, seen D) -> weight layer at the next length]."""
+    return [[], {(0, False): 1}]
 
-    @lru_cache(maxsize=None)
-    def steps(state: tuple[int, bool]) -> list[tuple[int, tuple[int, bool]]]:
+
+def count_paths(family: str, n: int) -> int:
+    """The number of length-n paths of the family, by a DP over (height, seen D).
+
+    One layer pass per family is kept, and a longer n resumes it, so the
+    lengths 0..n together cost one pass to n."""
+    r1, r2, end = _family_rules(family, n)
+    kept = _path_pass(family)
+    counts, layer = kept
+
+    def step(state: tuple[int, bool], _left: int) -> list[tuple[int, tuple[int, bool]]]:
         return [(0, (nh, nD)) for _ch, nh, nD in _path_steps(*state, r1, r2)]
 
-    layer = _forward((0, False), lambda state, _left: steps(state), n)
-    return sum(ways for (h, _), ways in layer.items() if end is None or h == end)
+    while len(counts) <= n:
+        counts.append(sum(w for (h, _), w in layer.items() if end is None or h == end))
+        layer = kept[1] = _forward(layer, step, 1)
+    return counts[n]
 
 
 def gen_ballotlike(n: int, i: int) -> Iterator[ColoredPath]:

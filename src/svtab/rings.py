@@ -11,7 +11,8 @@ generic over the coefficient rings QPoly and MultiPoly, which also give
 ``_dot(pairs)``, the sum of a*b over (a, b) pairs: each coefficient of a TSeries
 product, inverse or square root is one ``_dot``; one helper, ``square_pairs``,
 pairs each cross product of a square once (``s * s``, ``sqrt``, ``solve_E``).
-MultiPoly's ``_dot``, its ``*`` too, is the one product kernel.  A term's key
+MultiPoly's ``_dot``, its ``*`` too, is the one product kernel, but for a
+one-term operand, which shifts the other's packed keys.  A term's key
 is one int, the exponents of U, D, u, d in 32-bit fields (eU most significant);
 exponents >= 2**31 in a product operand raise ``OutOfRange``.  The kernel is a
 Kronecker substitution: within each group of terms that share eU, eD and
@@ -180,12 +181,22 @@ MARKERS = ("U", "D", "u", "d")
 _MASK = 0xFFFFFFFF
 _HIGH = 0x80000000_80000000_80000000_80000000  # bit 31 of every field
 _NEXT_SLOT = (1 << 32) - 1  # along a run of slots, eu goes up by one and ed down
+_BORROWS = 1 << 32 | 1 << 64 | 1 << 96  # the lowest bit of each field but the last
 
 
 def _pack(exp: tuple[int, int, int, int]) -> int:
     if not (isinstance(exp, tuple) and len(exp) == 4 and all(0 <= e < 1 << 31 for e in exp)):
         raise OutOfRange(f"a MultiPoly key is 4 exponents in [0, 2**31), got {exp!r}")
     return exp[0] << 96 | exp[1] << 64 | exp[2] << 32 | exp[3]
+
+
+def _exponents(k: int) -> tuple[int, int, int, int]:
+    return k >> 96, k >> 64 & _MASK, k >> 32 & _MASK, k & _MASK
+
+
+def _run_order(k: int) -> int:
+    """The sort key of a packed key by its group (eU, eD, eu + ed < 2**32), then eu."""
+    return k >> 64 << 64 | ((k >> 32 & _MASK) + (k & _MASK)) << 32 | k >> 32 & _MASK
 
 
 class MultiPoly(_Ring):
@@ -211,8 +222,7 @@ class MultiPoly(_Ring):
 
     @property
     def terms(self) -> Mapping[tuple[int, int, int, int], int]:
-        exps = ((k >> 96, k >> 64 & _MASK, k >> 32 & _MASK, k & _MASK) for k in self._terms)
-        return MappingProxyType(dict(zip(exps, self._terms.values())))
+        return MappingProxyType(dict(zip(map(_exponents, self._terms), self._terms.values())))
 
     @classmethod
     def zero(cls) -> "MultiPoly":
@@ -265,7 +275,12 @@ class MultiPoly(_Ring):
     def __mul__(self, other: "MultiPoly | int") -> "MultiPoly":
         if isinstance(other, int):
             return MultiPoly._packed({k: v * other for k, v in self._terms.items()})
-        return MultiPoly._dot(((self, other),))
+        a, m = (other, self) if len(self._terms) == 1 else (self, other)
+        if len(m._terms) != 1:
+            return MultiPoly._dot(((a, m),))
+        a._cache(), m._cache()  # the operands' exponent check
+        (km, cm), = m._terms.items()  # a monomial shifts each key; no field carries
+        return MultiPoly._packed({k + km: v * cm for k, v in a._terms.items()})
 
     def _cache(self) -> tuple[int, dict[int, list[tuple[int, int]]]]:
         """(‖self‖₁, the sum of |c|; the slices made so far, by width), made
@@ -284,10 +299,7 @@ class MultiPoly(_Ring):
         if slices is None:
             runs: list[tuple[int, list[int]]] = []
             last = -2
-            for order, k, c in sorted(  # order: eU, eD, eu + ed (< 2**32), eu
-                (k >> 64 << 64 | ((k >> 32 & _MASK) + (k & _MASK)) << 32 | k >> 32 & _MASK, k, v)
-                for k, v in self._terms.items()
-            ):
+            for order, k, c in sorted((_run_order(k), k, v) for k, v in self._terms.items()):
                 if order == last + 1:
                     runs[-1][1].append(c)
                 else:
@@ -342,14 +354,41 @@ class MultiPoly(_Ring):
         return MultiPoly._packed(out)
 
     def divexact_monomial(self, c: int, exp: tuple[int, int, int, int]) -> "MultiPoly":
+        """The quotient by c times the monomial: each packed key less the
+        monomial's, where no field borrows (bit 32·i of k - m is then that of
+        k ^ m, and k - m >= 0)."""
         _divisor(c)
+        m = _pack(exp)
         out = {}
-        for k, v in self.terms.items():
-            nk = tuple(a - b for a, b in zip(k, exp))
-            if any(a < 0 for a in nk) or v % c:
-                raise InexactDivision(f"term {k}:{v} not divisible by {c}*{exp}")
+        for k, v in self._terms.items():
+            nk = k - m
+            if nk < 0 or (nk ^ k ^ m) & _BORROWS or v % c:
+                raise InexactDivision(f"term {_exponents(k)}:{v} not divisible by {c}*{exp}")
             out[nk] = v // c
-        return MultiPoly(out)
+        return MultiPoly._packed(out)
+
+    def divexact_d_minus_u(self) -> "MultiPoly":
+        """The quotient by d - u.  In a group of equal eU, eD and eu + ed = s,
+        the coefficient p_j of u^j·d^(s-j) is q_j - q_(j-1), where q_j is the
+        quotient's at u^j·d^(s-1-j) (the key less 1), so q_j = p_0 + ... + p_j,
+        the running sum along eu, and q_s, the group's sum, must vanish."""
+        out: dict[int, int] = {}
+        group = acc = last = 0
+        for order, k, c in sorted((_run_order(k), k, v) for k, v in self._terms.items()):
+            if order >> 32 != group:
+                if acc:
+                    break
+                group = order >> 32
+            elif acc:  # the quotient's run goes on through the gap since the last term
+                for gap in range(last + _NEXT_SLOT, k, _NEXT_SLOT):
+                    out[gap - 1] = acc
+            acc += c
+            if acc:
+                out[k - 1] = acc
+            last = k
+        if acc:
+            raise InexactDivision(f"{self} not divisible by d - u")
+        return MultiPoly._packed(out)
 
     def at_ones(self) -> int:
         """Specialize every marker to 1."""

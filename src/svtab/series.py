@@ -65,16 +65,25 @@ def derived_series(e: TSeries) -> tuple[TSeries, TSeries, TSeries]:
     E1 inverts 1 - (U·D·t²·E + d·t): a low level carries d steps and
     excursions but never u.  E2 inverts 1 - (u·t + U·D·t²·E): before the
     first D only u steps and excursions occur, so no early d is possible.
-    E12 stacks one excursion factor over both restricted levels.  E2 is read
-    off E1 through the swap σ of u and d, which is exact: E's equation depends
-    on u + d only, so σ fixes E; σ maps 1 - (block + d·t) to 1 - (u·t + block);
-    and inversion commutes with the ring automorphism σ.
+    E12 stacks one excursion factor over both restricted levels:
+    E12 = U·D·t²·E1·E2.  E2 is read off E1 through the swap σ of u and d, which
+    is exact: E's equation depends on u + d only, so σ fixes E; σ maps
+    1 - (block + d·t) to 1 - (u·t + block); and inversion commutes with the
+    ring automorphism σ.
+
+    E12 needs no product.  The two inverted series differ by one term,
+    1/E1 - 1/E2 = (1 - block - d·t) - (1 - u·t - block) = (u - d)·t, and
+    multiplying by E1·E2 gives E1 - E2 = (d - u)·t·E1·E2.  So
+    E12 = U·D·t·(E1 - E2)/(d - u): [t^n]E12 is U·D times [t^(n-1)](E1 - E2)
+    divided exactly by d - u, and [t^0]E12 = 0.
     """
     order = e.order
     block = _excursion_block(e)
     e1 = (1 - (block + TSeries(MultiPoly, order, [0, _d]))).inverse()
     e2 = TSeries(MultiPoly, order, [c.swap("u", "d") for c in e1.coeffs])
-    e12 = ((e1 * e2) * (_U * _D)).shift_up(2)
+    ud = _U * _D
+    lower = zip(e1.coeffs[:order], e2.coeffs)  # [t^(n-1)] of E1 and E2, n = 1..order
+    e12 = TSeries(MultiPoly, order, [0, *((a - b).divexact_d_minus_u() * ud for a, b in lower)])
     return e1, e2, e12
 
 

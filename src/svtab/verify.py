@@ -14,9 +14,10 @@ size; tasks run across processes, and only a run with more than one worker
 imports the process pool.  Every ``check_*`` function gives a generator of one
 row per instance, so a failure carries its own counterexample; ``_CHECKS``
 collects them by that prefix.  A raise, any exception, fails its point's row in
-a table's check, and the later points run; another check keeps the rows it gave
-before a raise, then one failing row naming the exception: it fails its task,
-not the run.  A task's wall time is the one timing record; rows carry no time.
+a table's check, which names the exception and its innermost frame, and the
+later points run; another check keeps the rows it gave before a raise, then one
+failing row naming the exception: it fails its task, not the run.  A task's
+wall time is the one timing record; rows carry no time.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .closedform import (
     catalan,
     e_count,
     f_count,
+    hook_count,
     kreweras,
     more_shapes_counts,
     narayana,
@@ -226,6 +228,11 @@ COUNT_ORACLES: dict[str, dict[str, tuple[tuple[str, ...], Callable, Callable, Ca
         "f": (("n", "i"), f_count, _f_rec, _triangle(0), (12, 30)),
         "act": (("b", "k"), act_count, _rectangle_dp, _rectangles, (9, 24)),
         "peaks": (("b", "k"), peaks_count, _rectangle_dp, _rectangles, (9, 24)),
+        # standard tableaux of every straight shape, by hook lengths and by the ideal DP
+        "hook": (
+            ("shape",), hook_count, lambda shape: count_svsyt(shape, 0),
+            lambda cells: [(s,) for t in range(1, cells + 1) for s in _partitions(t)], (6, 10),
+        ),
         # the paper's model: two-row tableaux with n + 1 entries
         "catalan": (("n",), catalan, _catalan_tally, _upto(1), (8, 11)),
         "narayana": (
@@ -444,6 +451,17 @@ def _count_row(instance: str, want: int, noun: str, outcomes) -> Row:
     return instance, f"{want} {noun}", f"{done} {noun}{bad}"
 
 
+def _frame(exc: Exception) -> str:
+    """The innermost frame of the raise, as "file:line in function"."""
+    at = traceback.extract_tb(exc.__traceback__)[-1]
+    return f"{os.path.basename(at.filename)}:{at.lineno} in {at.name}"
+
+
+def _raised(exc: Exception) -> str:
+    """The actual text of a point's row that raised: the exception and its frame."""
+    return f"{type(exc).__name__}: {exc}; raised at {_frame(exc)}"
+
+
 def _oracle_rows(name: str, entry: tuple, size: int) -> Iterator[Row]:
     """An oracle table's entry over its grid at ``size``: a row per value of
     the first parameter, the oracle's values against the entry's over the rest."""
@@ -453,7 +471,7 @@ def _oracle_rows(name: str, entry: tuple, size: int) -> Iterator[Row]:
         try:
             yield instance, *(",".join(str(fn(*p)) for p in points) for fn in (oracle, value))
         except Exception as exc:  # a raise fails its point; the later points still run
-            yield instance, "no exception", f"{type(exc).__name__}: {exc}"
+            yield instance, "no exception", _raised(exc)
 
 
 def check_count(kind: str, name: str, size: int) -> Iterator[Row]:
@@ -512,7 +530,7 @@ def check_roundtrip(name: str, size: int) -> Iterator[Row]:
             outcomes = (_roundtrip(x, forth, back, test, point, seen) for x in objects(**point))
             yield _count_row(instance, target(**point), "roundtrips", outcomes)
         except Exception as exc:  # a raise fails its point; the later points still run
-            yield instance, "no exception", f"{type(exc).__name__}: {exc}"
+            yield instance, "no exception", _raised(exc)
 
 
 def check_walker_tableaux(n: int) -> Iterator[Row]:
@@ -791,8 +809,7 @@ def _run_task(task: Task) -> tuple[dict, list[CheckResult]]:
     except Exception as exc:  # a library bug fails its task, not the run
         instance = ",".join(f"{k}={v}" for k, v in args.items())
         rows.append((instance, "no exception", f"{type(exc).__name__}: {exc}"))
-        at = traceback.extract_tb(exc.__traceback__)[-1]
-        timing["raised_at"] = f"{os.path.basename(at.filename)}:{at.lineno} in {at.name}"
+        timing["raised_at"] = _frame(exc)
     timing.update(seconds=round(perf_counter() - started, 6), rows=len(rows))
     return timing, [
         CheckResult(
@@ -820,8 +837,8 @@ def _longest_first(tasks) -> list[Task]:
         _suite, check, kwargs = task
         if check != "check_poset_identities":
             return 1, 0
-        preds, succs = kwargs["poset"]._cover_masks
-        return 0, -_count_walk(preds, succs, kwargs["poset"].n + kwargs["k"])
+        k = kwargs["k"]
+        return 0, -_count_walk(*kwargs["poset"]._cover_masks, k)[k]
 
     return sorted(tasks, key=key)
 

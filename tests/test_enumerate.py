@@ -1,13 +1,14 @@
 """Exhaustive generators and their streaming counts."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
 
 from svtab.closedform import ballot_count, catalan
 from svtab.closedform import act_count
-from svtab.posets import Poset, catalog, sv_linear_extensions
+from svtab.posets import Poset, _partitions, catalog, sv_linear_extensions
 from svtab.rings import QPoly
 from svtab.stats import comaj_plus_k
 from svtab.core import (
@@ -23,7 +24,10 @@ from svtab.enumerate import (
     _cell_masks,
     _comaj_walk,
     _count_walk,
+    _path_pass,
     _path_steps,
+    _shape_counts,
+    _walk,
     as_skew,
     count_paths,
     count_svsyt,
@@ -253,8 +257,36 @@ def test_count_svsyt_dp_matches_generation(shape):
 
 @pytest.mark.parametrize("family", ["motz", "motzE", "motzT", "motzET", "ballotlike"])
 def test_count_paths_dp_matches_generation(family):
-    for n in range(11):
-        assert count_paths(family, n) == sum(1 for _ in gen_paths(family, n))
+    # one layer pass per family is kept and resumed, so lengths asked out of
+    # order read the same counts as lengths asked in order
+    _path_pass.cache_clear()
+    lengths = list(range(11))
+    random.Random(family).shuffle(lengths)
+    for n in lengths:
+        want = sum(1 for _ in gen_paths(family, n))
+        if family == "ballotlike":
+            assert want == sum(1 for i in range(n + 1) for _ in gen_ballotlike(n, i))
+        assert count_paths(family, n) == want, n
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_count_kernel_matches_the_walker_in_any_query_order(order):
+    # each shape's counts are kept by k and swept again only past the largest
+    # k swept, so asking k = 3 first or last must give the same counts
+    _shape_counts.cache_clear()
+    ks = range(4) if order == "ascending" else range(3, -1, -1)
+    for cells in range(1, 8):
+        for shape in _partitions(cells):
+            masks = _cell_masks(as_skew(shape))[1:]
+            for k in ks:
+                assert count_svsyt(shape, k) == sum(1 for _ in _walk(*masks, cells + k)), (shape, k)
+
+
+def test_count_kernel_matches_the_walker_on_posets():
+    for name, poset in catalog():
+        if poset.n <= 5:
+            walked = [sum(1 for _ in sv_linear_extensions(poset, k)) for k in range(3)]
+            assert _count_walk(*poset._cover_masks, 2) == walked, name
 
 
 def test_count_svsyt_past_the_ceiling():
@@ -306,7 +338,7 @@ def test_packed_comaj_tally_sums_to_the_leaf_count():
         for k in range(4):
             total = poset.n + k
             masks = poset._cover_masks
-            assert _comaj_walk(*masks, total)(1) == _count_walk(*masks, total), (name, k)
+            assert _comaj_walk(*masks, total)(1) == _count_walk(*masks, k)[k], (name, k)
     # a DP with no leaves decodes to zero
     assert _comaj_walk(*Poset(0, ())._cover_masks, 1) == QPoly.zero()
 

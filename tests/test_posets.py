@@ -486,7 +486,7 @@ class TestIdentities:
         lhs, rhs = sum_identity_check(poset, k)
         preds, succs = poset._cover_masks
         assert num == _comaj_walk(preds, succs, n + k)
-        assert num(1) == _count_walk(preds, succs, n + k)
+        assert num(1) == _count_walk(preds, succs, k)[k]
         closed = QPoly.monomial(1) * qbinom(n + 2, 2) * _comaj_walk(preds, succs, n)
         assert den == lhs == rhs == closed
         assert den(1) == binom(n + 2, 2) * extensions

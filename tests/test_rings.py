@@ -147,6 +147,45 @@ class TestPackedKeys:
         else:
             _same_series(s.sqrt(), want)
 
+    @given(
+        wide_terms, st.tuples(*(st.integers(0, 40) for _ in MARKERS)), st.sampled_from([-3, 1, 2])
+    )
+    @settings(max_examples=60)
+    def test_one_term_products_match_the_kernel(self, xs, exp, c):
+        (a, ref), m = _both(xs), MultiPoly({exp: c})
+        want = MultiPoly._dot(((a, m),))
+        assert a * m == m * a == want
+        assert (a * m).sorted_terms() == (ref * _TupleMultiPoly({exp: c})).sorted_terms()
+        assert (a * m).divexact_monomial(c, exp) == a
+
+    @given(wide_terms)
+    @settings(max_examples=60)
+    def test_division_by_d_minus_u_undoes_the_product(self, xs):
+        q, u, d = _both(xs)[0], MultiPoly.gen("u"), MultiPoly.gen("d")
+        assert (q * (d - u)).divexact_d_minus_u() == q
+        # d^3 - u^3 leaves gaps in eu that the quotient's runs go through
+        assert (q * (d * d * d - u * u * u)).divexact_d_minus_u() == q * (d * d + u * d + u * u)
+
+    @given(wide_terms, st.tuples(*(st.integers(0, 40) for _ in MARKERS)), st.integers(1, 5))
+    @settings(max_examples=60)
+    def test_a_non_multiple_of_d_minus_u_raises(self, xs, exp, c):
+        # a multiple's terms sum to 0 in each group of equal eU, eD and eu + ed
+        # (d - u vanishes at u = d), and one more term moves its group's sum
+        p = _both(xs)[0] * (MultiPoly.gen("d") - MultiPoly.gen("u")) + MultiPoly({exp: c})
+        with pytest.raises(InexactDivision):
+            p.divexact_d_minus_u()
+
+    def test_monomial_division_borrows_in_no_field(self):
+        top = MultiPoly.gen("U")
+        for _ in range(31):
+            top = top * top  # U^(2^31): a field past 2^31 - 1, as a product may make
+        assert top.divexact_monomial(1, (2**30, 0, 0, 0)) == MultiPoly({(2**30, 0, 0, 0): 1})
+        p = MultiPoly.from_word("UDDuud")
+        for exp in ((0, 3, 0, 0), (0, 0, 0, 2), (2, 0, 0, 0), (0, 0, 3, 0)):
+            with pytest.raises(InexactDivision):
+                p.divexact_monomial(1, exp)
+        assert p.divexact_monomial(1, (1, 2, 2, 1)) == MultiPoly.one()
+
     def test_exponents_reach_2_to_the_31_and_no_further(self):
         p = MultiPoly.gen("U")
         for _ in range(31):

@@ -152,7 +152,7 @@ def test_available_threads_is_the_core_count():
 def test_build_tasks_budgets():
     quick = build_tasks(SUITES, budget="quick")
     desk = build_tasks(SUITES, budget="desk")
-    assert (len(quick), len(desk)) == (173, 315)
+    assert (len(quick), len(desk)) == (174, 316)
     suites_seen = {suite for suite, _check, _kw in quick}
     assert suites_seen == set(SUITES)
     assert all(check.startswith("check_") for _s, check, _kw in desk)
@@ -840,11 +840,15 @@ def test_raise_in_a_multi_row_check_keeps_the_rows_before_it(flags):
     assert [(inst, status) for inst, status, _w, _g in rows] == [
         (f"motzE,n={n:02d}", "fail" if n == 7 else "pass") for n in range(9)
     ]
-    assert rows[7] == ["motzE,n=07", "fail", "no exception", "OutOfRange: planted at motzE, n = 7"]
+    plant = '        raise OutOfRange("planted at motzE, n = 7")'
+    line = _PATH_COUNT_RAISE_SCRIPT.splitlines().index(plant) + 1
+    actual = f"OutOfRange: planted at motzE, n = 7; raised at <string>:{line} in planted"
+    assert rows[7] == ["motzE,n=07", "fail", "no exception", actual]
 
 
 # an exception that is no SvtabError, a bug in the library, fails its own
-# point's row; the run returns, and the other points and tasks keep their rows
+# point's row, which names the plant's frame; the run returns, and the other
+# points and tasks keep their rows
 _ZERO_DIVISION_SCRIPT = _PLANT_HEAD + """
 real = v.count_paths
 
@@ -877,7 +881,10 @@ def test_library_bug_fails_its_task_not_the_run():
     assert {inst: status for inst, (status, _a) in paths.items()} == {
         f"motz,n={n:02d}": "pass" for n in (0, 1, 2, 4, 5, 6)
     }
-    assert raised[0] == "fail" and raised[1].startswith("ZeroDivisionError: ")
+    plant = "    return real(family, n) // (0 if n == 3 else 1)"
+    line = _ZERO_DIVISION_SCRIPT.splitlines().index(plant) + 1
+    frame = f"raised at <string>:{line} in planted"
+    assert raised == ("fail", f"ZeroDivisionError: integer division or modulo by zero; {frame}")
     assert [row for row in rows if row[1].startswith("catalan,")] == [
         ["check_count", f"catalan,n=0{n}", "pass", got] for n, got in ((1, "1"), (2, "2"), (3, "5"))
     ]
@@ -943,7 +950,9 @@ def test_a_raise_at_one_point_fails_exactly_its_row(table, kind, name, monkeypat
     replant(entries, name, {slot: _raising_at(point, entry[slot])}, monkeypatch.setitem)
     failing = list(check(size))
     assert all(want == got for _i, want, got in passing)
-    assert failing == [(passing[0][0], "no exception", f"Planted: at {point}"), *passing[1:]]
+    frame = f"test_verify.py:{_raising_at.__code__.co_firstlineno + 3} in planted"
+    raised = (passing[0][0], "no exception", f"Planted: at {point}; raised at {frame}")
+    assert failing == [raised, *passing[1:]]
 
 
 # a roundtrip entry whose inverse finds a fault fails the row a passing run
