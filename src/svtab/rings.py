@@ -539,3 +539,6 @@ class TSeries(_Ring):
 
     def __repr__(self) -> str:
         return f"TSeries(order={self.order}, {self.coeffs!r})"
+
+    def __str__(self) -> str:  # its nonzero terms, "0" for the zero series
+        return " + ".join(f"({c})*t^{n}" for n, c in enumerate(self.coeffs) if c) or "0"

@@ -4,20 +4,22 @@ Every closed form and identity in the package is checked here, and only here,
 against an independent computation (enumeration, a recursion, a second form).
 Each pairing is stated once, in a table whose entries give its grid of points
 at a size and its size at each budget of ``BUDGETS``: ``COUNT_ORACLES`` pairs
-each count with its oracle (``svtab count --oracle`` reads it too) and
-``Q_ORACLES`` each q-analog (or its value at q = 1) and poset DP identity with
-its oracle, both checked by one row generator (``check_count``, ``check_q``);
-``ROUNDTRIPS`` states each bijection (objects, map, inverse, image test,
-target size), and ``check_roundtrip`` gives a row per point.  ``_TASKS`` has
-one row per check, with its suite, its size at each budget and its tasks at a
-size; tasks run across processes, and only a run with more than one worker
-imports the process pool.  Every ``check_*`` function gives a generator of one
-row per instance, so a failure carries its own counterexample; ``_CHECKS``
-collects them by that prefix.  A raise, any exception, fails its point's row in
-a table's check, which names the exception and its innermost frame, and the
-later points run; another check keeps the rows it gave before a raise, then one
-failing row naming the exception: it fails its task, not the run.  A task's
-wall time is the one timing record; rows carry no time.
+each count with its oracle (``svtab count --oracle`` reads it too),
+``Q_ORACLES`` each q-analog (or its value at q = 1) and poset DP identity, and
+``SERIES_ORACLES`` each path series and the valley series (or a value read off
+one), all checked by one row generator (``check_count``, ``check_q``,
+``check_series``); ``ROUNDTRIPS`` states each bijection (objects, map,
+inverse, image test, target size), and ``check_roundtrip`` gives a row per
+point.  ``_TASKS`` has one row per check, with its suite, its size at each
+budget and its tasks at a size; tasks run across processes, and only a run
+with more than one worker imports the process pool.  Every ``check_*``
+function gives a generator of one row per instance, so a failure carries its
+own counterexample; ``_CHECKS`` collects them by that prefix.  A raise, any
+exception, fails its point's row in a table's check, which names the exception
+and its innermost frame, and the later points run; another check keeps the
+rows it gave before a raise, then one failing row naming the exception: it
+fails its task, not the run.  A task's wall time is the one timing record;
+rows carry no time.
 """
 
 from __future__ import annotations
@@ -97,19 +99,13 @@ from .posets import (
     _maximal_in_prefix,
     _partitions,
 )
-from .rings import MultiPoly, QPoly
-from .series import (
-    SeriesContext,
-    closed_form_E,
-    expected_steps,
-    peaks_genfun_check,
-    solve_E,
-    _shared_context,
-)
+from .rings import MARKERS, MultiPoly, QPoly, TSeries
+from .series import SeriesContext, closed_form_E, expected_steps, peaks_genfun_check
 from .stats import (
     comaj_path,
     comaj_plus_k,
     dyck_type,
+    inner_peaks,
     inner_valleys,
     rl_minima,
     set_valued_q_catalan,
@@ -121,6 +117,7 @@ __all__ = [
     "BUDGETS",
     "COUNT_ORACLES",
     "Q_ORACLES",
+    "SERIES_ORACLES",
     "ROUNDTRIPS",
     "CheckResult",
     "available_threads",
@@ -336,6 +333,123 @@ Q_ORACLES: dict[str, tuple[tuple[str, ...], Callable, Callable, Callable, tuple]
 
 
 # ---------------------------------------------------------------------------
+# series oracles
+
+# each cached at one exact order, so a task at one order builds each series once
+_series = lru_cache(maxsize=1)(SeriesContext.build)
+_residuals = lru_cache(maxsize=1)(lambda order: _series(order).residuals())
+_closed_E = lru_cache(maxsize=1)(closed_form_E)
+_valleys = lru_cache(maxsize=1)(peaks_genfun_check)
+
+_SERIES_OF = {"motz": "E", "motzE": "E1", "motzET": "E12", "motzT": "E2"}  # by path family
+_CATALAN_SHIFT = {"E": 1, "E1": 0, "E2": 0, "E12": -1}  # [t^n] at all ones is catalan(n + shift)
+
+# transcribed coefficients: [t^m]E12 as {(eU, eD, eu, ed): c}, and [z^n] of the
+# valley series as q-coefficients, low degree first
+E12_TABLE = {
+    2: {(1, 1, 0, 0): 1},
+    3: {(1, 1, 1, 0): 1, (1, 1, 0, 1): 1},
+    4: {(1, 1, 0, 2): 1, (1, 1, 1, 1): 1, (1, 1, 2, 0): 1, (2, 2, 0, 0): 2},
+}
+VALLEY_TABLE = {3: (3, 2)}
+
+
+def _coeff(name: str, order: int, m: int) -> MultiPoly:
+    """[t^m] of the series ``name`` built at ``order``."""
+    return getattr(_series(order), name).coeff(m)
+
+
+def _step_form(n: int, step: str) -> Fraction:
+    """The mean number of ``step`` letters in a length-n motzET path, in closed
+    form: U and D alike, u and d alike, and one UD at n = 2."""
+    if n == 2:
+        return Fraction(step in "UD")
+    return Fraction(n * n + n - 6 if step in "UD" else n * n - 4 * n + 6, 4 * n - 6)
+
+
+def _e2_by_inverse(order: int) -> TSeries:
+    """E2 straight from its equation, (1 - (u·t + U·D·t²·E))⁻¹."""
+    block = (_series(order).E * MultiPoly.from_word("UD")).shift_up(2)
+    return (1 - (TSeries(MultiPoly, order, [0, MultiPoly.gen("u")]) + block)).inverse()
+
+
+def _avoider_tally(positions: Callable) -> Callable[[int, int], QPoly]:
+    """The oracle that tallies the 321-avoiders of n by their number of ``positions``."""
+
+    def tally(_order: int, n: int) -> QPoly:
+        counts = Counter(len(positions(w)) for w in gen_avoid321(n))
+        return QPoly([counts[e] for e in range(max(counts) + 1)])
+
+    return tally
+
+
+# name -> (parameter names, the library's series or value, oracle, grid, size at
+# each budget), as in Q_ORACLES; an order parameter is the truncation order
+SERIES_ORACLES: dict[str, tuple[tuple[str, ...], Callable, Callable, Callable, tuple]] = {
+    # each series in its defining equation
+    "residual": (
+        ("order", "series"), lambda o, s: _residuals(o)[s], lambda o, s: 0,
+        lambda o: [(o, s) for s in _CATALAN_SHIFT], (6, 12),
+    ),
+    # E by its square-root closed form against the coefficient recurrence
+    "E-closed-form": (
+        ("order", "m"), lambda o, m: _closed_E(o).coeff(m), partial(_coeff, "E"),
+        lambda o: [(o, m) for m in range(o + 1)], (6, 10),
+    ),
+    "E12-taylor": (
+        ("order", "m"), partial(_coeff, "E12"), lambda o, m: MultiPoly(E12_TABLE[m]),
+        lambda o: [(o, m) for m in E12_TABLE], (4, 4),
+    ),
+    # each series' coefficient against the step multisets of its family's paths
+    "marker-tally": (
+        ("order", "family", "n"), lambda o, f, n: _coeff(_SERIES_OF[f], o, n),
+        lambda o, f, n: MultiPoly(
+            Counter(tuple(map(p.word.count, MARKERS)) for p in gen_paths(f, n))
+        ),
+        lambda o: [(o, f, n) for f in _SERIES_OF for n in range(f == "motzET", o + 1)],
+        (6, 8),
+    ),
+    "at-ones": (
+        ("order", "series", "n"), lambda o, s, n: _coeff(s, o, n).at_ones(),
+        lambda o, s, n: catalan(n + _CATALAN_SHIFT[s]),
+        lambda o: [(o, s, n) for s in _CATALAN_SHIFT for n in range(2, o + 1)], (6, 12),
+    ),
+    # the square's pairing against the product of two series
+    "paired-square": (
+        ("order",), lambda o: _series(o).E * _series(o).E,
+        lambda o: _series(o).E * TSeries(MultiPoly, o, _series(o).E.coeffs),
+        lambda o: [(o,)], (6, 12),
+    ),
+    # E2, read off E1 by the u, d swap, against its equation solved by inversion
+    "E2-inverse": (
+        ("order",), lambda o: _series(o).E2, _e2_by_inverse, lambda o: [(o,)], (6, 12),
+    ),
+    "expected-steps": (
+        ("n", "step"), expected_steps, _step_form,
+        lambda size: [(n, s) for n in range(2, size + 1) for s in MARKERS], (8, 12),
+    ),
+    # the valley series of the 321-avoiders
+    "valley-table": (
+        ("order", "n"), lambda o, n: _valleys(o)[n], lambda o, n: QPoly(VALLEY_TABLE[n]),
+        lambda o: [(o, n) for n in VALLEY_TABLE], (6, 8),
+    ),
+    "valley-at-1": (
+        ("order", "n"), lambda o, n: _valleys(o)[n](1), lambda o, n: catalan(n),
+        lambda o: [(o, n) for n in range(1, o + 1)], (6, 8),
+    ),
+    "valley-tally": (
+        ("order", "n"), lambda o, n: _valleys(o)[n], _avoider_tally(inner_valleys),
+        lambda o: [(o, n) for n in range(o + 1)], (6, 8),
+    ),
+    # the same series: reverse-complement keeps 321-avoidance and turns peaks into valleys
+    "peak-tally": (
+        ("order", "n"), lambda o, n: _valleys(o)[n], _avoider_tally(inner_peaks),
+        lambda o: [(o, n) for n in range(o + 1)], (6, 8),
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
 # roundtrip maps
 
 
@@ -484,6 +598,11 @@ def check_q(name: str, size: int) -> Iterator[Row]:
     return _oracle_rows(name, Q_ORACLES[name], size)
 
 
+def check_series(name: str, size: int) -> Iterator[Row]:
+    """One ``SERIES_ORACLES`` entry, the oracle against the series or its value."""
+    return _oracle_rows(name, SERIES_ORACLES[name], size)
+
+
 def check_two_row_counts(n: int) -> Iterator[Row]:
     """Height-indexed table row n: f vs the paths with a D, and the row sums."""
     for i in range(n + 1):
@@ -537,63 +656,6 @@ def check_walker_tableaux(n: int) -> Iterator[Row]:
     """The walker's tableaux, made without checks, each validated here in full."""
     outcomes = ((_checks_out(t, n - t.ncells), t) for t in gen_two_row_union(n))
     yield _count_row(f"n={n:02d}", catalan(n - 1), "valid tableaux", outcomes)
-
-
-def check_series_residuals(order: int) -> Iterator[Row]:
-    for name, poly in sorted(SeriesContext.build(order).residuals().items()):
-        yield f"{name} residual, order {order}", "0", "0" if not poly else str(poly)
-
-
-def check_closed_form_E(order: int) -> Iterator[Row]:
-    """E from its square-root closed form vs E from the coefficient recurrence."""
-    closed, solved = closed_form_E(order), solve_E(order)
-    for m in range(order + 1):
-        yield f"E closed form t^{m:02d}", str(solved.coeff(m)), str(closed.coeff(m))
-
-
-def check_series_taylor() -> Iterator[Row]:
-    ctx = _shared_context(6)
-    U, D, u, d = (MultiPoly.gen(s) for s in ("U", "D", "u", "d"))
-    wanted = {
-        2: U * D,
-        3: U * (u + d) * D,
-        4: U * (d * d + u * d + U * D * 2 + u * u) * D,
-    }
-    for m, want in wanted.items():
-        yield f"E12 coefficient t^{m}", str(want), str(ctx.E12.coeff(m))
-
-
-def check_marker_tally(family: str, n: int) -> Iterator[Row]:
-    ctx = _shared_context(n)
-    slot = {"motz": ctx.E, "motzE": ctx.E1, "motzT": ctx.E2, "motzET": ctx.E12}
-    tally = MultiPoly.zero()
-    for p in gen_paths(family, n):
-        tally = tally + MultiPoly.from_word(p.word)
-    yield f"{family},n={n}", str(slot[family].coeff(n)), str(tally)
-
-
-def check_expected_steps(n: int) -> Iterator[Row]:
-    if n == 2:
-        eU, eu = Fraction(1), Fraction(0)
-    else:
-        eU = Fraction(n * n + n - 6, 4 * n - 6)
-        eu = Fraction(n * n - 4 * n + 6, 4 * n - 6)
-    for s, want in (("U", eU), ("D", eU), ("u", eu), ("d", eu)):
-        yield f"n={n:02d} E[{s}]", str(want), str(expected_steps(n, s))
-    total = 2 * expected_steps(n, "U") + 2 * expected_steps(n, "u")
-    yield f"n={n:02d} step total", str(Fraction(n)), str(total)
-
-
-def check_peaks_series(order: int) -> Iterator[Row]:
-    """Valley series coefficients vs Catalan row sums and exhaustive tallies."""
-    table = peaks_genfun_check(order)
-    yield "z^3 coefficient", str(QPoly([3, 2])), str(table[3])
-    for n in range(1, order + 1):
-        yield f"n={n} row sum", str(catalan(n)), str(table[n](1))
-    for n in range(order + 1):
-        tally: Counter = Counter(len(inner_valleys(w)) for w in gen_avoid321(n))
-        want = QPoly([tally[e] for e in range(max(tally) + 1)])
-        yield f"n={n} valley tally", str(want), str(table[n])
 
 
 ROUNDTRIP_CAP = 20000  # roundtrips per (poset, k); other rows see every object
@@ -725,11 +787,6 @@ _CHECKS = {name: fn for name, fn in globals().items() if name.startswith("check_
 Task = tuple[str, str, dict]
 
 
-def _at(*keys: str) -> Callable:
-    """One task: the size under its one key, or no kwargs."""
-    return lambda size: [dict(zip(keys, [size]))]
-
-
 def _sized(table: dict, budget: str, **keys) -> list[dict]:
     """One task per entry of ``table``, at the entry's own size for the budget."""
     column = BUDGETS.index(budget)
@@ -738,11 +795,6 @@ def _sized(table: dict, budget: str, **keys) -> list[dict]:
 
 def _count_tasks(budget: str) -> list[dict]:
     return [t for kind, table in COUNT_ORACLES.items() for t in _sized(table, budget, kind=kind)]
-
-
-def _marker_tasks(last: int) -> list[dict]:
-    fams = ("motz", "motzE", "motzET", "motzT")
-    return [{"family": f, "n": n} for f in fams for n in range(f == "motzET", last + 1)]
 
 
 def _poset_tasks(size: tuple[int, int]) -> list[dict]:
@@ -762,15 +814,10 @@ _TASKS: tuple[tuple[str, str, tuple, Callable[..., list[dict]]], ...] = (
     ("counts", "check_more_shapes", (8, 15), _each_n(3)),
     ("bijections", "check_roundtrip", BUDGETS, partial(_sized, ROUNDTRIPS)),
     ("bijections", "check_walker_tableaux", (8, 10), _each_n(2)),
-    ("series", "check_series_residuals", (6, 12), _at("order")),
-    ("series", "check_closed_form_E", (6, 10), _at("order")),
-    ("series", "check_series_taylor", (None, None), _at()),
-    ("series", "check_marker_tally", (6, 8), _marker_tasks),
-    ("series", "check_expected_steps", (8, 12), _each_n(2)),
-    ("series", "check_peaks_series", (6, 8), _at("order")),
+    ("series", "check_series", BUDGETS, partial(_sized, SERIES_ORACLES)),
     ("qstats", "check_q", BUDGETS, partial(_sized, Q_ORACLES)),
     ("posets", "check_poset_identities", ((4, 2), (6, 3)), _poset_tasks),
-    ("posets", "check_pi_permutation", (6, 8), _at("nmax")),
+    ("posets", "check_pi_permutation", (6, 8), lambda size: [{"nmax": size}]),
     ("posets", "check_equidistribution", ((4, 2), (5, 2)), _equidistribution_tasks),
 )
 

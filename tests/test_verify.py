@@ -31,17 +31,17 @@ from svtab.verify import (
     COUNT_ORACLES,
     Q_ORACLES,
     ROUNDTRIPS,
+    SERIES_ORACLES,
     SUITES,
     CheckResult,
     available_threads,
     build_tasks,
     check_count,
-    check_marker_tally,
     check_more_shapes,
     check_poset_identities,
     check_q,
     check_roundtrip,
-    check_series_residuals,
+    check_series,
     report_dict,
     report_text,
     run_tasks,
@@ -108,19 +108,25 @@ def test_a_planted_count_fails_exactly_its_row(kind, name, monkeypatch):
         assert [inst for inst, want, got in check_count(kind, name, size) if want != got] == [row]
 
 
-# likewise each Q_ORACLES entry, its q-analog (or its value) planted one too
-# many at the last point of its quick grid
+# likewise each Q_ORACLES and SERIES_ORACLES entry, its value planted one
+# too many at the last point of its grid at each budget (a series grid at one
+# truncation order holds no point of another order's grid)
+
+VALUE_ENTRIES = [
+    *((Q_ORACLES, check_q, name) for name in Q_ORACLES),
+    *((SERIES_ORACLES, check_series, name) for name in SERIES_ORACLES),
+]
 
 
-@pytest.mark.parametrize("name", Q_ORACLES)
-def test_a_planted_q_value_fails_exactly_its_row(name, monkeypatch):
-    names, value, oracle, grid, sizes = Q_ORACLES[name]
-    point = grid(sizes[0])[-1]
-    planted = (names, lambda *p: value(*p) + (p == point), oracle, grid, sizes)
-    monkeypatch.setitem(Q_ORACLES, name, planted)
-    row = f"{name},{names[0]}={str(point[0]).zfill(2)}"
+@pytest.mark.parametrize("table,check,name", VALUE_ENTRIES, ids=[n for *_t, n in VALUE_ENTRIES])
+def test_a_planted_q_value_fails_exactly_its_row(table, check, name, monkeypatch):
+    names, value, oracle, grid, sizes = table[name]
     for size in sizes:
-        assert [inst for inst, want, got in check_q(name, size) if want != got] == [row]
+        point = grid(size)[-1]
+        planted = (names, lambda *p, at=point: value(*p) + (p == at), oracle, grid, sizes)
+        monkeypatch.setitem(table, name, planted)
+        row = f"{name},{names[0]}={str(point[0]).zfill(2)}"
+        assert [inst for inst, want, got in check(name, size) if want != got] == [row]
 
 
 @pytest.fixture
@@ -152,7 +158,7 @@ def test_available_threads_is_the_core_count():
 def test_build_tasks_budgets():
     quick = build_tasks(SUITES, budget="quick")
     desk = build_tasks(SUITES, budget="desk")
-    assert (len(quick), len(desk)) == (174, 316)
+    assert (len(quick), len(desk)) == (148, 278)
     suites_seen = {suite for suite, _check, _kw in quick}
     assert suites_seen == set(SUITES)
     assert all(check.startswith("check_") for _s, check, _kw in desk)
@@ -597,6 +603,8 @@ results = v.run_tasks(tasks, threads=1)
 print(json.dumps([(r.check, r.instance, r.status, r.expected) for r in results]))
 """
 
+VALLEY_ENTRIES = ("valley-table", "valley-at-1", "valley-tally", "peak-tally")
+
 PLANTED_BUGS = {
     "f_off_by_one": (
         """
@@ -622,19 +630,10 @@ def planted(self):
 TSeries.sqrt = planted
 """,
         [
-            ("series", "check_closed_form_E", {"order": 4}),
-            ("series", "check_series_residuals", {"order": 4}),
-            ("series", "check_peaks_series", {"order": 4}),
+            ("series", "check_series", {"name": name, "size": 4})
+            for name in ("E-closed-form", "residual", *VALLEY_ENTRIES)
         ],
-        {
-            ("check_closed_form_E", "E closed form t^00"),
-            ("check_peaks_series", "z^3 coefficient"),
-            *(
-                ("check_peaks_series", f"n={n} {row}")
-                for n in (2, 3, 4)
-                for row in ("row sum", "valley tally")
-            ),
-        },
+        {("check_series", f"{name},order=04") for name in ("E-closed-form", *VALLEY_ENTRIES)},
     ),
     "perm_to_other_tableau": (
         """
@@ -660,7 +659,8 @@ for family in ("motzE", "motz"):
     ),
     "solve_E_coefficient": (
         """
-real = v.solve_E
+import svtab.series as se
+real = se.solve_E
 
 def planted(order):
     e = real(order)
@@ -668,10 +668,31 @@ def planted(order):
     coeffs[5] = coeffs[5] + 1
     return TSeries(e.ring, order, coeffs)
 
-v.solve_E = planted
+se.solve_E = planted
 """,
-        [("series", "check_closed_form_E", {"order": 6})],
-        {("check_closed_form_E", "E closed form t^05")},
+        [("series", "check_series", {"name": "E-closed-form", "size": 6})],
+        {("check_series", "E-closed-form,order=06")},
+    ),
+    # a product kernel that files each slot under the wrong d-exponent (eu one
+    # up, ed kept) fails every series entry that sets a product against an
+    # independent side; E-closed-form and paired-square send both sides through
+    # the kernel, and the valley entries multiply q-polynomials
+    "product_slot_misfiled": (
+        """
+import svtab.rings
+svtab.rings._NEXT_SLOT = 1 << 32
+""",
+        [
+            ("series", "check_series", {"name": name, "size": SERIES_ORACLES[name][-1][0]})
+            for name in SERIES_ORACLES
+        ],
+        {
+            *(
+                ("check_series", f"{name},order=0{SERIES_ORACLES[name][-1][0]}")
+                for name in ("residual", "E12-taylor", "marker-tally", "at-ones", "E2-inverse")
+            ),
+            *(("check_series", f"expected-steps,n=0{n}") for n in range(3, 9)),
+        },
     ),
     "q_dp_marks_one_too_many": (
         """
@@ -746,9 +767,11 @@ def planted(self):
     return TSeries(self.ring, self.order, coeffs)
 
 TSeries.sqrt = planted
-tasks = [("series", "check_closed_form_E", {"order": 4}), ("series", "check_series_taylor", {})]
+tasks = [
+    ("series", "check_series", {"name": name, "size": 4}) for name in ("E-closed-form", "E12-taylor")
+]
 results = v.run_tasks(tasks, threads=1)
-print(json.dumps([(r.check, r.status, r.actual) for r in results]))
+print(json.dumps([(r.instance.split(",")[0], r.status, r.actual) for r in results]))
 """
 
 
@@ -763,8 +786,8 @@ def test_inexact_division_fails_its_task_only(flags):
         check=True,
     )
     rows = json.loads(proc.stdout)
-    closed = [(status, actual) for check, status, actual in rows if check == "check_closed_form_E"]
-    taylor = [status for check, status, _actual in rows if check == "check_series_taylor"]
+    closed = [(status, actual) for name, status, actual in rows if name == "E-closed-form"]
+    taylor = [status for name, status, _actual in rows if name == "E12-taylor"]
     assert len(closed) == 1
     assert closed[0][0] == "fail"
     assert closed[0][1].startswith("InexactDivision")
@@ -929,6 +952,7 @@ def _raising_at(point, fn):
 TABLE_ENTRIES = [
     *(("count", kind, name) for kind, table in COUNT_ORACLES.items() for name in table),
     *(("q", None, name) for name in Q_ORACLES),
+    *(("series", None, name) for name in SERIES_ORACLES),
     *(("roundtrip", None, name) for name in ROUNDTRIPS),
 ]
 
@@ -941,6 +965,8 @@ def test_a_raise_at_one_point_fails_exactly_its_row(table, kind, name, monkeypat
         entries, slot, check = ROUNDTRIPS, 0, partial(check_roundtrip, name)
     elif table == "q":
         entries, slot, check = Q_ORACLES, 1, partial(check_q, name)
+    elif table == "series":
+        entries, slot, check = SERIES_ORACLES, 1, partial(check_series, name)
     else:
         entries, slot, check = COUNT_ORACLES[kind], 1, partial(check_count, kind, name)
     entry = entries[name]
@@ -1098,20 +1124,6 @@ def test_a_planted_inverse_fails_exactly_its_row(name, monkeypatch):
         assert [inst for inst, want, got in check_roundtrip(name, size) if want != got] == [row]
 
 
-# the identity, planted as both the map and the inverse of the triple entry,
-# maps every tableau back to itself onto a new image, so only the image test
-# can fail it: every row fails, at every budget
-
-
-def test_a_planted_identity_fails_every_triple_row(monkeypatch):
-    identity = lambda x: x  # noqa: E731
-    replant(ROUNDTRIPS, "triple", {1: identity, 2: identity}, monkeypatch.setitem)
-    for size in ROUNDTRIPS["triple"][-1]:
-        rows = list(check_roundtrip("triple", size))
-        assert len(rows) == size - 1
-        assert [got for _inst, _want, got in rows if "image" not in got] == []
-
-
 # the identity, planted as both the map and the inverse of any ROUNDTRIPS
 # entry, gives each object back as its own image, so the image test must fail
 # it: every row with an object fails, at every budget.  Where the test reads
@@ -1140,6 +1152,8 @@ def _cell_of(tr, value):
 
 
 _TRIPLE_BREAKS = {
+    # the tableau itself, which maps back to itself onto a new image
+    "not a triple": lambda t, tr: t,
     "base with extras": lambda t, tr: replace(tr, base=t) if t.extras else None,
     "one cut short": lambda t, tr: (
         replace(tr, cuts=tr.cuts[:-1], picks=tr.picks[:-1]) if tr.cuts else None
@@ -1280,21 +1294,34 @@ def test_skew_near_rectangle_row_reads_the_second_count(monkeypatch):
         assert _failing(check_more_shapes(n)) == {"skew near-rectangles"}
 
 
-# check_marker_tally reads its coefficient from a series built to its own n,
-# past the order 12 that the shared series context starts at
+@pytest.fixture
+def fresh_series():
+    """The series entries cache their series by order; a planted series must
+    not meet one cached before it, nor leave its own behind."""
+    caches = [svtab.verify._series, svtab.verify._residuals]
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
 
 
-def test_marker_tally_past_order_12(monkeypatch):
-    monkeypatch.setattr(svtab.series, "_CTX", None)
-    ((instance, want, got),) = check_marker_tally("motzET", 13)
-    assert instance == "motzET,n=13" and want == got
+# the marker-tally entry reads each coefficient from the series built to the
+# order its row names, past the order 12 that the shared series context of
+# ``expected_steps`` starts at (the grid cut to its motzET point at that order)
 
 
-# check_series_residuals builds its series at the order its label names, not
-# at the order of a shared context: a defect at t^8 passes order 6
+def test_marker_tally_past_order_12(monkeypatch, fresh_series):
+    replant(SERIES_ORACLES, "marker-tally", {3: lambda o: [(o, "motzET", o)]}, monkeypatch.setitem)
+    ((instance, want, got),) = check_series("marker-tally", 13)
+    assert instance == "marker-tally,order=13" and want == got != "0"
 
 
-def test_series_residuals_check_the_order_they_name(monkeypatch):
+# the residual entry builds its series at the order its row names, not at the
+# order of a shared context: a defect at t^8 passes order 6
+
+
+def test_series_residuals_check_the_order_they_name(monkeypatch, fresh_series):
     real = svtab.series.solve_E
 
     def planted(order):
@@ -1304,11 +1331,10 @@ def test_series_residuals_check_the_order_they_name(monkeypatch):
             coeffs[8] = coeffs[8] + 1
         return TSeries(e.ring, order, coeffs)
 
-    monkeypatch.setattr(svtab.series, "_CTX", None)
     monkeypatch.setattr(svtab.series, "solve_E", planted)
     failing = lambda rows: [inst for inst, want, got in rows if want != got]
-    assert failing(check_series_residuals(6)) == []
-    assert failing(check_series_residuals(12)) == ["E residual, order 12"]
+    assert failing(check_series("residual", 6)) == []
+    assert failing(check_series("residual", 12)) == ["residual,order=12"]
 
 
 # the process pool is imported by a run with more than one worker and more
