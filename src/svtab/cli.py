@@ -282,6 +282,27 @@ def cmd_expect(args: argparse.Namespace) -> tuple[int, str]:
     return 0, "\n".join(f"{n},{v}" for n, v in values.items())
 
 
+def report_json(report: dict) -> str:
+    """The verify report as JSON text, ending in a newline.
+
+    The scalar fields each take a line, as ``json.dumps(report, indent=2)``
+    puts them; then each task and each row takes one line, made by
+    ``json.dumps`` with no indent, the C encoder, so no chunk list of the
+    pure-Python encoder is built.  ``json.loads`` gives the report back.
+    """
+    lines = ["{"]
+    for key, value in report.items():
+        if key in ("tasks", "results"):  # one line each
+            lines.append(f"  {json.dumps(key)}: [")
+            lines += [f"    {json.dumps(x)}," for x in value]
+            lines[-1] = lines[-1].rstrip(",")
+            lines.append("  ],")
+        else:
+            lines.append(f"  {json.dumps(key)}: {json.dumps(value)},")
+    lines[-1] = lines[-1].rstrip(",")
+    return "\n".join([*lines, "}", ""])
+
+
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     suites = SUITES if args.suite == "all" else (args.suite,)
     tasks = build_tasks(suites, budget=args.budget)
@@ -293,8 +314,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     wall = perf_counter() - started
     code = 0 if all(r.ok for r in results) else 1
     if args.report == "json":
-        report = report_dict(results, timings, threads, wall, args.budget)
-        return code, json.dumps(report, indent=2)
+        return code, report_json(report_dict(results, timings, threads, wall, args.budget))
     return code, report_text(results)
 
 

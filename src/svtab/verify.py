@@ -33,6 +33,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import add
 from time import perf_counter
 from typing import Callable, Iterator
 
@@ -373,6 +374,27 @@ def _e2_by_inverse(order: int) -> TSeries:
     return (1 - (TSeries(MultiPoly, order, [0, MultiPoly.gen("u")]) + block)).inverse()
 
 
+def _times(a: dict, b: dict) -> Counter:
+    """The product of two polynomials as exponent tuple -> int dicts, term by term."""
+    out: Counter = Counter()
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            out[tuple(map(add, ka, kb))] += ca * cb
+    return out
+
+
+def _termwise_square(order: int) -> TSeries:
+    """E² with no ``MultiPoly`` product, E solved from its equation term by
+    term (a faulty kernel can build an E on which it is exact)."""
+    level, block = {(0, 0, 1, 0): 1, (0, 0, 0, 1): 1}, {(1, 1, 0, 0): 1}
+    e, square = [{(0, 0, 0, 0): 1}], []
+    for m in range(order + 1):
+        if m:
+            e.append(_times(level, e[-1]) + (_times(block, square[-2]) if m > 1 else Counter()))
+        square.append(sum(map(_times, e, e[::-1]), Counter()))
+    return TSeries(MultiPoly, order, map(MultiPoly, square))
+
+
 def _avoider_tally(positions: Callable) -> Callable[[int, int], QPoly]:
     """The oracle that tallies the 321-avoiders of n by their number of ``positions``."""
 
@@ -414,10 +436,9 @@ SERIES_ORACLES: dict[str, tuple[tuple[str, ...], Callable, Callable, Callable, t
         lambda o, s, n: catalan(n + _CATALAN_SHIFT[s]),
         lambda o: [(o, s, n) for s in _CATALAN_SHIFT for n in range(2, o + 1)], (6, 12),
     ),
-    # the square's pairing against the product of two series
+    # E's square (the square's pairing) against E solved and squared term by term
     "paired-square": (
-        ("order",), lambda o: _series(o).E * _series(o).E,
-        lambda o: _series(o).E * TSeries(MultiPoly, o, _series(o).E.coeffs),
+        ("order",), lambda o: _series(o).E * _series(o).E, _termwise_square,
         lambda o: [(o,)], (6, 12),
     ),
     # E2, read off E1 by the u, d swap, against its equation solved by inversion
@@ -626,13 +647,15 @@ def check_more_shapes(n: int) -> Iterator[Row]:
 
 
 def _roundtrip(x, forth, back, test, point: dict, seen: set) -> tuple[bool, str]:
-    """(ok, witness) for one object: its image passes ``test``, is new to ``seen``, maps back."""
+    """(ok, witness) for one object: its image passes ``test``, is new to ``seen``
+    (its reprs; every image is a frozen dataclass of ints, tuples, strings), maps back."""
     y = forth(x)
     if not test(x, y, **point):
         return False, f"{x}: image {y} fails its test"
-    if y in seen:
+    key = repr(y)
+    if key in seen:
         return False, f"{x}: image {y} seen before"
-    seen.add(y)
+    seen.add(key)
     z = back(y)
     return (True, "") if z == x else (False, f"{x}: roundtrip gives {z}")
 
@@ -671,6 +694,13 @@ def _entry_word(s: SetValuedLinearExtension) -> bytes:
     return bytes(map(len, s.blocks)) + bytes(itertools.chain.from_iterable(s.blocks))
 
 
+def _first_element(s: SetValuedLinearExtension) -> int:
+    """The block holding entry 1; 0 if none does or a block is empty."""
+    if not all(s.blocks):
+        return 0
+    return next((x for x, block in enumerate(s.blocks, start=1) if 1 in block), 0)
+
+
 def check_poset_identities(name: str, poset: Poset, k: int) -> Iterator[Row]:
     """Cut-weight rows, route agreement and roundtrips for one (poset, k).
 
@@ -689,10 +719,16 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> Iterator[Row]:
     and summed against the numerator, and the comajor DP (``_comaj_walk``)
     with the streamed tally.  Only the composed objects
     are validated; the walker's are valid by construction, so a walker object
-    that is not valid shows as "not composed" in the routes row.  Each object
-    is dropped once its key is taken, so the route check holds keys, not
-    objects.  At k = 0 the walker's count is compared with the permutations
-    that respect ``Poset.above``, the one count that reads no cover mask.
+    that is not valid shows as "not composed" in the routes row.  At k = 0 the
+    walker's count is compared with the permutations that respect
+    ``Poset.above``, the one count that reads no cover mask.
+
+    Both routes list their objects grouped by the element holding entry 1,
+    in label order (one walker serves both), so the keys are composed and
+    matched one group at a time: an object that misses waits for its own
+    group if that is later, and is "not composed" if not; unmatched keys stay
+    for later groups.  So an object out of place, repeated or invalid counts
+    as it would against one set of every key.
     """
     tag = f"{name},k={k}"
     small = poset.n <= 4
@@ -702,40 +738,47 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> Iterator[Row]:
     mismatch = ""
     made = tried = 0
     bad = []
-    for ext in linear_extensions(poset):
-        for cuts in itertools.combinations_with_replacement(range(poset.n + 1), k):
-            weight = vartheta(ext, cuts)
-            pools = [_maximal_in_prefix(poset, ext, t) for t in cuts]
-            dens[weight] += 1
-            nums[weight] += math.prod(map(len, pools))
-            for picks, s in compose_extensions(poset, ext, cuts):
-                made += 1
-                if tried < ROUNDTRIP_CAP:
-                    tried += 1
-                    if decompose_extension(s) != (ext, cuts, picks):
-                        bad.append(s)
-                composed.add(_entry_word(s))
-                if small:
-                    got = QPoly.monomial(comaj_plus_k(s))
-                    comaj_sum = comaj_sum + got
-                    if got != weight and not mismatch:
-                        mismatch = f"; {got} at {ext},{cuts},{picks}"
+    walked = extra = 0
+    tally: Counter = Counter()
+    walker = sv_linear_extensions(poset, k)
+    s = next(walker, None)  # the walker's next object, not yet matched
+    groups = itertools.groupby(linear_extensions(poset), lambda ext: ext[0] if ext else 0)
+    for first, exts in itertools.chain(groups, [(poset.n + 1, ())]):
+        for ext in exts:
+            for cuts in itertools.combinations_with_replacement(range(poset.n + 1), k):
+                weight = vartheta(ext, cuts)
+                pools = [_maximal_in_prefix(poset, ext, t) for t in cuts]
+                dens[weight] += 1
+                nums[weight] += math.prod(map(len, pools))
+                for picks, c in compose_extensions(poset, ext, cuts):
+                    made += 1
+                    if tried < ROUNDTRIP_CAP:
+                        tried += 1
+                        if decompose_extension(c) != (ext, cuts, picks):
+                            bad.append(c)
+                    composed.add(_entry_word(c))
+                    if small:
+                        got = QPoly.monomial(comaj_plus_k(c))
+                        comaj_sum = comaj_sum + got
+                        if got != weight and not mismatch:
+                            mismatch = f"; {got} at {ext},{cuts},{picks}"
+        # the walker's objects up to the next group's; matched keys leave ``composed``
+        while s is not None:
+            key = _entry_word(s)
+            if key in composed:
+                composed.remove(key)
+            elif _first_element(s) > first:
+                break
+            else:
+                extra += 1
+            walked += 1
+            if small:
+                tally[comaj_plus_k(s)] += 1
+            s = next(walker, None)
     den, num = (sum((w * c for w, c in t.items()), QPoly.zero()) for t in (dens, nums))
     if small:
         yield f"{tag} weights", str(num), f"{comaj_sum}{mismatch}"
 
-    # one pass over the walker; matched keys leave ``composed``
-    walked = extra = 0
-    tally: Counter = Counter()
-    for s in sv_linear_extensions(poset, k):
-        walked += 1
-        if small:
-            tally[comaj_plus_k(s)] += 1
-        key = _entry_word(s)
-        if key in composed:
-            composed.remove(key)
-        else:
-            extra += 1
     routes = f"{walked} objects"
     if extra or composed:
         routes += f", {extra} not composed, {len(composed)} not walked"

@@ -11,8 +11,8 @@ import time
 import pytest
 
 import svtab.verify
-from svtab.cli import main
-from svtab.verify import BUDGETS, COUNT_ORACLES, build_tasks, check_count
+from svtab.cli import main, report_json
+from svtab.verify import BUDGETS, COUNT_ORACLES, _run_timed, build_tasks, check_count, report_dict
 
 
 def run(capsys, *argv):
@@ -569,3 +569,20 @@ class TestOutputAndProcess:
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+
+def test_json_report_has_a_line_per_task_and_row():
+    tasks = [("counts", "check_count", {"kind": "formula", "name": "catalan", "size": 3})]
+    results, timings = _run_timed(tasks, threads=1)
+    d = report_dict(results, timings, threads=1, wall_seconds=0.25, budget="desk")
+    text = report_json(d)
+    assert text.endswith("}\n") and json.loads(text) == d
+    lines = text.splitlines()
+    for row in d["results"]:
+        assert f"    {json.dumps(row)}," in lines or f"    {json.dumps(row)}" in lines
+    assert f"    {json.dumps(d['tasks'][0])}" in lines
+    # the scalar fields are laid out as json.dumps(report, indent=2) lays them out
+    indented = json.dumps(d, indent=2).splitlines()
+    assert lines[: len(d) - 1] == indented[: len(d) - 1]
+    empty = {**d, "tasks": [], "results": []}
+    assert json.loads(report_json(empty)) == empty

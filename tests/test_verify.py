@@ -48,6 +48,8 @@ from svtab.verify import (
     _f_rec,
     _f_row,
     _CHECKS,
+    _first_element,
+    _run_task,
     _run_timed,
 )
 
@@ -562,6 +564,65 @@ def test_miscomposed_object_fails_routes_row(flags):
     }
 
 
+# each route lists its objects grouped by the element that holds entry 1, in
+# label order, so the route check can compose and match one group at a time
+def test_both_routes_are_grouped_by_the_block_of_entry_1():
+    for _name, poset in catalog():
+        if poset.n > 4:
+            continue
+        firsts = [ext[0] for ext in svtab.posets.linear_extensions(poset)]
+        assert firsts == sorted(firsts)
+        for k in range(3):
+            walked = [_first_element(s) for s in sv_linear_extensions(poset, k)]
+            assert walked == sorted(walked) and set(walked) == set(firsts)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_poset_identities_of_the_empty_poset(k):
+    rows = list(check_poset_identities("empty", svtab.posets.Poset(0, ()), k))
+    assert rows and all(want == got for _inst, want, got in rows)
+
+
+def test_first_element_of_an_invalid_object_is_0():
+    antichain3 = dict(catalog())["antichain3"]
+    trusted = svtab.posets.SetValuedLinearExtension._trusted
+    assert _first_element(trusted(antichain3, ((2,), (1, 3), (4,)))) == 2
+    assert _first_element(trusted(antichain3, ((2,), (3,), (4,)))) == 0
+    assert _first_element(trusted(antichain3, ((), (1, 3), (2,)))) == 0
+
+
+# walker faults across the groups of antichain3, k = 1 (three groups of 12
+# objects by the element holding entry 1); each swaps one object for another,
+# so the count stays 36 and the routes row names one object each way
+def _copy_last_to_front(objs):  # a last-group object also in place of the first
+    return [objs[-1], *objs[1:]]
+
+
+def _repeat_later(objs):  # the first object skipped in its own group, twice in the next
+    later = next(i for i, s in enumerate(objs) if _first_element(s) == 2)
+    return [*objs[1:later], objs[0], objs[0], *objs[later + 1 :]]
+
+
+def _no_entry_1(objs):  # a middle-group object with every entry one higher
+    at = len(objs) // 2
+    moved = tuple(tuple(e + 1 for e in block) for block in objs[at].blocks)
+    planted = svtab.posets.SetValuedLinearExtension._trusted(objs[at].poset, moved)
+    return [*objs[:at], planted, *objs[at + 1 :]]
+
+
+@pytest.mark.parametrize("fault", [_copy_last_to_front, _repeat_later, _no_entry_1])
+def test_walker_fault_across_groups_gives_one_each_way(fault, monkeypatch):
+    real = svtab.verify.sv_linear_extensions
+    planted = lambda poset, k: iter(fault(list(real(poset, k))))  # noqa: E731
+    monkeypatch.setattr(svtab.verify, "sv_linear_extensions", planted)
+    kwargs = {"name": "antichain3", "poset": dict(catalog())["antichain3"], "k": 1}
+    timing, rows = _run_task(("posets", "check_poset_identities", kwargs))
+    assert "raised_at" not in timing
+    assert "no exception" not in {r.expected for r in rows}
+    routes = {r.instance: r.actual for r in rows}["antichain3,k=1 routes"]
+    assert routes == "36 objects, 1 not composed, 1 not walked"
+
+
 def test_poset_identities_sharded_per_k():
     shards = [
         (kw["name"], kw["k"])
@@ -675,8 +736,9 @@ se.solve_E = planted
     ),
     # a product kernel that files each slot under the wrong d-exponent (eu one
     # up, ed kept) fails every series entry that sets a product against an
-    # independent side; E-closed-form and paired-square send both sides through
-    # the kernel, and the valley entries multiply q-polynomials
+    # independent side, paired-square's term-by-term product among them;
+    # E-closed-form sends both sides through the kernel, and the valley
+    # entries multiply q-polynomials
     "product_slot_misfiled": (
         """
 import svtab.rings
@@ -689,7 +751,10 @@ svtab.rings._NEXT_SLOT = 1 << 32
         {
             *(
                 ("check_series", f"{name},order=0{SERIES_ORACLES[name][-1][0]}")
-                for name in ("residual", "E12-taylor", "marker-tally", "at-ones", "E2-inverse")
+                for name in (
+                    "residual", "E12-taylor", "marker-tally", "at-ones", "paired-square",
+                    "E2-inverse",
+                )
             ),
             *(("check_series", f"expected-steps,n=0{n}") for n in range(3, 9)),
         },
