@@ -441,18 +441,6 @@ class ColoredPath:
     def __len__(self) -> int:
         return len(self.word)
 
-    def heights(self) -> tuple[int, ...]:
-        """Height after each step (length = len(word))."""
-        out = []
-        h = 0
-        for ch in self.word:
-            if ch == "U":
-                h += 1
-            elif ch == "D":
-                h -= 1
-            out.append(h)
-        return tuple(out)
-
     @property
     def final_height(self) -> int:
         return self.word.count("U") - self.word.count("D")

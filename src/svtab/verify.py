@@ -9,17 +9,18 @@ each count with its oracle (``svtab count --oracle`` reads it too),
 ``SERIES_ORACLES`` each path series and the valley series (or a value read off
 one), all checked by one row generator (``check_count``, ``check_q``,
 ``check_series``); ``ROUNDTRIPS`` states each bijection (objects, map,
-inverse, image test, target size), and ``check_roundtrip`` gives a row per
-point.  ``_TASKS`` has one row per check, with its suite, its size at each
-budget and its tasks at a size; tasks run across processes, and only a run
-with more than one worker imports the process pool.  Every ``check_*``
-function gives a generator of one row per instance, so a failure carries its
-own counterexample; ``_CHECKS`` collects them by that prefix.  A raise, any
-exception, fails its point's row in a table's check, which names the exception
-and its innermost frame, and the later points run; another check keeps the
-rows it gave before a raise, then one failing row naming the exception: it
-fails its task, not the run.  A task's wall time is the one timing record;
-rows carry no time.
+inverse, image test, target size), the walker's tableaux among them as their
+own images, and ``check_roundtrip`` gives a row per point.  Only the two
+posets checks are written by hand.  ``_TASKS`` has one row per check, with
+its suite, its size at each budget and its tasks at a size; tasks run across
+processes, and only a run with more than one worker imports the process
+pool.  Every ``check_*`` function gives a generator of one row per instance,
+so a failure carries its own counterexample; ``_CHECKS`` collects them by
+that prefix.  A raise, any exception, fails its point's row in a table's
+check, which names the exception and its innermost frame, and the later
+points run; a posets check keeps the rows it gave before a raise, then one
+failing row naming the exception: it fails its task, not the run.  A task's
+wall time is the one timing record; rows carry no time.
 """
 
 from __future__ import annotations
@@ -208,6 +209,18 @@ def _rectangles(top: int) -> list[tuple]:
     return [(b, k) for b in range(1, top // 2 + 1) for k in range(top - 2 * b + 1)]
 
 
+def _near_rectangles(n: int, first: int = 0) -> list[tuple]:
+    """The shapes (b + 1, b), b >= first, each with the extras that make n entries."""
+    return [((b + 1, b) if b else (1,), n - 1 - 2 * b) for b in range(first, (n + 1) // 2)]
+
+
+def _pi_perm_tally(n: int) -> int:
+    """The subsets X of {0..n} for which pi(n, X, -) permutes {0..n}."""
+    universe = tuple(range(n + 1))
+    subsets = (xs for r in range(n + 2) for xs in itertools.combinations(universe, r))
+    return sum({pi_perm(n, xs, t) for t in universe} == set(universe) for xs in subsets)
+
+
 def _shapes(cells: int) -> list[tuple]:
     """Each partition of 1..cells cells, with k <= 2 extra entries."""
     return [(s, k) for t in range(1, cells + 1) for s in _partitions(t) for k in range(3)]
@@ -224,6 +237,36 @@ COUNT_ORACLES: dict[str, dict[str, tuple[tuple[str, ...], Callable, Callable, Ca
             _triangle(0), (6, 8),
         ),
         "f": (("n", "i"), f_count, _f_rec, _triangle(0), (12, 30)),
+        # the height-indexed table: f by the paths with a D, each row sum by its closed form
+        "f-paths": (
+            ("n", "i"), f_count, lambda n, i: sum("D" in p.word for p in gen_ballotlike(n, i)),
+            _triangle(0), (6, 8),
+        ),
+        "e-sum": (("n",), lambda n: row_sums(n)[0], lambda n: 2 ** (n - 1), _upto(2), (6, 8)),
+        "f-sum": (
+            ("n",), lambda n: row_sums(n)[1], lambda n: binom(2 * n - 2, n - 1) - 2 ** (n - 2),
+            _upto(2), (6, 8),
+        ),
+        # the shapes (b + 1, b): their count in a second closed form and by the
+        # ideal DP, and the count of the skew shapes (b + 1, b)/(1) by the DP
+        "near-rectangles-form": (
+            ("n",), lambda n: more_shapes_counts(n)[0],
+            lambda n: Fraction(3 * binom(2 * n - 2, n), n + 1), _upto(3), (8, 15),
+        ),
+        "near-rectangles": (
+            ("n",), lambda n: more_shapes_counts(n)[0],
+            lambda n: sum(itertools.starmap(count_svsyt, _near_rectangles(n))), _upto(3), (8, 15),
+        ),
+        "skew-near-rectangles": (
+            ("n",), lambda n: more_shapes_counts(n)[1],
+            lambda n: sum(
+                count_svsyt(SkewShape(Partition(s), Partition((1,))), k)
+                for s, k in _near_rectangles(n, 1)
+            ),
+            _upto(3), (8, 15),
+        ),
+        # every subset X of {0..n} makes pi(n, X, -) a permutation
+        "pi-perm": (("n",), lambda n: 2 ** (n + 1), _pi_perm_tally, _upto(0), (6, 8)),
         "act": (("b", "k"), act_count, _rectangle_dp, _rectangles, (9, 24)),
         "peaks": (("b", "k"), peaks_count, _rectangle_dp, _rectangles, (9, 24)),
         # standard tableaux of every straight shape, by hook lengths and by the ideal DP
@@ -383,16 +426,17 @@ def _times(a: dict, b: dict) -> Counter:
     return out
 
 
-def _termwise_square(order: int) -> TSeries:
-    """E² with no ``MultiPoly`` product, E solved from its equation term by
-    term (a faulty kernel can build an E on which it is exact)."""
+@lru_cache(maxsize=1)  # E-closed-form asks for every m of one order in turn
+def _termwise_E(order: int) -> tuple[TSeries, TSeries]:
+    """E and E² with no ``MultiPoly`` product, E solved from its equation term
+    by term (a faulty kernel can build an E on which it is exact)."""
     level, block = {(0, 0, 1, 0): 1, (0, 0, 0, 1): 1}, {(1, 1, 0, 0): 1}
     e, square = [{(0, 0, 0, 0): 1}], []
     for m in range(order + 1):
         if m:
             e.append(_times(level, e[-1]) + (_times(block, square[-2]) if m > 1 else Counter()))
         square.append(sum(map(_times, e, e[::-1]), Counter()))
-    return TSeries(MultiPoly, order, map(MultiPoly, square))
+    return tuple(TSeries(MultiPoly, order, map(MultiPoly, terms)) for terms in (e, square))
 
 
 def _avoider_tally(positions: Callable) -> Callable[[int, int], QPoly]:
@@ -413,10 +457,10 @@ SERIES_ORACLES: dict[str, tuple[tuple[str, ...], Callable, Callable, Callable, t
         ("order", "series"), lambda o, s: _residuals(o)[s], lambda o, s: 0,
         lambda o: [(o, s) for s in _CATALAN_SHIFT], (6, 12),
     ),
-    # E by its square-root closed form against the coefficient recurrence
+    # E by its square-root closed form against E solved term by term
     "E-closed-form": (
-        ("order", "m"), lambda o, m: _closed_E(o).coeff(m), partial(_coeff, "E"),
-        lambda o: [(o, m) for m in range(o + 1)], (6, 10),
+        ("order", "m"), lambda o, m: _closed_E(o).coeff(m),
+        lambda o, m: _termwise_E(o)[0].coeff(m), lambda o: [(o, m) for m in range(o + 1)], (6, 10),
     ),
     "E12-taylor": (
         ("order", "m"), partial(_coeff, "E12"), lambda o, m: MultiPoly(E12_TABLE[m]),
@@ -438,7 +482,7 @@ SERIES_ORACLES: dict[str, tuple[tuple[str, ...], Callable, Callable, Callable, t
     ),
     # E's square (the square's pairing) against E solved and squared term by term
     "paired-square": (
-        ("order",), lambda o: _series(o).E * _series(o).E, _termwise_square,
+        ("order",), lambda o: _series(o).E * _series(o).E, lambda o: _termwise_E(o)[1],
         lambda o: [(o,)], (6, 12),
     ),
     # E2, read off E1 by the u, d swap, against its equation solved by inversion
@@ -491,11 +535,6 @@ def _ballot_tableaux(n: int, i: int) -> Iterator:
         yield from gen_svsyt((b, b - i) if b > i else (b,), n + i - 2 * b)
 
 
-def _near_rectangles(n: int, first: int = 0) -> list[tuple]:
-    """The shapes (b + 1, b), b >= first, each with the extras that make n entries."""
-    return [((b + 1, b) if b else (1,), n - 1 - 2 * b) for b in range(first, (n + 1) // 2)]
-
-
 def _is_triple_of(t, tr, n: int) -> bool:
     """``tr`` is a triple for ``t``: its base is a standard tableau of t's shape,
     it has t.extras cuts, weakly increasing within 0..N (N the base's cells),
@@ -540,6 +579,11 @@ ROUNDTRIPS: dict[str, tuple[Callable, Callable, Callable, Callable, Callable, Ca
         gen_two_row_union, decompose, compose, _is_triple_of,
         lambda n: catalan(n - 1), _each_n(2), (8, 10),
     ),
+    # the walker makes its tableaux without checks: each is its own image, validated in full
+    "walker": (
+        gen_two_row_union, lambda t: t, lambda t: t, lambda t, y, n: _checks_out(t, n - t.ncells),
+        lambda n: catalan(n - 1), _each_n(2), (8, 10),
+    ),
     "ballot": (
         _ballot_tableaux, ballot_path_from_tableau, tableau_from_ballot_path,
         lambda t, p, n, i: p.final_height == i and "ballotlike" in path_family(p), ballot_count,
@@ -572,18 +616,6 @@ ROUNDTRIPS: dict[str, tuple[Callable, Callable, Callable, Callable, Callable, Ca
 # when the two strings are equal, so a failing row is its own counterexample.
 
 Row = tuple[str, str, str]
-
-
-def _count_row(instance: str, want: int, noun: str, outcomes) -> Row:
-    """``want`` vs the number of ok (ok, witness) pairs; the first bad witness is shown."""
-    done = 0
-    bad = ""
-    for ok, witness in outcomes:
-        if ok:
-            done += 1
-        elif not bad:
-            bad = f"; fails at {witness}"
-    return instance, f"{want} {noun}", f"{done} {noun}{bad}"
 
 
 def _frame(exc: Exception) -> str:
@@ -624,40 +656,19 @@ def check_series(name: str, size: int) -> Iterator[Row]:
     return _oracle_rows(name, SERIES_ORACLES[name], size)
 
 
-def check_two_row_counts(n: int) -> Iterator[Row]:
-    """Height-indexed table row n: f vs the paths with a D, and the row sums."""
-    for i in range(n + 1):
-        got = sum("D" in p.word for p in gen_ballotlike(n, i))
-        yield f"n={n},i={i}", str(f_count(n, i)), str(got)
-    if n >= 2:
-        sums = (2 ** (n - 1), binom(2 * n - 2, n - 1) - 2 ** (n - 2))
-        yield f"n={n} sums", str(sums), str(row_sums(n))
-
-
-def check_more_shapes(n: int) -> Iterator[Row]:
-    """Both two-row shape family counts vs the ideal DP summed over their shapes."""
-    first, second = more_shapes_counts(n)
-    alt = Fraction(3 * binom(2 * n - 2, n), n + 1)
-    yield f"n={n} first two ways", str(Fraction(first)), str(alt)
-    got = sum(itertools.starmap(count_svsyt, _near_rectangles(n)))
-    yield f"n={n} near-rectangles", str(first), str(got)
-    notched = (SkewShape(Partition((b + 1, b)), Partition((1,))) for b in range(1, (n + 1) // 2))
-    got = sum(count_svsyt(shape, n - 1 - shape.ncells) for shape in notched)
-    yield f"n={n} skew near-rectangles", str(second), str(got)
-
-
-def _roundtrip(x, forth, back, test, point: dict, seen: set) -> tuple[bool, str]:
-    """(ok, witness) for one object: its image passes ``test``, is new to ``seen``
-    (its reprs; every image is a frozen dataclass of ints, tuples, strings), maps back."""
+def _roundtrip(x, forth, back, test, point: dict, seen: set) -> str:
+    """Why one object fails: its image fails ``test``, is in ``seen`` (the
+    images' reprs; every image is a frozen dataclass of ints, tuples, strings)
+    or does not map back; empty if it passes."""
     y = forth(x)
     if not test(x, y, **point):
-        return False, f"{x}: image {y} fails its test"
+        return f"{x}: image {y} fails its test"
     key = repr(y)
     if key in seen:
-        return False, f"{x}: image {y} seen before"
+        return f"{x}: image {y} seen before"
     seen.add(key)
     z = back(y)
-    return (True, "") if z == x else (False, f"{x}: roundtrip gives {z}")
+    return "" if z == x else f"{x}: roundtrip gives {z}"
 
 
 def check_roundtrip(name: str, size: int) -> Iterator[Row]:
@@ -668,17 +679,17 @@ def check_roundtrip(name: str, size: int) -> Iterator[Row]:
     for point in grid(size):
         instance = ",".join([name, *(f"{k}={v:02d}" for k, v in point.items())])
         seen: set = set()
+        done, bad = 0, ""
         try:
-            outcomes = (_roundtrip(x, forth, back, test, point, seen) for x in objects(**point))
-            yield _count_row(instance, target(**point), "roundtrips", outcomes)
+            want = target(**point)
+            for x in objects(**point):
+                why = _roundtrip(x, forth, back, test, point, seen)
+                done += not why
+                if why and not bad:
+                    bad = f"; fails at {why}"
+            yield instance, f"{want} roundtrips", f"{done} roundtrips{bad}"
         except Exception as exc:  # a raise fails its point; the later points still run
             yield instance, "no exception", _raised(exc)
-
-
-def check_walker_tableaux(n: int) -> Iterator[Row]:
-    """The walker's tableaux, made without checks, each validated here in full."""
-    outcomes = ((_checks_out(t, n - t.ncells), t) for t in gen_two_row_union(n))
-    yield _count_row(f"n={n:02d}", catalan(n - 1), "valid tableaux", outcomes)
 
 
 ROUNDTRIP_CAP = 20000  # roundtrips per (poset, k); other rows see every object
@@ -798,18 +809,6 @@ def check_poset_identities(name: str, poset: Poset, k: int) -> Iterator[Row]:
     yield f"{tag} roundtrips", f"{tried} roundtrips", done
 
 
-def check_pi_permutation(nmax: int) -> Iterator[Row]:
-    """For each n, every subset X of {0..n} makes pi(n, X, -) a permutation."""
-    for n in range(nmax + 1):
-        universe = tuple(range(n + 1))
-        outcomes = (
-            ({pi_perm(n, xs, t) for t in universe} == set(universe), xs)
-            for r in range(n + 2)
-            for xs in itertools.combinations(universe, r)
-        )
-        yield _count_row(f"n={n}", 2 ** (n + 1), "subsets", outcomes)
-
-
 def check_equidistribution(shape: tuple[int, ...], kmax: int) -> Iterator[Row]:
     """The descent-set tables of a shape and its conjugate, compared here."""
     for k in range(kmax + 1):
@@ -853,14 +852,10 @@ def _equidistribution_tasks(size: tuple[int, int]) -> list[dict]:
 # size); a table's row has the budget for its size, as each entry has its own
 _TASKS: tuple[tuple[str, str, tuple, Callable[..., list[dict]]], ...] = (
     ("counts", "check_count", BUDGETS, _count_tasks),
-    ("counts", "check_two_row_counts", (6, 8), _each_n(0)),
-    ("counts", "check_more_shapes", (8, 15), _each_n(3)),
     ("bijections", "check_roundtrip", BUDGETS, partial(_sized, ROUNDTRIPS)),
-    ("bijections", "check_walker_tableaux", (8, 10), _each_n(2)),
     ("series", "check_series", BUDGETS, partial(_sized, SERIES_ORACLES)),
     ("qstats", "check_q", BUDGETS, partial(_sized, Q_ORACLES)),
     ("posets", "check_poset_identities", ((4, 2), (6, 3)), _poset_tasks),
-    ("posets", "check_pi_permutation", (6, 8), lambda size: [{"nmax": size}]),
     ("posets", "check_equidistribution", ((4, 2), (5, 2)), _equidistribution_tasks),
 )
 

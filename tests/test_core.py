@@ -317,12 +317,10 @@ class TestColoredPath:
         with pytest.raises(NotInFamily):
             ColoredPath("UxD")
 
-    def test_heights(self):
-        p = ColoredPath("UuDd")
-        assert p.heights() == (1, 1, 0, 0)
-        assert p.final_height == 0
+    def test_final_height(self):
+        assert ColoredPath("UuDd").final_height == 0
         assert ColoredPath("UU").final_height == 2
-        assert ColoredPath("").heights() == ()
+        assert ColoredPath("").final_height == 0
 
     def test_tag_examples(self):
         assert path_family(ColoredPath("Ud")) == frozenset()

@@ -37,7 +37,6 @@ from svtab.verify import (
     available_threads,
     build_tasks,
     check_count,
-    check_more_shapes,
     check_poset_identities,
     check_q,
     check_roundtrip,
@@ -160,7 +159,7 @@ def test_available_threads_is_the_core_count():
 def test_build_tasks_budgets():
     quick = build_tasks(SUITES, budget="quick")
     desk = build_tasks(SUITES, budget="desk")
-    assert (len(quick), len(desk)) == (148, 278)
+    assert (len(quick), len(desk)) == (135, 254)
     suites_seen = {suite for suite, _check, _kw in quick}
     assert suites_seen == set(SUITES)
     assert all(check.startswith("check_") for _s, check, _kw in desk)
@@ -671,13 +670,14 @@ PLANTED_BUGS = {
         """
 real = v.f_count
 v.f_count = lambda n, i: real(n, i) + (1 if (n, i) == (6, 2) else 0)
-replant(v.COUNT_ORACLES["formula"], "f", {1: v.f_count})
+for name in ("f", "f-paths"):
+    replant(v.COUNT_ORACLES["formula"], name, {1: v.f_count})
 """,
         [
             ("counts", "check_count", {"kind": "formula", "name": "f", "size": 12}),
-            ("counts", "check_two_row_counts", {"n": 6}),
+            ("counts", "check_count", {"kind": "formula", "name": "f-paths", "size": 6}),
         ],
-        {("check_count", "f,n=06"), ("check_two_row_counts", "n=6,i=2")},
+        {("check_count", "f,n=06"), ("check_count", "f-paths,n=06")},
     ),
     "sqrt_coefficient": (
         """
@@ -731,14 +731,19 @@ def planted(order):
 
 se.solve_E = planted
 """,
-        [("series", "check_series", {"name": "E-closed-form", "size": 6})],
-        {("check_series", "E-closed-form,order=06")},
+        [
+            ("series", "check_series", {"name": name, "size": 6})
+            for name in ("E-closed-form", "residual", "marker-tally", "at-ones")
+        ],
+        {
+            ("check_series", f"{name},order=06")
+            for name in ("residual", "marker-tally", "at-ones")
+        },
     ),
     # a product kernel that files each slot under the wrong d-exponent (eu one
     # up, ed kept) fails every series entry that sets a product against an
-    # independent side, paired-square's term-by-term product among them;
-    # E-closed-form sends both sides through the kernel, and the valley
-    # entries multiply q-polynomials
+    # independent side, the term-by-term E and its square among them; the
+    # valley entries multiply q-polynomials
     "product_slot_misfiled": (
         """
 import svtab.rings
@@ -752,8 +757,8 @@ svtab.rings._NEXT_SLOT = 1 << 32
             *(
                 ("check_series", f"{name},order=0{SERIES_ORACLES[name][-1][0]}")
                 for name in (
-                    "residual", "E12-taylor", "marker-tally", "at-ones", "paired-square",
-                    "E2-inverse",
+                    "residual", "E-closed-form", "E12-taylor", "marker-tally", "at-ones",
+                    "paired-square", "E2-inverse",
                 )
             ),
             *(("check_series", f"expected-steps,n=0{n}") for n in range(3, 9)),
@@ -863,15 +868,15 @@ def test_inexact_division_fails_its_task_only(flags):
 # followed by the one failing row naming the exception
 _MID_TASK_RAISE_SCRIPT = _PLANT_HEAD + """
 from svtab.core import OutOfRange
-real = v.f_count
+real = v.equidistribution_check
 
-def planted(n, i):
-    if i == 2:
-        raise OutOfRange("planted at i = 2")
-    return real(n, i)
+def planted(shape, k):
+    if k == 2:
+        raise OutOfRange("planted at k = 2")
+    return real(shape, k)
 
-v.f_count = planted
-timing, results = v._run_task(("counts", "check_two_row_counts", {"n": 4}))
+v.equidistribution_check = planted
+timing, results = v._run_task(("posets", "check_equidistribution", {"shape": (2, 1), "kmax": 2}))
 print(json.dumps([timing["rows"], [(r.instance, r.status, r.expected, r.actual) for r in results]]))
 """
 
@@ -889,10 +894,11 @@ def test_raise_mid_task_keeps_the_rows_before_it(flags):
     count, rows = json.loads(proc.stdout)
     assert count == len(rows) == 3
     assert [(inst, status) for inst, status, _w, _g in rows[:2]] == [
-        ("n=4,i=0", "pass"),
-        ("n=4,i=1", "pass"),
+        ("shape=(2, 1),k=0", "pass"),
+        ("shape=(2, 1),k=1", "pass"),
     ]
-    assert rows[2] == ["n=4", "fail", "no exception", "OutOfRange: planted at i = 2"]
+    raised = ["shape=(2, 1),kmax=2", "fail", "no exception", "OutOfRange: planted at k = 2"]
+    assert rows[2] == raised
 
 
 # a raise at one point of a table entry fails that point's row, in the format
@@ -979,15 +985,16 @@ def test_library_bug_fails_its_task_not_the_run():
 
 
 def test_a_raising_task_names_its_frame(monkeypatch):
-    # a division by zero at i = 2 of a hand-written check ends its task: the
+    # a division by zero at k = 2 of a hand-written check ends its task: the
     # time record names the plant's frame
-    real = svtab.verify.f_count
+    real = svtab.verify.equidistribution_check
 
-    def planted(n, i):
-        return real(n, i) // (0 if i == 2 else 1)
+    def planted(shape, k):
+        return real(shape, k // (0 if k == 2 else 1))
 
-    monkeypatch.setattr(svtab.verify, "f_count", planted)
-    timing, _rows = svtab.verify._run_task(("counts", "check_two_row_counts", {"n": 4}))
+    monkeypatch.setattr(svtab.verify, "equidistribution_check", planted)
+    task = ("posets", "check_equidistribution", {"shape": (2, 1), "kmax": 2})
+    timing, _rows = svtab.verify._run_task(task)
     line = planted.__code__.co_firstlineno + 1
     assert timing["raised_at"] == f"test_verify.py:{line} in planted"
     catalan3 = {"kind": "formula", "name": "catalan", "size": 3}
@@ -1126,8 +1133,8 @@ def test_wrong_du_exponent_fails_the_path_bijection_row(flags):
     ]
 
 
-# walker tableaux are built without checks; check_walker_tableaux validates
-# each one in full.  A walker whose filling swaps entry 1 with the largest
+# walker tableaux are built without checks; the walker entry validates each
+# one in full.  A walker whose filling swaps entry 1 with the largest
 # entry (the first and last cells of the row-major order) gives no valid
 # tableau, and the row says so with the first one.  The real ``_repack``
 # builds the planted filling, without checks
@@ -1143,15 +1150,33 @@ def _swap_first_and_last_entry(real):
 
 
 def test_walker_tableaux_row_fails_on_swapped_entries(monkeypatch):
-    task = ("bijections", "check_walker_tableaux", {"n": 6})
-    (passing,) = run_tasks([task], threads=1)
-    assert passing.ok and passing.actual == "42 valid tableaux"
+    task = ("bijections", "check_roundtrip", {"name": "walker", "size": 6})
+    *_smaller, passing = run_tasks([task], threads=1)
+    assert passing.ok and (passing.instance, passing.actual) == ("walker,n=06", "42 roundtrips")
     real = svtab.enumerate._repack
     monkeypatch.setattr(svtab.enumerate, "_repack", _swap_first_and_last_entry(real))
-    (failing,) = run_tasks([task], threads=1)
+    *_smaller, failing = run_tasks([task], threads=1)
     assert (failing.instance, failing.expected) == (passing.instance, passing.expected)
     assert not failing.ok
-    assert failing.actual == "0 valid tableaux; fails at {2,3,4,5,6} / {1}"
+    bad = "{2,3,4,5,6} / {1}"
+    assert failing.actual == f"0 roundtrips; fails at {bad}: image {bad} fails its test"
+
+
+# a walker that yields its first tableau of n = 4 in place of its second
+# gives as many valid tableaux; the walker row fails on the repeated one
+
+
+def test_walker_repeating_a_tableau_fails_its_row(monkeypatch):
+    real = ROUNDTRIPS["walker"][0]
+
+    def planted(n):
+        ts = list(real(n))
+        return [ts[0], ts[0], *ts[2:]] if n == 4 else ts
+
+    replant(ROUNDTRIPS, "walker", {0: planted}, monkeypatch.setitem)
+    first = next(real(4))
+    failing = {inst: got for inst, want, got in check_roundtrip("walker", 6) if want != got}
+    assert failing == {"walker,n=04": f"4 roundtrips; fails at {first}: image {first} seen before"}
 
 
 # rotate_complement builds its image without checks; the rotation entry
@@ -1192,10 +1217,11 @@ def test_a_planted_inverse_fails_exactly_its_row(name, monkeypatch):
 # the identity, planted as both the map and the inverse of any ROUNDTRIPS
 # entry, gives each object back as its own image, so the image test must fail
 # it: every row with an object fails, at every budget.  Where the test reads
-# an attribute that the object lacks, the raise fails that point's row
+# an attribute that the object lacks, the raise fails that point's row.  The
+# walker entry's map is the identity already, so it is left out
 
 
-@pytest.mark.parametrize("name", list(ROUNDTRIPS))
+@pytest.mark.parametrize("name", [name for name in ROUNDTRIPS if name != "walker"])
 def test_a_planted_identity_fails_every_row_with_an_object(name, monkeypatch):
     objects, *_maps, grid, sizes = ROUNDTRIPS[name]
     identity = lambda x: x  # noqa: E731
@@ -1295,7 +1321,7 @@ def test_a_repeated_object_fails_its_rows(name, monkeypatch):
 
 # the ballot and e columns of the height-indexed table are the ``ballot`` and
 # ``e`` count entries: a ballot count one too high at (6, 2) fails the ballot
-# count row and no row of the table
+# count row and no row of the table's other entries
 
 
 def test_a_planted_ballot_count_fails_only_its_count_row(monkeypatch):
@@ -1304,8 +1330,8 @@ def test_a_planted_ballot_count_fails_only_its_count_row(monkeypatch):
     monkeypatch.setattr(svtab.verify, "ballot_count", planted)
     replant(COUNT_ORACLES["formula"], "ballot", {1: planted}, monkeypatch.setitem)
     tasks = [
-        ("counts", "check_count", {"kind": "formula", "name": "ballot", "size": 6}),
-        ("counts", "check_two_row_counts", {"n": 6}),
+        ("counts", "check_count", {"kind": "formula", "name": name, "size": 6})
+        for name in ("ballot", "f-paths", "e-sum", "f-sum")
     ]
     failed = [(r.check, r.instance) for r in run_tasks(tasks, threads=1) if not r.ok]
     assert failed == [("check_count", "ballot,n=06")]
@@ -1342,12 +1368,17 @@ def test_equidistribution_row_compares_the_tables(monkeypatch):
     assert not any(r.ok for r in failing)
 
 
-# check_more_shapes reads both counts of ``more_shapes_counts``: a second
-# count with the sign of its cat(n - 2) term flipped fails the skew row
+# the near-rectangle entries read both counts of ``more_shapes_counts``: a
+# second count with the sign of its cat(n - 2) term flipped fails the skew rows
 
 
 def test_skew_near_rectangle_row_reads_the_second_count(monkeypatch):
-    assert not any(_failing(check_more_shapes(n)) for n in range(3, 16))
+    def failing(size):
+        entries = ("near-rectangles-form", "near-rectangles", "skew-near-rectangles")
+        rows = (row for name in entries for row in check_count("formula", name, size))
+        return [inst for inst, want, got in rows if want != got]
+
+    assert failing(15) == []
     real = svtab.verify.more_shapes_counts
 
     def planted(n):
@@ -1355,8 +1386,7 @@ def test_skew_near_rectangle_row_reads_the_second_count(monkeypatch):
         return first, catalan(n) - 2 * catalan(n - 1) - catalan(n - 2)
 
     monkeypatch.setattr(svtab.verify, "more_shapes_counts", planted)
-    for n in range(3, 9):
-        assert _failing(check_more_shapes(n)) == {"skew near-rectangles"}
+    assert failing(8) == [f"skew-near-rectangles,n={n:02d}" for n in range(3, 9)]
 
 
 @pytest.fixture
